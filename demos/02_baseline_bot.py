@@ -7,10 +7,10 @@ Writes bot_telemetry.csv and bot_controls.svg to the working directory.
 from racerl import tracks
 from racerl.bot import BaselineBot, drive_bot
 from racerl.plotting import plot_csv
-from racerl.simulator import RacingEnv, TelemetryLogger
+from racerl.simulator import EnvSettings, RacingEnv, TelemetryLogger
 
 track = tracks.get_track("oval")
-env = RacingEnv(track, max_steps=1200)
+env = RacingEnv(track, settings=EnvSettings(max_steps=1200))
 bot = BaselineBot(track)
 log = TelemetryLogger()
 

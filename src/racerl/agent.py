@@ -10,11 +10,12 @@ feed-forward on the flattened window).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import nn
+from .config import from_dict
 from .replay import PERConfig, make_buffer
 from .simulator import PREMATURE_TERMINATIONS, observation_dim
 
@@ -172,21 +173,11 @@ class AgentConfig:
             **overrides,
         )
         if cfg.buffer_kind == "per":
-            cfg.per = PERConfig(cfg.per.alpha, cfg.per.lam3, cfg.per.epsilon, cfg.capacity)
+            cfg.per = replace(cfg.per, capacity=cfg.capacity)
         return cfg
 
     def to_dict(self):
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["per"] = PERConfig(**d["per"])
-        expl = dict(d["exploration"])
-        for key in ("steer", "throttle", "brake", "brake_burst"):
-            expl[key] = OUParams(**expl[key])
-        d["exploration"] = ExplorationConfig(**expl)
-        return cls(**d)
 
 
 @dataclass
@@ -362,7 +353,7 @@ class DDPGAgent:
         meta, arrays = nn.load_arrays(path)
         if meta.get("kind") != "agent":
             raise ValueError(f"{path} is not an agent checkpoint")
-        agent = cls(AgentConfig.from_dict(meta["config"]))
+        agent = cls(from_dict(AgentConfig, meta["config"]))
         for tag, net in (("actor", agent.actor), ("critic", agent.critic),
                          ("target_actor", agent.target_actor),
                          ("target_critic", agent.target_critic)):

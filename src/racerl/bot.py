@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .geometry import RacingLine, max_speed, wrap_angle
-from .simulator import Action, CarParams, RacingEnv
+from .simulator import Action, CarParams, EnvSettings, RacingEnv
 
 SPEED_LOOKAHEAD = (0.0, 20.0, 40.0, 60.0, 80.0)
 
@@ -70,7 +70,7 @@ class BaselineBot:
 def drive_bot(env, bot, max_steps=None, logger=None, stop_after_laps=None):
     """Drive the bot until termination, max_steps, or a lap count."""
     env.reset()
-    steps = max_steps if max_steps is not None else env.max_steps
+    steps = max_steps if max_steps is not None else env.settings.max_steps
     total = 0.0
     laps = []
     result = None
@@ -98,8 +98,8 @@ def drive_bot(env, bot, max_steps=None, logger=None, stop_after_laps=None):
 def bot_lap_time(track, laps=2, params=None, safety=0.9):
     """Deterministic bot lap time on a track (best of the flying laps)."""
     params = params if params is not None else CarParams()
-    env = RacingEnv(track, params=params,
-                    max_steps=int((laps + 1) * track.length / 3.0 / 0.2) + 600)
+    max_steps = int((laps + 1) * track.length / 3.0 / 0.2) + 600
+    env = RacingEnv(track, params=params, settings=EnvSettings(max_steps=max_steps))
     bot = BaselineBot(track, params=params, safety=safety)
     stats = drive_bot(env, bot, stop_after_laps=laps + 1)  # standing start + flying laps
     if not stats["laps"]:
@@ -115,8 +115,8 @@ def record_reference_line(track, params=None, slow_factor=0.6, spacing=2.0,
     then unusable for RC reference modes).
     """
     params = params if params is not None else CarParams()
-    env = RacingEnv(track, params=params,
-                    max_steps=int(track.length / (2.5 * slow_factor) / 0.2) + 800)
+    max_steps = int(track.length / (2.5 * slow_factor) / 0.2) + 800
+    env = RacingEnv(track, params=params, settings=EnvSettings(max_steps=max_steps))
     bot = BaselineBot(track, params=params, safety=safety, speed_scale=slow_factor)
     env.reset()
 

@@ -24,32 +24,16 @@ from .agent import (
     DDPGAgent,
     ExplorationConfig,
     ObservationWindow,
-    OUParams,
 )
 from .bot import bot_lap_time, record_reference_line
+from .config import from_dict
 from .geometry import RacingLine, load_racing_line, save_racing_line
 from .nn import NumericError
 from .plotting import moving_average
 from .replay import Transition
-from .simulator import CarParams, RacingEnv
+from .simulator import CarParams, EnvSettings, RacingEnv, _fmt
 
 REFERENCE_MODES = ("mot", "rc", "rc-lac")
-
-
-@dataclass
-class EnvSettings:
-    dt: float = 0.2
-    substeps: int = 10
-    max_steps: int = 400
-    damage_weight: float = 0.01
-    damage_coeff: float = 1.0
-    literal_sin: bool = False
-    start_delta: float = 0.0
-    start_speed: float = 0.0
-    backwards_steps: int = 5
-    slow_window: int = 50
-    slow_speed: float = 2.0
-    slow_grace: int = 100
 
 
 @dataclass
@@ -108,23 +92,9 @@ class ExperimentConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["env"] = EnvSettings(**d.get("env", {}))
-        d["agent"] = AgentSettings(**d.get("agent", {}))
-        d["train"] = TrainSettings(**d.get("train", {}))
-        d["car"] = CarParams(**d.get("car", {}))
-        expl = dict(d.get("exploration", {}))
-        for key in ("steer", "throttle", "brake", "brake_burst"):
-            if key in expl:
-                expl[key] = OUParams(**expl[key])
-        d["exploration"] = ExplorationConfig(**expl)
-        return cls(**d)
-
-    @classmethod
     def from_file(cls, path):
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            return from_dict(cls, json.load(fh))
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -149,42 +119,19 @@ def build_reference(config, track):
 def make_env(config, track=None, reference=None, max_steps=None):
     track = track if track is not None else tracks.get_track(config.track)
     reference = reference if reference is not None else build_reference(config, track)
-    e = config.env
-    return RacingEnv(
-        track,
-        reference=reference,
-        lac_enabled=config.lac_enabled,
-        params=config.car,
-        dt=e.dt,
-        substeps=e.substeps,
-        max_steps=max_steps if max_steps is not None else e.max_steps,
-        damage_weight=e.damage_weight,
-        damage_coeff=e.damage_coeff,
-        literal_sin=e.literal_sin,
-        start_delta=e.start_delta,
-        start_speed=e.start_speed,
-        termination_overrides=dict(
-            backwards_steps=e.backwards_steps,
-            slow_window=e.slow_window,
-            slow_speed=e.slow_speed,
-            slow_grace=e.slow_grace,
-        ),
-    )
+    settings = config.env
+    if max_steps is not None:
+        settings = dataclasses.replace(settings, max_steps=max_steps)
+    return RacingEnv(track, reference=reference, lac_enabled=config.lac_enabled,
+                     params=config.car, settings=settings)
 
 
 def make_agent(config, seed):
-    a = config.agent
     agent_config = AgentConfig.from_variant(
         config.variant,
         lac_enabled=config.lac_enabled,
-        gamma=a.gamma,
-        tau=a.tau,
-        batch_size=a.batch_size,
-        actor_lr=a.actor_lr,
-        critic_lr=a.critic_lr,
-        hidden=a.hidden,
-        adopted_target=a.adopted_target,
         exploration=config.exploration,
+        **asdict(config.agent),
     )
     return DDPGAgent(agent_config, seed=seed)
 
@@ -272,16 +219,6 @@ def eval_step_cap(track, laps, dt):
 
 METRICS_HEADER = "episode,steps,return,critic_loss_mean,actor_obj_mean,epsilon_prime,laps,damage"
 EVAL_HEADER = "episode,return,steps,laps,best_lap_time,damage,termination"
-
-
-def _fmt(v):
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
 
 
 @dataclass
@@ -416,13 +353,6 @@ def train_run(config, seed, run_dir=None):
     agent.save(os.path.join(run_dir, "latest.npz"))
     return TrainRunResult(run_dir, episodes_run, failed, success_episode,
                           best_eval, checkpoints)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 # --- leaderboard -----------------------------------------------------------------
@@ -600,8 +530,7 @@ def generalization_eval(run_dir, track_names, laps=1, out_csv=None, report_path=
     Emits the per-checkpoint lap-time series and selects the general model
     per the best-on-training-but-finishes-everywhere rule.
     """
-    with open(os.path.join(run_dir, "config.json")) as fh:
-        config = ExperimentConfig.from_dict(json.load(fh))
+    config = ExperimentConfig.from_file(os.path.join(run_dir, "config.json"))
     training_track = config.track
     ckpt_dir = os.path.join(run_dir, "checkpoints")
     paths = sorted(

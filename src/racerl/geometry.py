@@ -338,13 +338,6 @@ class RacingLine:
         )
 
 
-def racing_line_to_world(line, track, delta):
-    """World point of a racing line at track arc length delta."""
-    if line.track is not track:
-        raise GeometryError("racing line belongs to a different track")
-    return line.world_point_at(delta)
-
-
 # ---------------------------------------------------------------------------
 # file formats
 

@@ -391,48 +391,35 @@ class LstmCritic:
             raise ShapeError(f"window shapes {s_win.shape} / {a_win.shape} incompatible")
         if s_win.shape[2] != self.state_dim or a_win.shape[2] != self.action_dim:
             raise ShapeError(f"window features {s_win.shape[2]}/{a_win.shape[2]} mismatch")
-        batch, w, _ = s_win.shape
-        state = self.cell.zero_state(batch)
+        embeds = []
         embed_caches = []
-        step_caches = []
-        h = state[0]
-        for t in range(w):
+        for t in range(s_win.shape[1]):
             e, ce = self.state_layer.forward(s_win[:, t, :])
-            x = np.concatenate([e, a_win[:, t, :]], axis=1)
-            h, state, cs = self.cell.step(x, state)
+            embeds.append(e)
             embed_caches.append(ce)
-            step_caches.append(cs)
+        xs = np.concatenate([np.stack(embeds, axis=1), a_win], axis=2)
+        h, step_caches = lstm_unroll(self.cell, xs)
         q, cache_h = self.head.forward(h)
-        return q[:, 0], (embed_caches, step_caches, cache_h, w)
+        return q[:, 0], (embed_caches, step_caches, cache_h)
 
     def backward(self, cache, gq):
         """Returns (grads, gs_win, ga_win); grads ordered like parameters()."""
-        embed_caches, step_caches, cache_h, w = cache
+        embed_caches, step_caches, cache_h = cache
         ghead, gh = self.head.backward(cache_h, gq[:, None])
-        gwx = np.zeros_like(self.cell.wx)
-        gwh = np.zeros_like(self.cell.wh)
-        gb = np.zeros_like(self.cell.bias)
+        cell_grads, gxs = lstm_unroll_backward(self.cell, step_caches, gh)
+        embed_dim = self.state_layer.out_dim
         gws = np.zeros_like(self.state_layer.weight)
         gbs = np.zeros_like(self.state_layer.bias)
-        gc = np.zeros_like(gh)
-        embed_dim = self.state_layer.out_dim
         gs_list = []
-        ga_list = []
-        for t in range(w - 1, -1, -1):
-            (dwx, dwh, db), gx, gh, gc = self.cell.step_backward(step_caches[t], gh, gc)
-            gwx += dwx
-            gwh += dwh
-            gb += db
-            ge = gx[:, :embed_dim]
-            ga_list.append(gx[:, embed_dim:])
-            (dws, dbs), gs = self.state_layer.backward(embed_caches[t], ge)
+        # summed last step first, like the cell gradients in lstm_unroll_backward
+        for t in range(len(embed_caches) - 1, -1, -1):
+            (dws, dbs), gs = self.state_layer.backward(embed_caches[t], gxs[:, t, :embed_dim])
             gws += dws
             gbs += dbs
             gs_list.append(gs)
         gs_list.reverse()
-        ga_list.reverse()
-        grads = [gws, gbs, gwx, gwh, gb, *ghead]
-        return grads, np.stack(gs_list, axis=1), np.stack(ga_list, axis=1)
+        grads = [gws, gbs, *cell_grads, *ghead]
+        return grads, np.stack(gs_list, axis=1), gxs[:, :, embed_dim:]
 
     def parameters(self):
         return [
@@ -534,13 +521,6 @@ class Adam:
             m_hat = self.m[i] / b1t
             v_hat = self.v[i] / b2t
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def state_arrays(self):
-        out = {"t": np.array([self.t], dtype=np.int64)}
-        for i, (m, v) in enumerate(zip(self.m, self.v)):
-            out[f"m{i}"] = m
-            out[f"v{i}"] = v
-        return out
 
 
 def soft_update(source, target, tau):

@@ -93,6 +93,7 @@ def render_line_plot(series, path, title="", xlabel="", ylabel="",
 
 
 def read_csv_columns(path):
+    """The CSV's columns by header name, as lists of the raw field strings."""
     with open(path) as fh:
         reader = csv.reader(fh)
         rows = list(reader)
@@ -102,11 +103,19 @@ def read_csv_columns(path):
     cols = {name: [] for name in header}
     for row in rows[1:]:
         for name, value in zip(header, row):
-            try:
-                cols[name].append(float(value))
-            except ValueError:
-                cols[name].append(float("nan"))
-    return {k: np.asarray(v) for k, v in cols.items()}
+            cols[name].append(value)
+    return cols
+
+
+def _numbers(values):
+    """A column as floats; fields that are not numbers read as nan."""
+    out = []
+    for value in values:
+        try:
+            out.append(float(value))
+        except ValueError:
+            out.append(float("nan"))
+    return np.asarray(out)
 
 
 def plot_csv(path, out_path, smooth=5):
@@ -116,7 +125,8 @@ def plot_csv(path, out_path, smooth=5):
     plot the smoothed episode return; lap-time series plot one line per
     track; anything else plots every numeric column against the first.
     """
-    cols = read_csv_columns(path)
+    raw = read_csv_columns(path)
+    cols = {name: _numbers(values) for name, values in raw.items()}
     names = list(cols)
     if {"steer", "throttle", "brake", "Vx"} <= set(names):
         t = cols["t"]
@@ -136,7 +146,6 @@ def plot_csv(path, out_path, smooth=5):
         return render_line_plot(series, out_path, title="training metrics",
                                 xlabel="episode", ylabel="return")
     if {"checkpoint_episode", "track", "best_lap_time"} <= set(names):
-        raw = read_csv_columns_raw(path)
         by_track = {}
         for ep, track, lap in zip(raw["checkpoint_episode"], raw["track"], raw["best_lap_time"]):
             if lap in ("", "None"):
@@ -150,17 +159,3 @@ def plot_csv(path, out_path, smooth=5):
     x = cols[names[0]]
     series = [(n, x, cols[n]) for n in names[1:] if np.isfinite(cols[n]).all()]
     return render_line_plot(series, out_path, xlabel=names[0])
-
-
-def read_csv_columns_raw(path):
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if len(rows) < 2:
-        raise EmptyDataError(f"{path} has no data rows")
-    header = rows[0]
-    cols = {name: [] for name in header}
-    for row in rows[1:]:
-        for name, value in zip(header, row):
-            cols[name].append(value)
-    return cols

@@ -7,7 +7,7 @@ optional switch for standard IS weights kept for ablations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -295,7 +295,7 @@ def make_buffer(kind, capacity=None, per_config=None):
     if kind == "per":
         cfg = per_config if per_config is not None else PERConfig()
         if capacity:
-            cfg = PERConfig(cfg.alpha, cfg.lam3, cfg.epsilon, capacity)
+            cfg = replace(cfg, capacity=capacity)
         return PrioritizedReplayBuffer(cfg)
     raise ValueError(f"unknown buffer kind {kind!r}")
 
@@ -308,8 +308,9 @@ _CODE_TERMINATIONS = {v: k for k, v in _TERMINATION_CODES.items()}
 
 
 def save_buffer(buffer, path):
-    """Snapshot the stored transitions (same container format as checkpoints)."""
-    ts = [buffer.get(i) for i in range(buffer.size)]
+    """Snapshot the stored transitions oldest first (same container format as checkpoints)."""
+    oldest = (buffer._write - buffer.size) % buffer.capacity
+    ts = [buffer.get((oldest + i) % buffer.capacity) for i in range(buffer.size)]
     arrays = {
         "states": np.stack([t.state for t in ts]) if ts else np.zeros((0, 0)),
         "actions": np.stack([t.action for t in ts]) if ts else np.zeros((0, 0)),

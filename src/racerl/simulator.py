@@ -90,6 +90,33 @@ class CarParams:
 
 
 @dataclass
+class EnvSettings:
+    """Episode settings of a RacingEnv: time step, reward, start, termination rules."""
+
+    dt: float = 0.2               # agent step, s
+    substeps: int = 10            # integration steps per agent step
+    max_steps: int = 400
+    damage_weight: float = 0.01
+    damage_coeff: float = 1.0
+    literal_sin: bool = False
+    start_delta: float = 0.0      # start position, m along the track axis
+    start_speed: float = 0.0
+    backwards_steps: int = 5      # consecutive |theta| > pi/2 steps that end the episode
+    slow_window: int = 50         # steps in the slow-progress speed mean
+    slow_speed: float = 2.0       # m/s
+    slow_grace: int = 100         # steps before slow progress can end the episode
+
+    def __post_init__(self):
+        if not self.dt > 0:
+            raise ValueError(f"env.dt must be positive, got {self.dt}")
+        for name in ("substeps", "max_steps", "backwards_steps", "slow_window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"env.{name} must be at least 1, got {getattr(self, name)}")
+        if self.slow_grace < 0:
+            raise ValueError(f"env.slow_grace must be non-negative, got {self.slow_grace}")
+
+
+@dataclass
 class Action:
     steer: float = 0.0      # [-1, 1]
     throttle: float = 0.0   # [0, 1]
@@ -101,9 +128,6 @@ class Action:
             throttle=min(max(self.throttle, 0.0), 1.0),
             brake=min(max(self.brake, 0.0), 1.0),
         )
-
-    def as_array(self):
-        return np.array([self.steer, self.throttle, self.brake])
 
     @classmethod
     def from_array(cls, a):
@@ -203,29 +227,20 @@ def make_observation(state, track, reference, lac_enabled, params):
 
 
 class TerminationTracker:
-    """Applies the episode-end rules in fixed priority order.
+    """Applies the episode-end rules of an EnvSettings in fixed priority order.
 
     out_of_track: |trackPos| > 1 (track axis frame)
-    backwards:    |theta| > pi/2 for 5 consecutive steps
-    slow_progress: mean vx over the last 50 steps < 2 m/s, after step 100
+    backwards:    |theta| > pi/2 for backwards_steps consecutive steps
+    slow_progress: mean vx over the last slow_window steps < slow_speed,
+                   after slow_grace steps
     max_steps:    step count reached the cap
     """
 
-    BACKWARDS_STEPS = 5
-    SLOW_WINDOW = 50
-    SLOW_SPEED = 2.0
-    SLOW_GRACE = 100
-
-    def __init__(self, max_steps, backwards_steps=None, slow_window=None,
-                 slow_speed=None, slow_grace=None):
-        self.max_steps = max_steps
-        self.backwards_steps = backwards_steps if backwards_steps else self.BACKWARDS_STEPS
-        self.slow_window = slow_window if slow_window else self.SLOW_WINDOW
-        self.slow_speed = slow_speed if slow_speed is not None else self.SLOW_SPEED
-        self.slow_grace = slow_grace if slow_grace is not None else self.SLOW_GRACE
+    def __init__(self, settings):
+        self.settings = settings
         self.steps = 0
         self.backwards_count = 0
-        self.vx_history = deque(maxlen=self.slow_window)
+        self.vx_history = deque(maxlen=settings.slow_window)
 
     def update(self, track_pos, theta, vx):
         """Record one agent step and return the termination kind, if any."""
@@ -235,17 +250,18 @@ class TerminationTracker:
         return self.check(track_pos)
 
     def check(self, track_pos):
+        s = self.settings
         if abs(track_pos) > 1.0:
             return Termination.OUT_OF_TRACK
-        if self.backwards_count >= self.backwards_steps:
+        if self.backwards_count >= s.backwards_steps:
             return Termination.BACKWARDS
         if (
-            self.steps > self.slow_grace
-            and len(self.vx_history) == self.slow_window
-            and sum(self.vx_history) / self.slow_window < self.slow_speed
+            self.steps > s.slow_grace
+            and len(self.vx_history) == s.slow_window
+            and sum(self.vx_history) / s.slow_window < s.slow_speed
         ):
             return Termination.SLOW_PROGRESS
-        if self.steps >= self.max_steps:
+        if self.steps >= s.max_steps:
             return Termination.MAX_STEPS
         return None
 
@@ -273,24 +289,17 @@ class RacingEnv:
     """Single-car environment over a track with a telemetry reference line."""
 
     def __init__(self, track, reference=None, lac_enabled=False, params=None,
-                 dt=0.2, substeps=10, max_steps=400, damage_weight=0.01,
-                 damage_coeff=1.0, literal_sin=False, start_delta=0.0,
-                 start_speed=0.0, termination_overrides=None):
+                 settings=None):
         self.track = track
         self.reference = reference if reference is not None else RacingLine.middle_of_track(track)
         self.lac_enabled = lac_enabled
         self.params = params if params is not None else CarParams()
         if track.width <= self.params.width:
             raise ValueError("track narrower than the car")
-        self.dt = dt
-        self.substeps = substeps
-        self.max_steps = max_steps
-        self.damage_weight = damage_weight
-        self.damage_coeff = damage_coeff
-        self.literal_sin = literal_sin
-        self.start_delta = start_delta
-        self.start_speed = start_speed
-        self.termination_overrides = dict(termination_overrides or {})
+        # never written: the envs of one experiment share it, so a per-episode
+        # start position goes into start_delta instead
+        self.settings = settings if settings is not None else EnvSettings()
+        self.start_delta = self.settings.start_delta
         self.state = None
         self.reset()
 
@@ -298,8 +307,8 @@ class RacingEnv:
         p = self.track.centerline.point_at(self.start_delta)
         tangent = self.track.centerline.tangent_at(self.start_delta)
         self.state = CarState(position=p.copy(), heading=math.atan2(tangent[1], tangent[0]),
-                              vx=self.start_speed)
-        self.tracker = TerminationTracker(self.max_steps, **self.termination_overrides)
+                              vx=self.settings.start_speed)
+        self.tracker = TerminationTracker(self.settings)
         self.time = 0.0
         self.lap_progress = 0.0
         self.lap_start_time = 0.0
@@ -325,12 +334,13 @@ class RacingEnv:
             raise NumericError("non-finite action")
         act = raw.clamped()
 
-        h = self.dt / self.substeps
+        settings = self.settings
+        h = settings.dt / settings.substeps
         damage_increment = 0.0
         lap_completed = False
         lap_time = None
         track_frame = None
-        for _ in range(self.substeps):
+        for _ in range(settings.substeps):
             dmg, crossed, track_frame = self._substep(act, h)
             damage_increment += dmg
             if crossed is not None:
@@ -340,7 +350,7 @@ class RacingEnv:
         obs = self.observe()
         reward = progress_reward(
             obs.vx, obs.angle, obs.track_pos, damage_increment,
-            damage_weight=self.damage_weight, literal_sin=self.literal_sin,
+            damage_weight=settings.damage_weight, literal_sin=settings.literal_sin,
         )
         kind = self.tracker.update(track_frame.track_pos, track_frame.theta, self.state.vx)
         if kind is not None:
@@ -408,7 +418,7 @@ class RacingEnv:
         v_n = float(world_v @ n_out)
         if v_n <= 0.0:
             return 0.0
-        damage = self.damage_coeff * v_n * v_n
+        damage = self.settings.damage_coeff * v_n * v_n
         new_world_v = world_v - v_n * n_out
         cos_h, sin_h = math.cos(s.heading), math.sin(s.heading)
         s.vx = max(new_world_v[0] * cos_h + new_world_v[1] * sin_h, 0.0)
@@ -463,6 +473,11 @@ class TelemetryLogger:
 
 
 def _fmt(v):
+    """One CSV field: exact round-trip floats, plain ints, blank for None."""
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return repr(float(v))

@@ -17,7 +17,7 @@ from racerl.agent import (
     ou_step,
     td_target,
 )
-from racerl.replay import Transition
+from racerl.replay import PERConfig, Transition
 from racerl.simulator import Termination
 from oracles import finite_difference_grad, max_relative_error
 
@@ -321,6 +321,13 @@ def test_train_step_per_feeds_priorities_back():
     assert np.all(m.actor_grad_sq >= 0)
     assert not np.array_equal(agent.buffer.tree.nodes, tree_before)
     assert agent.buffer.tree.consistency_error() < 1e-9
+
+
+def test_per_variant_keeps_is_weight_settings():
+    cfg = AgentConfig.from_variant("PER40k", per=PERConfig(is_weights=True, beta=0.5))
+    assert (cfg.per.capacity, cfg.per.is_weights, cfg.per.beta) == (40_000, True, 0.5)
+    per = DDPGAgent(cfg).buffer.config
+    assert (per.capacity, per.is_weights, per.beta) == (40_000, True, 0.5)
 
 
 def test_variant_table_invariants():

@@ -13,7 +13,6 @@ from racerl.geometry import (
     RacingLine,
     Track,
     max_speed,
-    racing_line_to_world,
     wrap_angle,
 )
 
@@ -200,7 +199,7 @@ def test_rangefinders_continuity_on_straight():
 def test_racing_line_to_world_alpha_half_is_centerline():
     track = stadium_track()
     line = RacingLine.middle_of_track(track)
-    npt.assert_allclose(racing_line_to_world(line, track, 123.0),
+    npt.assert_allclose(line.world_point_at(123.0),
                         track.centerline.point_at(123.0), atol=1e-9)
 
 
@@ -233,7 +232,7 @@ def test_racing_line_roundtrip_property():
     alpha = 0.5 + 0.3 * np.sin(np.linspace(0, 2 * math.pi, delta.size))
     line = RacingLine(track, delta, alpha)
     for d in (25.0, 150.0, 300.0):
-        p = racing_line_to_world(line, track, d)
+        p = line.world_point_at(d)
         frame = track.frame(p, 0.0)
         err = abs(frame.delta - d)
         assert min(err, track.length - err) < 0.1

@@ -11,7 +11,7 @@ from racerl import plotting, tracks
 from racerl.bot import BaselineBot, bot_lap_time, drive_bot, record_reference_line
 from racerl.cli import main as cli_main
 from racerl.geometry import RacingLine
-from racerl.simulator import CarParams, CarState, RacingEnv
+from racerl.simulator import CarParams, CarState, EnvSettings, RacingEnv
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +79,7 @@ def test_record_line_failure_is_error(oval):
             a.steer = 0.0
             return a
 
-    env = RacingEnv(tracks.get_track("technical"), max_steps=4000)
+    env = RacingEnv(tracks.get_track("technical"), settings=EnvSettings(max_steps=4000))
     stats = drive_bot(env, BrokenBot(tracks.get_track("technical")))
     assert stats["termination"] is not None and not stats["laps"]
 
@@ -108,6 +108,20 @@ def test_config_file_roundtrip(tmp_path):
     assert loaded.variant == "PER1M"
     assert loaded.agent.gamma == 0.95
     assert loaded.exploration.steer.sigma == 0.3
+
+
+def test_config_load_errors_name_the_field(tmp_path):
+    path = tmp_path / "config.json"
+    doc = json.loads(ex.default_config_json())
+    doc["exploration"]["steer"]["thta"] = 0.1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"'exploration\.steer\.thta'"):
+        ex.ExperimentConfig.from_file(path)
+    doc = json.loads(ex.default_config_json())
+    doc["env"]["slow_window"] = 0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"env\.slow_window"):
+        ex.ExperimentConfig.from_file(path)
 
 
 def test_config_rc_requires_line_file():

@@ -363,3 +363,13 @@ def test_buffer_snapshot_roundtrip(tmp_path):
         assert a.reward == b.reward
         assert a.termination == b.termination
         assert (a.episode, a.step) == (b.episode, b.step)
+
+    # a wrapped ring is saved oldest first, so trajectory views survive a reload
+    ring = ReplayBuffer(4)
+    fill_episode(ring, 6)
+    save_buffer(ring, path)
+    restored = load_buffer(path, ReplayBuffer(4))
+    assert [restored.get(i).step for i in range(4)] == [2, 3, 4, 5]
+    states, _, _ = restored.assemble_window(0, 3)
+    npt.assert_array_equal(states[:, 0], [2.0, 2.0, 2.0])  # step 2 is the oldest kept
+    assert restored.assemble_nstep(0, 4, 1.0).reward_sum == 2.0 + 3.0 + 4.0 + 5.0

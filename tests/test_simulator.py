@@ -11,6 +11,7 @@ from racerl.simulator import (
     Action,
     CarParams,
     CarState,
+    EnvSettings,
     Observation,
     RacingEnv,
     Termination,
@@ -27,9 +28,9 @@ def oval():
     return tracks.get_track("oval")
 
 
-def make_env(track, **kw):
-    kw.setdefault("max_steps", 400)
-    return RacingEnv(track, **kw)
+def make_env(track, reference=None, lac_enabled=False, **settings):
+    return RacingEnv(track, reference=reference, lac_enabled=lac_enabled,
+                     settings=EnvSettings(**settings))
 
 
 # --- reward (Eq.-style oracle table) ------------------------------------------
@@ -79,24 +80,24 @@ def test_reward_argmax_at_zero_for_abs_form():
 
 
 def test_termination_out_of_track_and_penalty():
-    t = TerminationTracker(max_steps=1000)
+    t = TerminationTracker(EnvSettings(max_steps=1000))
     assert t.update(1.01, 0.0, 10.0) is Termination.OUT_OF_TRACK
     assert terminal_reward(Termination.OUT_OF_TRACK) == -1.0
 
 
 def test_termination_exact_border_does_not_trigger():
-    t = TerminationTracker(max_steps=1000)
+    t = TerminationTracker(EnvSettings(max_steps=1000))
     assert t.update(1.0, 0.0, 10.0) is None
 
 
 def test_termination_backwards_needs_five_consecutive():
-    t = TerminationTracker(max_steps=1000)
+    t = TerminationTracker(EnvSettings(max_steps=1000))
     for _ in range(4):
         assert t.update(0.0, 2.0, 5.0) is None
     assert t.update(0.0, 2.0, 5.0) is Termination.BACKWARDS
     assert terminal_reward(Termination.BACKWARDS) == -1.0
 
-    t = TerminationTracker(max_steps=1000)
+    t = TerminationTracker(EnvSettings(max_steps=1000))
     for _ in range(4):
         t.update(0.0, 2.0, 5.0)
     t.update(0.0, 0.0, 5.0)  # interruption resets the streak
@@ -105,7 +106,7 @@ def test_termination_backwards_needs_five_consecutive():
 
 
 def test_termination_slow_progress_after_grace():
-    t = TerminationTracker(max_steps=10000)
+    t = TerminationTracker(EnvSettings(max_steps=10000))
     kind = None
     for i in range(1, 200):
         kind = t.update(0.0, 0.0, 1.0)
@@ -117,7 +118,7 @@ def test_termination_slow_progress_after_grace():
 
 
 def test_termination_max_steps_no_penalty():
-    t = TerminationTracker(max_steps=3)
+    t = TerminationTracker(EnvSettings(max_steps=3))
     assert t.update(0.0, 0.0, 10.0) is None
     assert t.update(0.0, 0.0, 10.0) is None
     assert t.update(0.0, 0.0, 10.0) is Termination.MAX_STEPS
@@ -126,13 +127,22 @@ def test_termination_max_steps_no_penalty():
 
 def test_termination_priority_order():
     # off track while also at the step cap: out_of_track wins
-    t = TerminationTracker(max_steps=1)
+    t = TerminationTracker(EnvSettings(max_steps=1))
     assert t.update(1.5, 0.0, 10.0) is Termination.OUT_OF_TRACK
 
 
 def test_termination_fresh_fast_car_none():
-    t = TerminationTracker(max_steps=400)
+    t = TerminationTracker(EnvSettings(max_steps=400))
     assert t.update(0.0, 0.05, 30.0) is None
+
+
+@pytest.mark.parametrize("name, value", [
+    ("dt", 0.0), ("substeps", 0), ("max_steps", 0),
+    ("backwards_steps", 0), ("slow_window", 0), ("slow_grace", -1),
+])
+def test_env_settings_reject_out_of_range(name, value):
+    with pytest.raises(ValueError, match=f"env.{name} "):
+        EnvSettings(**{name: value})
 
 
 # --- telemetry -----------------------------------------------------------------
