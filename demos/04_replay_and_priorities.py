@@ -5,7 +5,13 @@ Run:  python3 demos/04_replay_and_priorities.py
 
 import numpy as np
 
-from racerl.replay import PERConfig, PrioritizedReplayBuffer, ReplayBuffer, Transition
+from racerl.replay import (
+    CODE_TERMINATIONS,
+    PERConfig,
+    PrioritizedReplayBuffer,
+    ReplayBuffer,
+    Transition,
+)
 from racerl.simulator import Termination
 
 rng = np.random.default_rng(0)
@@ -33,7 +39,7 @@ print(states[:, :2])
 
 view = buf.assemble_nstep(3, 4, gamma=0.9)
 print(f"\n4-step view from episode 0, step 3: reward_sum={view.reward_sum:.2f}, "
-      f"horizon m={view.steps}, ended by {view.termination}")
+      f"horizon m={view.steps}, ended by {CODE_TERMINATIONS[int(view.termination)]}")
 
 per = PrioritizedReplayBuffer(PERConfig(alpha=1.0, capacity=16))
 for i in range(4):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .config import from_dict
-from .replay import PERConfig, make_buffer
+from .replay import CODE_TERMINATIONS, PERConfig, make_buffer
 from .simulator import PREMATURE_TERMINATIONS, observation_dim
 
 VARIANTS = {
@@ -176,9 +176,6 @@ class AgentConfig:
             cfg.per = replace(cfg.per, capacity=cfg.capacity)
         return cfg
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class TrainMetrics:
@@ -235,16 +232,9 @@ class DDPGAgent:
     def compute_targets(self, batch):
         """TD targets for a sampled batch, per the variant's rules."""
         c = self.config
-        if c.nstep > 1:
-            views = [self.buffer.assemble_nstep(s, c.nstep, c.gamma) for s in batch.slots]
-            boot = np.stack([v.bootstrap_state for v in views])
-            q_next = self.target_critic(boot, self.target_actor(boot))
-            return np.array([
-                td_target(v.reward_sum, v.steps, q, c.gamma, v.termination, c.adopted_target)
-                for v, q in zip(views, q_next)
-            ])
-
-        s_win, a_win, next_s_win = self._windows(batch)
+        view = self.buffer.assemble_nstep(np.asarray(batch.slots), c.nstep, c.gamma)
+        # bootstrap from the window that ends at each view's last transition
+        _, a_win, next_s_win = self.buffer.assemble_window(view.slot, c.window)
         next_flat = next_s_win.reshape(len(batch), -1)
         a_next = self.target_actor(next_flat)
         if c.lstm:
@@ -253,22 +243,10 @@ class DDPGAgent:
         else:
             q_next = self.target_critic(next_flat, a_next)
         return np.array([
-            td_target(t.reward, 1, q, c.gamma, t.termination, c.adopted_target)
-            for t, q in zip(batch.transitions, q_next)
+            td_target(r, k, q, c.gamma, CODE_TERMINATIONS[code], c.adopted_target)
+            for r, k, q, code in zip(view.reward_sum.tolist(), view.steps.tolist(),
+                                     q_next, view.termination.tolist())
         ])
-
-    def _windows(self, batch):
-        c = self.config
-        if c.window == 1:
-            s = np.stack([t.state for t in batch.transitions])[:, None, :]
-            a = np.stack([t.action for t in batch.transitions])[:, None, :]
-            ns = np.stack([t.next_state for t in batch.transitions])[:, None, :]
-            return s, a, ns
-        parts = [self.buffer.assemble_window(slot, c.window) for slot in batch.slots]
-        s = np.stack([p[0] for p in parts])
-        a = np.stack([p[1] for p in parts])
-        ns = np.stack([p[2] for p in parts])
-        return s, a, ns
 
     def _critic_eval(self, s_win, a_win, actions):
         """Forward pass of the critic on stored windows + a chosen current action."""
@@ -293,9 +271,9 @@ class DDPGAgent:
         batch = self.buffer.sample(c.batch_size, self.rng)
         n = len(batch)
         y = self.compute_targets(batch)
-        s_win, a_win, _ = self._windows(batch)
+        s_win, a_win, _ = self.buffer.assemble_window(np.asarray(batch.slots), c.window)
         s_flat = s_win.reshape(n, -1)
-        actions = np.stack([t.action for t in batch.transitions])
+        actions = a_win[:, -1, :]
 
         # critic regression toward the targets (IS-weighted when enabled)
         q, cache = self._critic_eval(s_win, a_win, actions)
@@ -344,7 +322,7 @@ class DDPGAgent:
         return out
 
     def save(self, path):
-        meta = {"kind": "agent", "config": self.config.to_dict(),
+        meta = {"kind": "agent", "config": asdict(self.config),
                 "train_steps": self.train_steps}
         nn.save_arrays(path, meta, self._network_arrays())
 

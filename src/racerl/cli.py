@@ -80,10 +80,10 @@ def cmd_ablate_at(args):
     config = _load_config(args.config)
     if args.track:
         config = dataclasses.replace(config, track=args.track)
-    if args.episodes:
-        config.train.episodes = args.episodes
-    if args.max_steps:
-        config.env.max_steps = args.max_steps
+    if args.episodes is not None:
+        config.train = dataclasses.replace(config.train, episodes=args.episodes)
+    if args.max_steps is not None:
+        config.env = dataclasses.replace(config.env, max_steps=args.max_steps)
     seeds = range(args.seeds) if args.seeds else None
     report = experiments.ablation_at(config, seeds=seeds)
     for row in report.per_seed:

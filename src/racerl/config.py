@@ -6,11 +6,22 @@ import dataclasses
 import typing
 
 
+def _accepts(kind, value):
+    """Whether a JSON scalar fits a field of type kind: an int fits a float
+    field, and a bool fits only a bool field."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
 def from_dict(cls, data, path=""):
     """Build the dataclass ``cls`` from a dict, recursing into dataclass fields.
 
-    Missing keys keep their defaults. An unknown key, or a non-object where
-    a nested config belongs, raises ValueError naming its dotted path.
+    Missing keys keep their defaults. An unknown key, a non-object where a
+    nested config belongs, or a value of the wrong type raises ValueError
+    naming its dotted path.
     """
     if not isinstance(data, dict):
         raise ValueError(f"config {path or 'root'} must be an object, "
@@ -24,5 +35,10 @@ def from_dict(cls, data, path=""):
             raise ValueError(f"unknown config key {dotted!r}")
         if dataclasses.is_dataclass(hints[key]):
             value = from_dict(hints[key], value, dotted)
+        else:
+            kinds = typing.get_args(hints[key]) or (hints[key],)  # X | None -> (X, NoneType)
+            if not any(_accepts(kind, value) for kind in kinds):
+                expected = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+                raise ValueError(f"config {dotted} must be {expected}, got {value!r}")
         kwargs[key] = value
     return cls(**kwargs)

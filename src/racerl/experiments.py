@@ -59,6 +59,17 @@ class TrainSettings:
     stop_on_success: bool = False      # stop once an eval lap completes with 0 damage
     success_lap_time: float | None = None  # and, when set, beats this lap time
 
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self):
+        """Raise ValueError naming the first out-of-range field (train_run
+        checks again: a field assigned after construction skips this)."""
+        for name in ("episodes", "eval_every", "checkpoint_every", "train_every",
+                     "updates_per_step"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"train.{name} must be at least 1, got {getattr(self, name)}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -88,9 +99,6 @@ class ExperimentConfig:
     def lac_enabled(self):
         return self.reference == "rc-lac"
 
-    def to_dict(self):
-        return asdict(self)
-
     @classmethod
     def from_file(cls, path):
         with open(path) as fh:
@@ -98,12 +106,12 @@ class ExperimentConfig:
 
     def save(self, path):
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
 def default_config_json():
-    return json.dumps(ExperimentConfig().to_dict(), indent=2, sort_keys=True)
+    return json.dumps(asdict(ExperimentConfig()), indent=2, sort_keys=True)
 
 
 # --- assembly -----------------------------------------------------------------
@@ -239,6 +247,7 @@ def run_dir_for(config, seed):
 def train_run(config, seed, run_dir=None):
     """One full training run: exploration-annealed episodes, periodic
     deterministic evaluation, checkpointing, and CSV metrics."""
+    config.train.validate()
     run_dir = run_dir if run_dir is not None else run_dir_for(config, seed)
     ckpt_dir = os.path.join(run_dir, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
@@ -307,7 +316,7 @@ def train_run(config, seed, run_dir=None):
                 result = env.step(action)
                 next_vec = result.observation.vector()
                 agent.buffer.push(Transition(
-                    state=vec, action=action.copy(), reward=result.reward,
+                    state=vec, action=action, reward=result.reward,
                     next_state=next_vec, termination=result.termination,
                     episode=episode, step=env.tracker.steps - 1,
                 ))

@@ -1,5 +1,5 @@
-"""Transition storage and sampling: uniform ring buffer, prioritized replay
-with a sum tree, window assembly, and n-step return assembly.
+"""Transition storage and sampling: a uniform ring buffer of field arrays,
+prioritized replay with a sum tree, and batched window and n-step views.
 
 Minibatches are used unweighted (no importance-sampling correction), with an
 optional switch for standard IS weights kept for ablations.
@@ -13,6 +13,14 @@ import numpy as np
 
 from .nn import save_arrays, load_arrays
 from .simulator import Termination
+
+# how a transition ended its episode, as stored: -1 while the episode runs on
+TERMINATION_CODES = {None: -1, **{kind: i for i, kind in enumerate(Termination)}}
+CODE_TERMINATIONS = {v: k for k, v in TERMINATION_CODES.items()}
+
+# one array per Transition field, in its order; termination holds the codes
+FIELDS = ("state", "action", "reward", "next_state", "termination", "episode", "step", "serial")
+FIRST_ROWS = 1024  # the field arrays start this long and double up to capacity
 
 
 class NotReadyError(RuntimeError):
@@ -28,33 +36,30 @@ class Transition:
     termination: Termination | None
     episode: int
     step: int
-    serial: int = -1  # assigned by the buffer on push
-
-    @property
-    def terminal(self):
-        return self.termination is not None
+    serial: int = -1  # the buffer numbers its pushes; get() reports it
 
 
 @dataclass
 class SampleBatch:
     slots: list
     serials: list
-    transitions: list
     probabilities: np.ndarray | None = None
     is_weights: np.ndarray | None = None
 
     def __len__(self):
-        return len(self.transitions)
+        return len(self.slots)
 
 
 @dataclass
 class NStepView:
-    """Discounted reward sum, bootstrap state, effective horizon, end kind."""
+    """Per start slot: discounted reward sum, bootstrap state, effective
+    horizon, termination code, and the slot of the last transition."""
 
-    reward_sum: float
+    reward_sum: np.ndarray
     bootstrap_state: np.ndarray
-    steps: int
-    termination: Termination | None
+    steps: np.ndarray
+    termination: np.ndarray
+    slot: np.ndarray
 
 
 class ReplayBuffer:
@@ -64,7 +69,9 @@ class ReplayBuffer:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
-        self._data = [None] * self.capacity
+        self.state = self.action = self.next_state = np.zeros((0, 0))
+        self.reward = np.zeros(0)
+        self.termination = self.episode = self.step = self.serial = np.zeros(0, dtype=np.int64)
         self._write = 0
         self.size = 0
         self._serial = 0
@@ -73,93 +80,95 @@ class ReplayBuffer:
         return self.size
 
     def push(self, transition):
-        transition.serial = self._serial
-        self._serial += 1
+        t = transition
+        row = (t.state, t.action, t.reward, t.next_state, TERMINATION_CODES[t.termination],
+               t.episode, t.step, self._serial)
         slot = self._write
-        self._data[slot] = transition
-        self._write = (self._write + 1) % self.capacity
+        if slot == len(self.reward):
+            self._grow(row)
+        for name, value in zip(FIELDS, row):
+            getattr(self, name)[slot] = value
+        self._serial += 1
+        self._write = (slot + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
-        self._after_push(slot, transition)
+        self._after_push(slot)
         return slot
 
-    def _after_push(self, slot, transition):
+    def _grow(self, row):
+        # geometric growth: capacity-sized arrays up front would cost their
+        # full size in memory for a buffer that never fills
+        rows = min(self.capacity, max(FIRST_ROWS, 2 * self.size))
+        for name, value in zip(FIELDS, row):
+            old = getattr(self, name)
+            grown = np.empty((rows,) + np.shape(value), dtype=old.dtype)
+            if self.size:
+                grown[:self.size] = old[:self.size]
+            setattr(self, name, grown)
+
+    def _after_push(self, slot):
         pass
 
     def get(self, slot):
-        return self._data[slot]
+        state, action, reward, next_state, code, episode, step, serial = (
+            getattr(self, name)[slot] for name in FIELDS)
+        return Transition(state.copy(), action.copy(), float(reward), next_state.copy(),
+                          CODE_TERMINATIONS[int(code)], int(episode), int(step), int(serial))
 
     def sample(self, batch_size, rng):
         """i.i.d. uniform with replacement (a 1-item buffer yields N copies)."""
         if self.size == 0:
             raise NotReadyError("buffer is empty")
-        slots = [int(s) for s in rng.integers(0, self.size, size=batch_size)]
-        return SampleBatch(
-            slots=slots,
-            serials=[self._data[s].serial for s in slots],
-            transitions=[self._data[s] for s in slots],
-        )
+        slots = rng.integers(0, self.size, size=batch_size)
+        return SampleBatch(slots=slots.tolist(), serials=self.serial[slots].tolist())
 
     # --- trajectory views ---------------------------------------------------
 
-    def _predecessor(self, slot):
-        t = self._data[slot]
-        prev_slot = (slot - 1) % self.capacity
-        p = self._data[prev_slot]
-        if p is None or p.serial != t.serial - 1 or p.episode != t.episode:
-            return None
-        return prev_slot
+    def _neighbour(self, slots, offset):
+        """The slots `offset` (+1 or -1) pushes away where they hold the same
+        episode's adjacent transition, else the slots themselves; and where."""
+        other = (slots + offset) % self.capacity
+        seen = np.minimum(other, self.size - 1)  # slots past size were never written
+        linked = ((other < self.size)
+                  & (self.serial[seen] == self.serial[slots] + offset)
+                  & (self.episode[seen] == self.episode[slots]))
+        return np.where(linked, other, slots), linked
 
-    def _successor(self, slot):
-        t = self._data[slot]
-        next_slot = (slot + 1) % self.capacity
-        nxt = self._data[next_slot]
-        if nxt is None or nxt.serial != t.serial + 1 or nxt.episode != t.episode:
-            return None
-        return next_slot
-
-    def assemble_window(self, slot, window):
-        """The last `window` (state, action) pairs ending at `slot`.
+    def assemble_window(self, slots, window):
+        """The last `window` (state, action) pairs ending at each slot.
 
         Never crosses an episode boundary; positions before the episode start
         are padded by repeating its first stored pair. Returns
-        (states (w, obs), actions (w, act), next_states (w, obs)), where
-        next_states is the window shifted one step forward (ending at s').
+        (states (..., w, obs), actions (..., w, act), next_states (..., w, obs)),
+        where next_states is the window shifted one step forward (ending at
+        s'); a scalar slot drops the leading axis.
         """
-        chain = [slot]
-        cur = slot
+        chain = [np.asarray(slots)]
         for _ in range(window - 1):
-            prev = self._predecessor(cur)
-            if prev is None:
-                break
-            chain.append(prev)
-            cur = prev
-        chain.reverse()
-        ts = [self._data[s] for s in chain]
-        pad = window - len(ts)
-        states = [ts[0].state] * pad + [t.state for t in ts]
-        actions = [ts[0].action] * pad + [t.action for t in ts]
-        next_states = states[1:] + [ts[-1].next_state]
-        return np.stack(states), np.stack(actions), np.stack(next_states)
+            chain.append(self._neighbour(chain[-1], -1)[0])
+        idx = np.stack(chain[::-1], axis=-1)
+        states = self.state[idx]
+        last = self.next_state[chain[0]][..., None, :]
+        return states, self.action[idx], np.concatenate([states[..., 1:, :], last], axis=-2)
 
-    def assemble_nstep(self, slot, n, gamma):
-        """Forward n-step view from `slot`, truncated at episode end.
+    def assemble_nstep(self, slots, n, gamma):
+        """Forward n-step views from each slot, truncated at episode end.
 
         The horizon shrinks when a terminal (or the newest stored transition)
         arrives sooner than n steps.
         """
-        reward_sum = 0.0
-        cur = slot
-        t = self._data[cur]
+        last = np.asarray(slots)
+        reward_sum = np.zeros(last.shape)
+        steps = np.zeros(last.shape, dtype=np.int64)
+        going = np.ones(last.shape, dtype=bool)
         for k in range(n):
-            reward_sum += (gamma ** k) * t.reward
-            if t.terminal or k == n - 1:
-                return NStepView(reward_sum, t.next_state, k + 1, t.termination)
-            nxt = self._successor(cur)
-            if nxt is None:
-                return NStepView(reward_sum, t.next_state, k + 1, t.termination)
-            cur = nxt
-            t = self._data[cur]
-        raise AssertionError("unreachable")
+            reward_sum = np.where(going, reward_sum + (gamma ** k) * self.reward[last], reward_sum)
+            steps += going
+            if k == n - 1:
+                break
+            nxt, linked = self._neighbour(last, 1)
+            going &= linked & (self.termination[last] == TERMINATION_CODES[None])
+            last = np.where(going, nxt, last)
+        return NStepView(reward_sum, self.next_state[last], steps, self.termination[last], last)
 
 
 @dataclass
@@ -247,7 +256,7 @@ class PrioritizedReplayBuffer(ReplayBuffer):
         self.max_raw_priority = 1.0
         self.stale_updates = 0
 
-    def _after_push(self, slot, transition):
+    def _after_push(self, slot):
         self.tree.update(slot, self.max_raw_priority ** self.config.alpha)
 
     def sample(self, batch_size, rng):
@@ -268,8 +277,7 @@ class PrioritizedReplayBuffer(ReplayBuffer):
             weights = w / w.max()
         return SampleBatch(
             slots=slots,
-            serials=[self._data[s].serial for s in slots],
-            transitions=[self._data[s] for s in slots],
+            serials=self.serial[slots].tolist(),
             probabilities=probs,
             is_weights=weights,
         )
@@ -280,8 +288,7 @@ class PrioritizedReplayBuffer(ReplayBuffer):
         Updates for transitions that were overwritten since sampling are
         silently skipped (counted in stale_updates).
         """
-        t = self._data[slot]
-        if t is None or t.serial != serial:
+        if slot >= self.size or self.serial[slot] != serial:
             self.stale_updates += 1
             return
         raw = priority_from(delta, grad_sq, self.config)
@@ -302,25 +309,14 @@ def make_buffer(kind, capacity=None, per_config=None):
 
 # --- snapshots ---------------------------------------------------------------
 
-_TERMINATION_CODES = {None: -1}
-_TERMINATION_CODES.update({kind: i for i, kind in enumerate(Termination)})
-_CODE_TERMINATIONS = {v: k for k, v in _TERMINATION_CODES.items()}
-
 
 def save_buffer(buffer, path):
-    """Snapshot the stored transitions oldest first (same container format as checkpoints)."""
+    """Snapshot the stored transitions oldest first (same container format as
+    checkpoints), each field but serial under its plural name."""
     oldest = (buffer._write - buffer.size) % buffer.capacity
-    ts = [buffer.get((oldest + i) % buffer.capacity) for i in range(buffer.size)]
-    arrays = {
-        "states": np.stack([t.state for t in ts]) if ts else np.zeros((0, 0)),
-        "actions": np.stack([t.action for t in ts]) if ts else np.zeros((0, 0)),
-        "rewards": np.array([t.reward for t in ts]),
-        "next_states": np.stack([t.next_state for t in ts]) if ts else np.zeros((0, 0)),
-        "terminations": np.array([_TERMINATION_CODES[t.termination] for t in ts], dtype=np.int64),
-        "episodes": np.array([t.episode for t in ts], dtype=np.int64),
-        "steps": np.array([t.step for t in ts], dtype=np.int64),
-    }
-    meta = {"kind": "replay-buffer", "capacity": buffer.capacity, "count": len(ts)}
+    arrays = {f"{name}s": np.roll(getattr(buffer, name)[:buffer.size], -oldest, axis=0)
+              for name in FIELDS[:-1]}
+    meta = {"kind": "replay-buffer", "capacity": buffer.capacity, "count": buffer.size}
     save_arrays(path, meta, arrays)
 
 
@@ -329,14 +325,8 @@ def load_buffer(path, buffer):
     meta, arrays = load_arrays(path)
     if meta.get("kind") != "replay-buffer":
         raise ValueError(f"{path} is not a replay-buffer snapshot")
-    for i in range(meta["count"]):
-        buffer.push(Transition(
-            state=arrays["states"][i],
-            action=arrays["actions"][i],
-            reward=float(arrays["rewards"][i]),
-            next_state=arrays["next_states"][i],
-            termination=_CODE_TERMINATIONS[int(arrays["terminations"][i])],
-            episode=int(arrays["episodes"][i]),
-            step=int(arrays["steps"][i]),
-        ))
+    rows = zip(*(arrays[f"{name}s"] for name in FIELDS[:-1]))
+    for state, action, reward, next_state, code, episode, step in rows:
+        buffer.push(Transition(state, action, reward, next_state,
+                               CODE_TERMINATIONS[int(code)], episode, step))
     return buffer

@@ -107,6 +107,11 @@ class EnvSettings:
     slow_grace: int = 100         # steps before slow progress can end the episode
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self):
+        """Raise ValueError naming the first out-of-range field (RacingEnv
+        checks again: a field assigned after construction skips this)."""
         if not self.dt > 0:
             raise ValueError(f"env.dt must be positive, got {self.dt}")
         for name in ("substeps", "max_steps", "backwards_steps", "slow_window"):
@@ -299,6 +304,7 @@ class RacingEnv:
         # never written: the envs of one experiment share it, so a per-episode
         # start position goes into start_delta instead
         self.settings = settings if settings is not None else EnvSettings()
+        self.settings.validate()
         self.start_delta = self.settings.start_delta
         self.state = None
         self.reset()

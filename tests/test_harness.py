@@ -10,6 +10,7 @@ from racerl import experiments as ex
 from racerl import plotting, tracks
 from racerl.bot import BaselineBot, bot_lap_time, drive_bot, record_reference_line
 from racerl.cli import main as cli_main
+from racerl.config import from_dict
 from racerl.geometry import RacingLine
 from racerl.simulator import CarParams, CarState, EnvSettings, RacingEnv
 
@@ -122,6 +123,49 @@ def test_config_load_errors_name_the_field(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=r"env\.slow_window"):
         ex.ExperimentConfig.from_file(path)
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"env": {"max_steps": "10"}}, "env.max_steps"),
+    ({"train": {"episodes": "5"}}, "train.episodes"),
+    ({"env": {"max_steps": True}}, "env.max_steps"),
+    ({"seeds": "012"}, "seeds"),
+])
+def test_config_load_rejects_wrong_types(tmp_path, doc, field):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"config {field} must be"):
+        ex.ExperimentConfig.from_file(path)
+
+
+def test_config_loads_printed_defaults_and_ints_for_floats(capsys):
+    assert cli_main(["--print-config"]) == 0
+    printed = from_dict(ex.ExperimentConfig, json.loads(capsys.readouterr().out))
+    assert printed == ex.ExperimentConfig()
+    assert from_dict(ex.ExperimentConfig, {"env": {"dt": 1}}).env.dt == 1
+
+
+def test_settings_assigned_after_construction_fail_naming_the_field(tmp_path):
+    cfg = ex.ExperimentConfig()
+    cfg.env.max_steps = -3
+    with pytest.raises(ValueError, match=r"env\.max_steps"):
+        ex.make_env(cfg)
+    cfg = tiny_config(tmp_path)
+    cfg.train.eval_every = 0
+    with pytest.raises(ValueError, match=r"train\.eval_every"):
+        ex.train_run(cfg, 0)
+    assert not os.path.exists(tmp_path / "runs")  # failed before writing the run
+
+
+@pytest.mark.parametrize("args,field", [
+    (["--max-steps", "0", "--episodes", "1"], "env.max_steps"),
+    (["--episodes", "0", "--max-steps", "5"], "train.episodes"),
+])
+def test_cli_ablate_at_rejects_zero_overrides(tmp_path, monkeypatch, args, field):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match=field):
+        cli_main(["ablate-at", *args, "--seeds", "1"])
+    assert not os.path.exists(tmp_path / "runs")  # failed before any training
 
 
 def test_config_rc_requires_line_file():

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from racerl import replay
 from racerl.replay import (
+    TERMINATION_CODES,
     NotReadyError,
     PERConfig,
     PrioritizedReplayBuffer,
@@ -63,8 +67,8 @@ def test_sample_single_item_repeats():
     buf.push(make_transition(7))
     batch = buf.sample(4, np.random.default_rng(0))
     assert len(batch) == 4
-    for t in batch.transitions:
-        assert t.state[0] == 7.0
+    for slot in batch.slots:
+        assert buf.get(slot).state[0] == 7.0
 
 
 def test_sample_empty_not_ready():
@@ -303,7 +307,7 @@ def test_nstep_n1_reduces_to_transition():
         assert view.reward_sum == t.reward
         npt.assert_array_equal(view.bootstrap_state, t.next_state)
         assert view.steps == 1
-        assert view.termination == t.termination
+        assert view.termination == TERMINATION_CODES[t.termination]
 
 
 def test_nstep_hand_arithmetic():
@@ -314,7 +318,7 @@ def test_nstep_hand_arithmetic():
     assert view.reward_sum == 1.5  # 1 + 0.5*1
     npt.assert_array_equal(view.bootstrap_state, buf.get(1).next_state)
     assert view.steps == 2
-    assert view.termination is None
+    assert view.termination == TERMINATION_CODES[None]
 
 
 def test_nstep_truncates_at_terminal():
@@ -324,7 +328,7 @@ def test_nstep_truncates_at_terminal():
     # terminal at step 2 -> m=2, reward r1 + gamma * r2
     assert view.steps == 2
     assert view.reward_sum == pytest.approx(1.0 + 0.9 * 2.0)
-    assert view.termination is Termination.OUT_OF_TRACK
+    assert view.termination == TERMINATION_CODES[Termination.OUT_OF_TRACK]
 
 
 def test_nstep_truncates_at_buffer_head():
@@ -334,7 +338,7 @@ def test_nstep_truncates_at_buffer_head():
     view = buf.assemble_nstep(2, 4, 0.9)  # newest transition: no successors yet
     assert view.steps == 1
     assert view.reward_sum == 2.0
-    assert view.termination is None
+    assert view.termination == TERMINATION_CODES[None]
 
 
 # --- factory and snapshot ------------------------------------------------------------
@@ -373,3 +377,88 @@ def test_buffer_snapshot_roundtrip(tmp_path):
     states, _, _ = restored.assemble_window(0, 3)
     npt.assert_array_equal(states[:, 0], [2.0, 2.0, 2.0])  # step 2 is the oldest kept
     assert restored.assemble_nstep(0, 4, 1.0).reward_sum == 2.0 + 3.0 + 4.0 + 5.0
+
+
+# --- batched views against a per-transition walk ------------------------------------
+
+
+def _walk(by_serial, t, offset):
+    """The same episode's transition `offset` pushes from t, if still stored."""
+    other = by_serial.get(t.serial + offset)
+    return other if other is not None and other.episode == t.episode else None
+
+
+def _reference_window(by_serial, t, window):
+    chain = [t]
+    while len(chain) < window:
+        prev = _walk(by_serial, chain[0], -1)
+        if prev is None:
+            break
+        chain.insert(0, prev)
+    states = [chain[0].state] * (window - len(chain)) + [c.state for c in chain]
+    actions = [chain[0].action] * (window - len(chain)) + [c.action for c in chain]
+    return np.stack(states), np.stack(actions), np.stack(states[1:] + [t.next_state])
+
+
+def _reference_nstep(by_serial, t, n, gamma):
+    reward_sum = 0.0
+    for k in range(n):
+        reward_sum += (gamma ** k) * t.reward
+        nxt = _walk(by_serial, t, 1)
+        if t.termination is not None or k == n - 1 or nxt is None:
+            return reward_sum, t.next_state, k + 1, TERMINATION_CODES[t.termination]
+        t = nxt
+
+
+@pytest.mark.parametrize("capacity,pushes", [
+    (64, 30),   # not wrapped: slot 0's predecessor slot 63 lies past the grown arrays
+    (7, 7),     # exactly full, not yet wrapped
+    (13, 40),   # grown 4 -> 8 -> 13, then wrapped
+    (50, 137),  # wrapped several times
+])
+def test_batched_views_match_per_transition_walk(capacity, pushes, monkeypatch):
+    monkeypatch.setattr(replay, "FIRST_ROWS", 4)
+    rng = np.random.default_rng(capacity + pushes)
+    buf = ReplayBuffer(capacity)
+    episode, step = 0, 0
+    for i in range(pushes):
+        end = list(Termination)[rng.integers(len(Termination))] if rng.random() < 0.2 else None
+        buf.push(Transition(rng.normal(size=3), rng.uniform(size=3), float(rng.normal()),
+                            rng.normal(size=3), end, episode, step))
+        step += 1
+        # episodes also get cut without a terminal, and a terminal must end an
+        # n-step view even where the episode number runs on
+        if rng.random() < (0.7 if end is not None else 0.05):
+            episode, step = episode + 1, 0
+    stored = [buf.get(i) for i in range(len(buf))]
+    by_serial = {t.serial: t for t in stored}
+    slots = np.concatenate([np.arange(len(buf)), rng.integers(0, len(buf), size=9)])
+    for window in (1, 3, 8):
+        batched = buf.assemble_window(slots, window)
+        for row, slot in enumerate(slots):
+            expected = _reference_window(by_serial, stored[slot], window)
+            for got, single, want in zip(batched, buf.assemble_window(int(slot), window), expected):
+                npt.assert_array_equal(got[row], want)
+                npt.assert_array_equal(single, want)
+    for n, gamma in ((1, 0.9), (4, 0.9), (6, 0.5)):
+        view = buf.assemble_nstep(slots, n, gamma)
+        for row, slot in enumerate(slots):
+            reward_sum, boot, steps, code = _reference_nstep(by_serial, stored[slot], n, gamma)
+            single = buf.assemble_nstep(int(slot), n, gamma)
+            for v, i in ((view, row), (single, ...)):
+                assert v.reward_sum[i] == reward_sum  # same order of additions: bit equal
+                npt.assert_array_equal(v.bootstrap_state[i], boot)
+                assert (v.steps[i], v.termination[i]) == (steps, code)
+
+
+def test_buffer_memory_follows_contents_not_capacity():
+    buf = make_buffer("per", 1_000_000)
+    tracemalloc.start()
+    try:
+        for i in range(100):
+            buf.push(make_transition(i))
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(buf) == 100
+    assert traced < 1_000_000
