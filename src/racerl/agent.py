@@ -229,12 +229,18 @@ class DDPGAgent:
 
     # --- training ------------------------------------------------------------
 
-    def compute_targets(self, batch):
-        """TD targets for a sampled batch, per the variant's rules."""
+    def compute_targets(self, batch, windows=None):
+        """TD targets for a sampled batch, per the variant's rules.
+
+        windows is assemble_window of the batch's slots when the caller has
+        it; with nstep 1 every view ends at its own slot, so it is reused.
+        """
         c = self.config
         view = self.buffer.assemble_nstep(np.asarray(batch.slots), c.nstep, c.gamma)
         # bootstrap from the window that ends at each view's last transition
-        _, a_win, next_s_win = self.buffer.assemble_window(view.slot, c.window)
+        if windows is None or c.nstep != 1:
+            windows = self.buffer.assemble_window(view.slot, c.window)
+        _, a_win, next_s_win = windows
         next_flat = next_s_win.reshape(len(batch), -1)
         a_next = self.target_actor(next_flat)
         if c.lstm:
@@ -270,8 +276,9 @@ class DDPGAgent:
         c = self.config
         batch = self.buffer.sample(c.batch_size, self.rng)
         n = len(batch)
-        y = self.compute_targets(batch)
-        s_win, a_win, _ = self.buffer.assemble_window(np.asarray(batch.slots), c.window)
+        windows = self.buffer.assemble_window(np.asarray(batch.slots), c.window)
+        y = self.compute_targets(batch, windows)
+        s_win, a_win, _ = windows
         s_flat = s_win.reshape(n, -1)
         actions = a_win[:, -1, :]
 

@@ -3,8 +3,22 @@
 A track is a closed polyline centerline with constant width; a racing line
 is a sequence of (delta, alpha) points, where delta is arc length along the
 track axis and alpha the lateral fraction of the width measured from the
-right border. Everything is immutable after construction, so instances are
-safe to share across parallel evaluation episodes.
+right border. The geometry is immutable after construction. The one thing
+that changes is a memo: each polyline caches, per 4 m grid cell, which
+segments can hold the nearest point of a query in that cell. It caches a
+pure function of the fixed points, so instances stay safe to share across
+parallel evaluation episodes.
+
+Both hot queries are exact against a scan of every segment:
+- ``Polyline.project`` scans only the cached candidates of the query's
+  cell. For a cell with centre c, half diagonal h and any point p in it,
+  dist(p) <= dist(c) + h, and a segment farther than dist(c) + 2h from c
+  is farther than dist(c) + h from p. The candidates stay in index order,
+  so ties still resolve to the smaller arc length.
+- ``Track.rangefinders`` tests only the chunks of 16 border segments whose
+  bounding circle lies within the ray range and is not wholly behind the
+  car. Every ray points at most 90 deg off the heading, so it cannot reach
+  such a chunk, and any hit beyond the range is clamped to it anyway.
 """
 
 from __future__ import annotations
@@ -22,6 +36,14 @@ RANGEFINDER_ANGLES = np.deg2rad(np.linspace(-90.0, 90.0, RANGEFINDER_COUNT))
 LAC_OFFSETS = (20.0, 40.0, 60.0, 80.0)
 
 _CURVATURE_SPACING = 5.0  # meters between the three circumscribed-circle samples
+
+_CELL = 4.0  # m, side of a projection cell
+# dist(c) + 2h plus a margin far above the rounding error of the distances
+_CELL_REACH = _CELL * math.sqrt(2.0) + 1e-3
+_CHUNK = 16  # border segments per bounding circle
+# the cull's margin: far above the rounding error of a ray parameter, even
+# for a ray that only just passes the parallel test
+_RAY_MARGIN = 1.0
 
 
 class GeometryError(ValueError):
@@ -62,6 +84,8 @@ class Polyline:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
             raise GeometryError(f"need at least 3 2D points, got shape {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise GeometryError("polyline points must be finite")
         # drop an explicitly repeated closing point
         if np.allclose(pts[0], pts[-1]):
             pts = pts[:-1]
@@ -73,9 +97,11 @@ class Polyline:
         self.points = pts
         self._seg = seg
         self._seg_len = seg_len
+        self._seg_len2 = seg_len**2
         self._seg_dir = seg / seg_len[:, None]
         self.vertex_arclength = np.concatenate([[0.0], np.cumsum(seg_len)])[:-1]
         self.length = float(seg_len.sum())
+        self._cells = {}  # (i, j) -> candidate (indices, points, segments, squared lengths)
 
     def __len__(self):
         return self.points.shape[0]
@@ -117,15 +143,33 @@ class Polyline:
         direction there. Ties resolve to the smaller arc length.
         """
         p = np.asarray(point, dtype=np.float64)
-        ap = p - self.points
-        t = np.clip(np.einsum("ij,ij->i", ap, self._seg) / self._seg_len**2, 0.0, 1.0)
-        proj = self.points + t[:, None] * self._seg
+        try:
+            key = (math.floor(p[0] / _CELL), math.floor(p[1] / _CELL))
+        except (ValueError, OverflowError):
+            raise DomainError(f"cannot project the non-finite point {p}") from None
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self._cells[key] = self._cell_candidates(key)
+        idx, pts, seg, seg_len2 = cell
+        ap = p - pts
+        t = np.clip(np.einsum("ij,ij->i", ap, seg) / seg_len2, 0.0, 1.0)
+        proj = pts + t[:, None] * seg
         d = p - proj
-        j = int(np.argmin(np.einsum("ij,ij->i", d, d)))
-        s = float(self.vertex_arclength[j] + t[j] * self._seg_len[j])
+        k = int(np.argmin(np.einsum("ij,ij->i", d, d)))
+        j = idx[k]
+        s = float(self.vertex_arclength[j] + t[k] * self._seg_len[j])
         dir_j = self._seg_dir[j]
-        lateral = float(dir_j[0] * d[j][1] - dir_j[1] * d[j][0])
+        lateral = float(dir_j[0] * d[k][1] - dir_j[1] * d[k][0])
         return s, lateral, math.atan2(dir_j[1], dir_j[0])
+
+    def _cell_candidates(self, key):
+        """The segments within dist(c) + 2h of the cell centre c, in index order."""
+        c = (np.asarray(key, dtype=np.float64) + 0.5) * _CELL
+        t = np.clip(np.einsum("ij,ij->i", c - self.points, self._seg) / self._seg_len2, 0.0, 1.0)
+        d = c - (self.points + t[:, None] * self._seg)
+        dist = np.hypot(d[:, 0], d[:, 1])
+        idx = np.nonzero(dist <= dist.min() + _CELL_REACH)[0]
+        return idx, self.points[idx], self._seg[idx], self._seg_len2[idx]
 
     def curvature_at(self, s, spacing=_CURVATURE_SPACING):
         """Signed curvature (1/m, positive left) at arc length s.
@@ -184,15 +228,24 @@ class Track:
 
     def __init__(self, centerline, width, name="track", car_width=1.8):
         self.centerline = centerline if isinstance(centerline, Polyline) else Polyline(centerline)
-        if width <= car_width:
-            raise GeometryError(f"width {width} must exceed the car width {car_width}")
+        if not (math.isfinite(width) and width > car_width):
+            raise GeometryError(f"width {width} must be finite and exceed the car width {car_width}")
         self.width = float(width)
         self.name = name
         self.length = self.centerline.length
         left, right = _offset_borders(self.centerline, self.width / 2.0)
         self.left_border = Polyline(left)
         self.right_border = Polyline(right)
-        self._border_segments = _stack_segments(self.left_border, self.right_border)
+        self._border_start, self._border_vec = _stack_segments(self.left_border, self.right_border)
+        # bounding circles of chunks of consecutive border segments; the last
+        # chunk repeats its final segment, which leaves a minimum unchanged
+        m = self._border_start.shape[0]
+        self._chunks = np.minimum(np.arange(-(-m // _CHUNK) * _CHUNK), m - 1).reshape(-1, _CHUNK)
+        ends = np.concatenate([self._border_start[self._chunks],
+                               (self._border_start + self._border_vec)[self._chunks]], axis=1)
+        self._chunk_centre = (ends.min(axis=1) + ends.max(axis=1)) / 2.0
+        offsets = ends - self._chunk_centre[:, None, :]
+        self._chunk_radius = np.hypot(offsets[..., 0], offsets[..., 1]).max(axis=1)
 
     def frame(self, position, heading):
         """Pose relative to the track axis (middle of the track)."""
@@ -214,17 +267,28 @@ class Track:
         n = self.centerline.normal_at(delta)
         return c + (alpha - 0.5) * self.width * n
 
-    def rangefinders(self, position, heading):
+    def rangefinders(self, position, heading, frame=None):
         """19 border distances for rays spanning -90..+90 deg, clamped to 200 m.
 
         A car outside the borders reads all zeros (off-track sentinel).
+        frame is the pose's track frame when the caller already has it.
         """
-        if abs(self.frame(position, heading).track_pos) > 1.0:
+        if frame is None:
+            frame = self.frame(position, heading)
+        if abs(frame.track_pos) > 1.0:
             return np.zeros(RANGEFINDER_COUNT)
         o = np.asarray(position, dtype=np.float64)
         angles = heading + RANGEFINDER_ANGLES
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-        a, d = self._border_segments
+        # the chunks within range that are not wholly behind the car
+        rel = self._chunk_centre - o
+        r = self._chunk_radius
+        reach = ((np.hypot(rel[:, 0], rel[:, 1]) - r <= RANGEFINDER_MAX + _RAY_MARGIN)
+                 & (rel @ np.array([math.cos(heading), math.sin(heading)]) >= -r - _RAY_MARGIN))
+        near = self._chunks[reach].ravel()
+        if near.size == 0:
+            return np.full(RANGEFINDER_COUNT, RANGEFINDER_MAX)
+        a, d = self._border_start[near], self._border_vec[near]
         ao = a - o                                     # (M, 2)
         # o + t*dir = a + u*d ; cross() solves the 2x2 system
         denom = dirs[:, 0][:, None] * d[:, 1] - dirs[:, 1][:, None] * d[:, 0]   # (R, M)
@@ -285,7 +349,10 @@ class RacingLine:
         self.alpha = alpha
         self.name = name or f"{track.name}-line"
         world = np.stack([track.point_at_alpha(d, a) for d, a in zip(delta, alpha)])
-        self.world = Polyline(world)
+        # a line on the track axis shares the centerline, its projection cache
+        # and the axis frames the env already has (see frame_from_axis)
+        on_axis = np.array_equal(world, track.centerline.points)
+        self.world = track.centerline if on_axis else Polyline(world)
         self.curvature = np.array(
             [self.world.curvature_at(s) for s in self.world.vertex_arclength]
         )
@@ -301,8 +368,8 @@ class RacingLine:
     def middle_of_track(cls, track):
         """The track axis itself, expressed as a racing line (alpha = 0.5).
 
-        Reuses the centerline's own vertices, so the line's world points (and
-        hence curvature) match the track axis exactly.
+        Reuses the centerline's own vertices, so the line's world points equal
+        the track axis and the line shares the centerline polyline.
         """
         delta = track.centerline.vertex_arclength
         return cls(track, delta, np.full(delta.size, 0.5), name=f"{track.name}-mot")
@@ -330,12 +397,23 @@ class RacingLine:
     def frame(self, position, heading):
         """Pose relative to the racing line; track_pos still uses the track half width."""
         s, lateral, tangent = self.world.project(position)
-        delta = float(np.interp(s, self._arc_knots, self._arc_delta)) % self.track.length
         return TrackFrame(
             track_pos=lateral / (self.track.width / 2.0),
             theta=wrap_angle(heading - tangent),
-            delta=delta,
+            delta=self._track_delta(s),
         )
+
+    def frame_from_axis(self, axis_frame):
+        """frame() of a pose whose track-axis frame is known, for a line that
+        shares the centerline: the same projection, so the same track_pos and
+        theta, with the line's own arc length to delta table."""
+        if self.world is not self.track.centerline:
+            raise GeometryError(f"racing line {self.name!r} is not on the track axis")
+        return TrackFrame(axis_frame.track_pos, axis_frame.theta,
+                          self._track_delta(axis_frame.delta))
+
+    def _track_delta(self, s):
+        return float(np.interp(s, self._arc_knots, self._arc_delta)) % self.track.length
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +433,36 @@ def save_track(track, path):
 def load_track(path):
     """Load {name, width, centerline} JSON, validating every invariant.
 
-    The first violation is reported with its point index.
+    The first violation is reported with its field (and point index).
     """
     with open(path) as fh:
         doc = json.load(fh)
     for key in ("name", "width", "centerline"):
         if key not in doc:
             raise GeometryError(f"track file missing key {key!r}")
-    pts = doc["centerline"]
+    if not isinstance(doc["name"], str):
+        raise GeometryError(f"track file name must be a string, got {doc['name']!r}")
+    width = doc["width"]
+    if not (_is_number(width) and math.isfinite(width)):
+        raise GeometryError(f"track file width must be a finite number, got {width!r}")
+    pts = _finite_pairs(doc, "centerline", "2D points")
+    return Track(pts, float(width), name=doc["name"])
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _finite_pairs(doc, key, what):
+    """doc[key] as an (n, 2) array: at least 3 pairs of finite numbers."""
+    pts = doc[key]
+    if not isinstance(pts, list) or len(pts) < 3:
+        raise GeometryError(f"{key} must hold at least 3 {what}, got {pts!r:.60}")
     for i, p in enumerate(pts):
-        if len(p) != 2 or not all(math.isfinite(v) for v in p):
-            raise GeometryError(f"centerline[{i}] is not a finite 2D point")
-    return Track(np.asarray(pts, dtype=np.float64), float(doc["width"]), name=doc["name"])
+        if not (isinstance(p, list) and len(p) == 2
+                and all(_is_number(v) and math.isfinite(v) for v in p)):
+            raise GeometryError(f"{key}[{i}] is not a pair of finite numbers: {p!r:.60}")
+    return np.asarray(pts, dtype=np.float64)
 
 
 def save_racing_line(line, path):
@@ -387,9 +483,5 @@ def load_racing_line(path, track):
             raise GeometryError(f"racing line file missing key {key!r}")
     if doc["track"] != track.name:
         raise GeometryError(f"racing line is for track {doc['track']!r}, not {track.name!r}")
-    pts = doc["points"]
-    for i, p in enumerate(pts):
-        if len(p) != 2 or not all(math.isfinite(v) for v in p):
-            raise GeometryError(f"points[{i}] is not a finite (delta, alpha) pair")
-    pts = np.asarray(pts, dtype=np.float64)
+    pts = _finite_pairs(doc, "points", "(delta, alpha) pairs")
     return RacingLine(track, pts[:, 0], pts[:, 1], name=f"{track.name}-recorded")

@@ -210,17 +210,23 @@ def progress_reward(vx, theta, track_pos, damage_increment=0.0,
     return vx * (math.cos(theta) - sin_term - abs(track_pos)) - damage_weight * damage_increment
 
 
-def make_observation(state, track, reference, lac_enabled, params):
+def make_observation(state, track, reference, lac_enabled, params, axis_frame=None):
     """Assemble the Table-style telemetry for a car state.
 
     theta/trackPos come from the configured reference line; rangefinders
     from the physical borders; wheel speeds are vx / wheel_radius with no
-    per-wheel slip; vz is always 0.
+    per-wheel slip; vz is always 0. axis_frame is the state's track-axis
+    frame when the caller already has it.
     """
-    ref_frame = reference.frame(state.position, state.heading)
+    if axis_frame is None:
+        axis_frame = track.frame(state.position, state.heading)
+    if reference.world is track.centerline:
+        ref_frame = reference.frame_from_axis(axis_frame)
+    else:
+        ref_frame = reference.frame(state.position, state.heading)
     return Observation(
         angle=ref_frame.theta,
-        track=track.rangefinders(state.position, state.heading),
+        track=track.rangefinders(state.position, state.heading, axis_frame),
         track_pos=ref_frame.track_pos,
         vx=state.vx,
         vy=state.vy,
@@ -324,9 +330,9 @@ class RacingEnv:
         self.done = False
         return self.observe()
 
-    def observe(self):
+    def observe(self, axis_frame=None):
         return make_observation(self.state, self.track, self.reference,
-                                self.lac_enabled, self.params)
+                                self.lac_enabled, self.params, axis_frame)
 
     def step(self, action):
         """Advance one 200 ms agent step. Returns a StepResult."""
@@ -353,7 +359,9 @@ class RacingEnv:
                 lap_completed = True
                 lap_time = crossed
         self.state.damage += damage_increment
-        obs = self.observe()
+        # the wall response changes only the velocity, so the last substep's
+        # frame is still the frame of the current pose
+        obs = self.observe(track_frame)
         reward = progress_reward(
             obs.vx, obs.angle, obs.track_pos, damage_increment,
             damage_weight=settings.damage_weight, literal_sin=settings.literal_sin,

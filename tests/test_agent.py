@@ -238,6 +238,22 @@ def test_compute_targets_n1_equals_ms_with_n1():
     npt.assert_allclose(y_direct, y_nstep, rtol=1e-12)
 
 
+@pytest.mark.parametrize("variant, calls", [("WIN8", 1), ("MS4", 2)])
+def test_train_step_gathers_each_window_once(variant, calls):
+    # with nstep 1 the bootstrap windows end at the sampled slots themselves
+    agent = DDPGAgent(tiny_config(variant), seed=1)
+    fill_buffer(agent, 60, np.random.default_rng(0), terminal_every=12)
+    batch = agent.buffer.sample(4, np.random.default_rng(3))
+    windows = agent.buffer.assemble_window(np.asarray(batch.slots), agent.config.window)
+    npt.assert_array_equal(agent.compute_targets(batch, windows), agent.compute_targets(batch))
+    seen = []
+    gather = agent.buffer.assemble_window
+    agent.buffer.assemble_window = lambda *a: seen.append(a) or gather(*a)
+    for _ in range(4):
+        agent.train_step()
+    assert len(seen) == 4 * calls
+
+
 # --- train_step -------------------------------------------------------------------
 
 

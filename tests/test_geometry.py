@@ -15,6 +15,7 @@ from racerl.geometry import (
     max_speed,
     wrap_angle,
 )
+from oracles import brute_project, brute_rangefinders
 
 
 def circle_points(radius, n, center=(0.0, 0.0)):
@@ -119,6 +120,49 @@ def test_project_two_meters_left_of_straight():
     p = track.centerline.point_at(100.0) + np.array([0.0, 2.0])  # left of +x travel
     frame = track.frame(p, 0.0)
     assert frame.track_pos == pytest.approx(0.4, abs=1e-9)   # 2 / (10/2)
+
+
+def irregular_track(seed=0, n=240):
+    """A random star-shaped polygon: uneven vertex spacing and radii."""
+    rng = np.random.default_rng(seed)
+    ang = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+    radius = rng.uniform(80.0, 130.0, n)
+    return Track(np.column_stack([radius * np.cos(ang), radius * np.sin(ang)]),
+                 width=6.0, name="irregular")
+
+
+def index_poses(track, rng, n=150):
+    """Random points around the track, poses near both borders, points on
+    cell boundaries, and for the oval its two arc centres."""
+    pts = track.centerline.points
+    lo, hi = pts.min(axis=0) - 300.0, pts.max(axis=0) + 300.0
+    poses = [rng.uniform(lo, hi) for _ in range(n)]
+    for _ in range(n):
+        s = rng.uniform(0.0, track.length)
+        side = rng.choice([-1.0, 1.0]) * rng.uniform(0.85, 1.02) * track.width / 2.0
+        poses.append(track.centerline.point_at(s) + side * track.centerline.normal_at(s))
+    for p in poses[n:]:
+        poses.append(np.round(p / 4.0) * 4.0)
+        poses.append(np.array([math.floor(p[0] / 4.0) * 4.0, p[1]]))
+    if track.name == "oval":
+        poses += [np.array([250.0, 160.0]), np.array([0.0, 160.0])]
+    return poses
+
+
+@pytest.mark.parametrize("track", [
+    tracks.oval(), tracks.fast_mixed(), tracks.technical(), irregular_track(),
+    Track(circle_points(800.0, 600), width=900.0, name="wide"),  # mid-track rays all miss
+], ids=lambda t: t.name)
+def test_spatial_index_is_bit_exact_against_full_scan(track):
+    rng = np.random.default_rng(7)
+    for p in index_poses(track, rng):
+        heading = rng.uniform(-math.pi, math.pi)
+        for line in (track.centerline, track.left_border):
+            assert line.project(p) == brute_project(line, p)
+        assert np.array_equal(track.rangefinders(p, heading),
+                              brute_rangefinders(track, p, heading))
+    with pytest.raises(DomainError):
+        track.centerline.project([math.nan, 0.0])
 
 
 def test_wrap_angle_range():
@@ -319,6 +363,33 @@ def test_track_loader_reports_bad_point(tmp_path):
                                 "centerline": [[0, 0], [1, 0], [1]]}))
     with pytest.raises(GeometryError, match=r"centerline\[2\]"):
         geometry.load_track(path)
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("track", "width", math.nan),
+    ("track", "width", math.inf),
+    ("track", "width", "abc"),
+    ("track", "width", None),
+    ("track", "name", 7),
+    ("track", "centerline", []),
+    ("line", "points", []),
+    ("line", "points", [[0.0, 0.5], [5.0]]),
+    ("line", "points", [[0.0, 0.5], [5.0, "x"], [10.0, 0.5]]),
+])
+def test_loaders_name_the_bad_field(tmp_path, kind, field, value):
+    track = stadium_track()
+    path = tmp_path / "f.json"
+    if kind == "track":
+        doc = {"name": "x", "width": 10.0, "centerline": track.centerline.points.tolist()}
+    else:
+        doc = {"track": track.name, "points": [[0.0, 0.5], [5.0, 0.5], [10.0, 0.5]]}
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GeometryError, match=field):
+        if kind == "track":
+            geometry.load_track(path)
+        else:
+            geometry.load_racing_line(path, track)
 
 
 def test_racing_line_json_roundtrip(tmp_path):

@@ -5,7 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from racerl import simulator, tracks
-from racerl.geometry import RacingLine
+from racerl.bot import BaselineBot
+from racerl.geometry import Polyline, RacingLine, Track
 from racerl.nn import NumericError
 from racerl.simulator import (
     Action,
@@ -21,6 +22,7 @@ from racerl.simulator import (
     progress_reward,
     terminal_reward,
 )
+from oracles import brute_project, brute_rangefinders
 
 
 @pytest.fixture(scope="module")
@@ -384,3 +386,40 @@ def test_telemetry_logger_format(tmp_path, oval):
     assert lines[0] == simulator.TELEMETRY_HEADER
     assert len(lines) == 4
     assert len(lines[1].split(",")) == len(simulator.TELEMETRY_HEADER.split(","))
+
+
+# --- golden trajectory against the full-scan geometry ---------------------------
+
+
+def bot_lap_trace(name, own_reference=False):
+    """Per-step state and observation of one bot lap, then the lap time.
+
+    own_reference gives the middle-of-track reference a polyline of its own,
+    so that observe() projects the pose again instead of reusing the frames
+    of the track axis.
+    """
+    track = tracks.get_track(name)
+    reference = RacingLine.middle_of_track(track)
+    if own_reference:
+        reference.world = Polyline(track.centerline.points)
+    env = make_env(track, reference=reference, max_steps=2000)
+    bot = BaselineBot(track)
+    trace = []
+    while True:
+        res = env.step(bot.act(env.state))
+        s = env.state
+        trace.append((s.position.tolist(), s.heading, s.vx, s.vy, s.damage,
+                      res.observation.vector().tolist()))
+        assert res.termination is None
+        if res.info.lap_completed:
+            return trace, res.info.lap_time
+
+
+@pytest.mark.parametrize("name", tracks.TRACK_NAMES)
+def test_bot_lap_equals_full_scan_geometry(name, monkeypatch):
+    fast = bot_lap_trace(name)
+    monkeypatch.setattr(Polyline, "project", brute_project)
+    monkeypatch.setattr(Track, "rangefinders",
+                        lambda self, position, heading, frame=None:
+                        brute_rangefinders(self, position, heading))
+    assert bot_lap_trace(name, own_reference=True) == fast
