@@ -28,14 +28,14 @@ for i in range(3):
 print(f"finite differences:    {np.array2string(numeric, precision=4)}")
 
 # Adam first step has magnitude ~ lr regardless of gradient scale
-params = [np.array([0.0])]
+flat, params = nn.pack([np.array([0.0])])
 opt = nn.Adam(params, lr=1e-3)
-opt.step(params, [np.array([123.456])])
+opt.step(flat, [np.array([123.456])])
 print(f"\nAdam first step with a huge gradient: moved {params[0][0]:+.6f} (lr=1e-3)")
 
 # soft updates contract the target toward the source geometrically
-source = [np.array([1.0])]
-target = [np.array([0.0])]
+source = np.array([1.0])
+target = np.array([0.0])
 for k in range(1, 6):
     nn.soft_update(source, target, tau=0.5)
-    print(f"after {k} soft updates (tau=0.5): target = {target[0][0]:.4f}")
+    print(f"after {k} soft updates (tau=0.5): target = {target[0]:.4f}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .config import from_dict
-from .replay import CODE_TERMINATIONS, PERConfig, make_buffer
+from .replay import CODE_TERMINATIONS, TERMINATION_CODES, PERConfig, make_buffer
 from .simulator import PREMATURE_TERMINATIONS, observation_dim
 
 VARIANTS = {
@@ -121,18 +121,30 @@ class Explorer:
         return a
 
 
-def td_target(reward_sum, steps, bootstrap_q, gamma, termination, adopted_target=True):
-    """TD target for a (possibly multi-step) trajectory view.
+# whether an ending is premature, by termination code + 1 (code -1: none)
+_PREMATURE_BY_CODE = np.array([CODE_TERMINATIONS[code] in PREMATURE_TERMINATIONS
+                               for code in sorted(CODE_TERMINATIONS)])
 
-    Premature endings (out of track, backwards, slow progress) never
-    bootstrap: y is the discounted reward sum alone. With the adopted-target
-    rule (default), a step-cap ending bootstraps exactly like a normal step;
-    with the rule off, every terminal collapses to y = reward_sum.
+
+def td_target(reward_sum, steps, bootstrap_q, gamma, termination, adopted_target=True):
+    """TD targets for (possibly multi-step) trajectory views, element-wise.
+
+    termination holds replay termination codes (TERMINATION_CODES; -1 while
+    the episode runs on). Premature endings (out of track, backwards, slow
+    progress) never bootstrap: y is the discounted reward sum alone. With
+    the adopted-target rule (default), a step-cap ending bootstraps exactly
+    like a normal step; with the rule off, every terminal collapses to
+    y = reward_sum. The discounts gamma ** k are Python floats, so each
+    target has the bits of the scalar expression r + gamma ** k * q.
     """
-    if termination is not None:
-        if termination in PREMATURE_TERMINATIONS or not adopted_target:
-            return reward_sum
-    return reward_sum + (gamma ** steps) * bootstrap_q
+    steps = np.asarray(steps)
+    termination = np.asarray(termination)
+    discounts = np.array([gamma ** k for k in range(int(steps.max()) + 1)])
+    if adopted_target:
+        no_bootstrap = _PREMATURE_BY_CODE[termination + 1]
+    else:
+        no_bootstrap = termination != TERMINATION_CODES[None]
+    return np.where(no_bootstrap, reward_sum, reward_sum + discounts[steps] * bootstrap_q)
 
 
 @dataclass
@@ -248,11 +260,8 @@ class DDPGAgent:
             q_next = self.target_critic(next_s_win, next_a_win)
         else:
             q_next = self.target_critic(next_flat, a_next)
-        return np.array([
-            td_target(r, k, q, c.gamma, CODE_TERMINATIONS[code], c.adopted_target)
-            for r, k, q, code in zip(view.reward_sum.tolist(), view.steps.tolist(),
-                                     q_next, view.termination.tolist())
-        ])
+        return td_target(view.reward_sum, view.steps, q_next, c.gamma, view.termination,
+                         c.adopted_target)
 
     def _critic_eval(self, s_win, a_win, actions):
         """Forward pass of the critic on stored windows + a chosen current action."""
@@ -298,7 +307,7 @@ class DDPGAgent:
         if c.buffer_kind == "per":
             _, ga_stored = self._critic_action_grad(cache, np.ones(n))
             grad_sq = np.einsum("ij,ij->i", ga_stored, ga_stored)
-        self.critic_opt.step(self.critic.parameters(), grads)
+        self.critic_opt.step(self.critic.flat, grads)
 
         # actor ascent along grad_a Q evaluated at a = mu(s)
         a_pred, actor_cache = self.actor.forward(s_flat)
@@ -306,10 +315,10 @@ class DDPGAgent:
         actor_objective = float(np.mean(q_pred))
         _, ga = self._critic_action_grad(cache_pred, np.full(n, 1.0 / n))
         actor_grads, _ = self.actor.backward(actor_cache, -ga)
-        self.actor_opt.step(self.actor.parameters(), actor_grads)
+        self.actor_opt.step(self.actor.flat, actor_grads)
 
-        nn.soft_update(self.actor.parameters(), self.target_actor.parameters(), c.tau)
-        nn.soft_update(self.critic.parameters(), self.target_critic.parameters(), c.tau)
+        nn.soft_update(self.actor.flat, self.target_actor.flat, c.tau)
+        nn.soft_update(self.critic.flat, self.target_critic.flat, c.tau)
 
         if c.buffer_kind == "per":
             for slot, serial, delta, g2 in zip(batch.slots, batch.serials, td, grad_sq):
@@ -339,13 +348,19 @@ class DDPGAgent:
         if meta.get("kind") != "agent":
             raise ValueError(f"{path} is not an agent checkpoint")
         agent = cls(from_dict(AgentConfig, meta["config"]))
-        for tag, net in (("actor", agent.actor), ("critic", agent.critic),
-                         ("target_actor", agent.target_actor),
-                         ("target_critic", agent.target_critic)):
-            for i, p in enumerate(net.parameters()):
-                p[...] = arrays[f"{tag}_{i}"]
+        expected = agent._network_arrays()
+        for name in sorted(set(arrays) | set(expected)):
+            want, got = _shape_of(expected, name), _shape_of(arrays, name)
+            if want != got:
+                raise ValueError(f"{path}: checkpoint array {name!r}: expected {want}, got {got}")
+        for name, p in expected.items():
+            p[...] = arrays[name]
         agent.train_steps = int(meta.get("train_steps", 0))
         return agent
+
+
+def _shape_of(arrays, name):
+    return f"shape {arrays[name].shape}" if name in arrays else "no array"
 
 
 class ObservationWindow:

@@ -4,6 +4,10 @@ Everything is float64 numpy with hand-written backward passes. Inputs are
 batched 2D arrays (batch, features); single samples go through as (1, k).
 Gradients are exact analytic derivatives and are checked against central
 finite differences in the test suite.
+
+The actor and the critics each own one contiguous parameter vector,
+``flat``; their layers' arrays are views of it, so Adam and soft updates
+work on the whole network in a few vector operations.
 """
 
 from __future__ import annotations
@@ -66,6 +70,8 @@ class Dense:
     cache consumed by ``backward``.
     """
 
+    PARAMS = ("weight", "bias")
+
     def __init__(self, weight, bias, activation="linear"):
         weight = np.asarray(weight, dtype=np.float64)
         bias = np.asarray(bias, dtype=np.float64)
@@ -107,7 +113,7 @@ class Dense:
         return (gw, gb), gx
 
     def parameters(self):
-        return [self.weight, self.bias]
+        return [getattr(self, name) for name in self.PARAMS]
 
     def copy(self):
         return Dense(self.weight.copy(), self.bias.copy(), self.activation)
@@ -162,6 +168,8 @@ class LstmCell:
     Gate order in the stacked matrices is (input, forget, output, candidate).
     wx is (4h, k), wh (4h, h), bias (4h,).
     """
+
+    PARAMS = ("wx", "wh", "bias")
 
     def __init__(self, wx, wh, bias):
         wx = np.asarray(wx, dtype=np.float64)
@@ -233,7 +241,7 @@ class LstmCell:
         return (gwx, gwh, gb), gx, gh_prev, gc_prev
 
     def parameters(self):
-        return [self.wx, self.wh, self.bias]
+        return [getattr(self, name) for name in self.PARAMS]
 
     def copy(self):
         return LstmCell(self.wx.copy(), self.wh.copy(), self.bias.copy())
@@ -278,7 +286,40 @@ def lstm_unroll_backward(cell, caches, gh_last):
 # actor / critic networks
 
 
-class Actor:
+def pack(arrays):
+    """Copy arrays into one new contiguous float64 vector.
+
+    Returns (flat, views): views[i] is a C-contiguous view of flat shaped
+    like arrays[i], so a write through either shows in both.
+    """
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    views = []
+    start = 0
+    for a in arrays:
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return flat, views
+
+
+class Network:
+    """A network whose layers' arrays are views of one vector it owns.
+
+    ``flat`` holds every parameter; ``parameters()`` returns one view of it
+    per array, in layer order and each layer's PARAMS order.
+    """
+
+    def _own_parameters(self, *layers):
+        self._slots = [(layer, name) for layer in layers for name in layer.PARAMS]
+        self.flat, views = pack([getattr(layer, name) for layer, name in self._slots])
+        for (layer, name), view in zip(self._slots, views):
+            setattr(layer, name, view)
+
+    def parameters(self):
+        return [getattr(layer, name) for layer, name in self._slots]
+
+
+class Actor(Network):
     """Deterministic policy network.
 
     Trunk -> 3 linear units squashed per head: tanh for steering in [-1, 1],
@@ -289,6 +330,7 @@ class Actor:
         if trunk.out_dim != 3:
             raise ShapeError("actor trunk must end in 3 units")
         self.trunk = trunk
+        self._own_parameters(*trunk.layers)
 
     @property
     def in_dim(self):
@@ -309,9 +351,6 @@ class Actor:
         gz[:, 2] = ga[:, 2] * a[:, 2] * (1.0 - a[:, 2])
         return self.trunk.backward(caches, gz)
 
-    def parameters(self):
-        return self.trunk.parameters()
-
     def copy(self):
         return Actor(self.trunk.copy())
 
@@ -319,7 +358,7 @@ class Actor:
         return self.forward(x)[0]
 
 
-class Critic:
+class Critic(Network):
     """Feed-forward Q network: state through one layer, action joins after it."""
 
     def __init__(self, state_layer, tail):
@@ -330,6 +369,7 @@ class Critic:
         self.action_dim = tail.in_dim - state_layer.out_dim
         if self.action_dim <= 0:
             raise ShapeError("critic tail input must exceed the state stream width")
+        self._own_parameters(state_layer, *tail.layers)
 
     @property
     def state_dim(self):
@@ -352,9 +392,6 @@ class Critic:
         gs_params, gs = self.state_layer.backward(cache_s, gh)
         return [*gs_params, *gt], gs, ga
 
-    def parameters(self):
-        return [*self.state_layer.parameters(), *self.tail.parameters()]
-
     def copy(self):
         return Critic(self.state_layer.copy(), self.tail.copy())
 
@@ -362,7 +399,7 @@ class Critic:
         return self.forward(s, a)[0]
 
 
-class LstmCritic:
+class LstmCritic(Network):
     """Recurrent Q network over a window of (state, action) pairs.
 
     Each step embeds the state, concatenates the action, and feeds an LSTM
@@ -378,6 +415,7 @@ class LstmCritic:
         self.cell = cell
         self.head = head
         self.action_dim = 3
+        self._own_parameters(state_layer, cell, head)
 
     @property
     def state_dim(self):
@@ -420,13 +458,6 @@ class LstmCritic:
         gs_list.reverse()
         grads = [gws, gbs, *cell_grads, *ghead]
         return grads, np.stack(gs_list, axis=1), gxs[:, :, embed_dim:]
-
-    def parameters(self):
-        return [
-            *self.state_layer.parameters(),
-            *self.cell.parameters(),
-            *self.head.parameters(),
-        ]
 
     def copy(self):
         return LstmCritic(self.state_layer.copy(), self.cell.copy(), self.head.copy())
@@ -491,7 +522,11 @@ def build_lstm_critic(state_dim, action_dim=3, hidden=64, final_scale=3e-3, rng=
 
 
 class Adam:
-    """Adam with bias correction, updating parameter arrays in place."""
+    """Adam with bias correction over one flat parameter vector.
+
+    Built from the network's parameter list, whose shapes the gradients of
+    ``step`` must have; m and v are vectors like the flat one.
+    """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -499,41 +534,47 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.shapes = [p.shape for p in params]
+        # parameter i is flat[offsets[i]:offsets[i + 1]]
+        self.offsets = np.cumsum([0, *(p.size for p in params)])
+        self.m = np.zeros(self.offsets[-1])
+        self.v = np.zeros(self.offsets[-1])
 
-    def step(self, params, grads):
-        if len(params) != len(self.m) or len(grads) != len(self.m):
+    def step(self, flat, grads):
+        """Update flat in place from grads, a list shaped like the parameters."""
+        if flat.shape != self.m.shape or [g.shape for g in grads] != self.shapes:
             raise ShapeError(
-                f"adam tracks {len(self.m)} parameters, got {len(params)}/{len(grads)}"
+                f"adam updates {len(self.m)} values shaped {self.shapes}, got a vector "
+                f"of {flat.shape} and gradients {[g.shape for g in grads]}"
             )
-        for i, (p, g) in enumerate(zip(params, grads)):
-            if p.shape != self.m[i].shape or g.shape != p.shape:
-                raise ShapeError(f"parameter {i} shape mismatch: {p.shape} vs {g.shape}")
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient at parameter {i}", index=i)
+        g = np.concatenate([x.ravel() for x in grads])
+        finite = np.isfinite(g)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            i = int(np.searchsorted(self.offsets, first, side="right")) - 1
+            raise NumericError(f"non-finite gradient at parameter {i}", index=i)
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / b1t
-            v_hat = self.v[i] / b2t
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        # m and v are rebuilt each step, not updated in place: the new arrays
+        # stay live between steps at the top of the heap. Updated in place,
+        # the step's temporaries were the top, and glibc returned them to the
+        # system after every LSTM8 update and faulted them back in on the next.
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
+        m_hat = self.m / b1t
+        v_hat = self.v / b2t
+        flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def soft_update(source, target, tau):
-    """target <- tau * source + (1 - tau) * target, element-wise, in place."""
+    """target <- tau * source + (1 - tau) * target, on flat vectors, in place."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
-    if len(source) != len(target):
-        raise ShapeError(f"parameter counts differ: {len(source)} vs {len(target)}")
-    for i, (s, t) in enumerate(zip(source, target)):
-        if s.shape != t.shape:
-            raise ShapeError(f"parameter {i} shapes differ: {s.shape} vs {t.shape}")
-        t *= 1.0 - tau
-        t += tau * s
+    if source.shape != target.shape:
+        raise ShapeError(f"parameter vectors differ: {source.shape} vs {target.shape}")
+    target *= 1.0 - tau
+    target += tau * source
 
 
 # ---------------------------------------------------------------------------

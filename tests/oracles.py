@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own backward passes and data
 structures: gradients come from central finite differences on the forward
-pass alone, distributions are checked by brute-force counting, and the
-geometry queries scan every segment.
+pass alone, distributions are checked by brute-force counting, the
+geometry queries scan every segment, and the learner's updates run array
+by array with one scalar TD target per view.
 """
 
 import math
@@ -11,6 +12,8 @@ import math
 import numpy as np
 
 from racerl.geometry import RANGEFINDER_ANGLES, RANGEFINDER_COUNT, RANGEFINDER_MAX
+from racerl.nn import NumericError, ShapeError
+from racerl.simulator import PREMATURE_TERMINATIONS
 
 
 def finite_difference_grad(f, x, h=1e-5):
@@ -108,3 +111,57 @@ def brute_rangefinders(track, position, heading):
     valid = (np.abs(denom) > 1e-12) & (t >= 0.0) & (u >= 0.0) & (u <= 1.0)
     t = np.where(valid, t, np.inf)
     return np.minimum(t.min(axis=1), RANGEFINDER_MAX)
+
+
+class ArrayAdam:
+    """nn.Adam as it was before the flat vectors: one m and v per array."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, params, grads):
+        if len(params) != len(self.m) or len(grads) != len(self.m):
+            raise ShapeError(
+                f"adam tracks {len(self.m)} parameters, got {len(params)}/{len(grads)}"
+            )
+        for i, (p, g) in enumerate(zip(params, grads)):
+            if p.shape != self.m[i].shape or g.shape != p.shape:
+                raise ShapeError(f"parameter {i} shape mismatch: {p.shape} vs {g.shape}")
+            if not np.all(np.isfinite(g)):
+                raise NumericError(f"non-finite gradient at parameter {i}", index=i)
+        self.t += 1
+        b1t = 1.0 - self.beta1 ** self.t
+        b2t = 1.0 - self.beta2 ** self.t
+        for i, (p, g) in enumerate(zip(params, grads)):
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[i] / b1t
+            v_hat = self.v[i] / b2t
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def array_soft_update(source, target, tau):
+    """nn.soft_update as it was before the flat vectors, over parameter lists."""
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must be in [0, 1], got {tau}")
+    if len(source) != len(target):
+        raise ShapeError(f"parameter counts differ: {len(source)} vs {len(target)}")
+    for i, (s, t) in enumerate(zip(source, target)):
+        if s.shape != t.shape:
+            raise ShapeError(f"parameter {i} shapes differ: {s.shape} vs {t.shape}")
+        t *= 1.0 - tau
+        t += tau * s
+
+
+def scalar_td_target(reward_sum, steps, bootstrap_q, gamma, termination, adopted_target=True):
+    """The TD rule for one view, termination a Termination or None."""
+    if termination is not None:
+        if termination in PREMATURE_TERMINATIONS or not adopted_target:
+            return reward_sum
+    return reward_sum + (gamma ** steps) * bootstrap_q

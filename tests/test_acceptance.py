@@ -26,6 +26,7 @@ from racerl.agent import (
 )
 from racerl.bot import bot_lap_time
 from racerl.geometry import Polyline, RacingLine, Track, max_speed
+from racerl.replay import TERMINATION_CODES as CODE
 from racerl.replay import PERConfig, PrioritizedReplayBuffer, SumTree, Transition, priority_from
 from racerl.simulator import Termination, progress_reward
 from oracles import check_network_gradients, empirical_frequencies
@@ -197,9 +198,9 @@ def test_criterion_2_target_equation_table():
     checked += 1
 
     # pure-formula rows (Eq. 2 / Eq. 4 arithmetic)
-    assert abs(td_target(-1.0, 1, 5.0, 0.99, Termination.OUT_OF_TRACK) - (-1.0)) < 1e-12
-    assert abs(td_target(1.0, 1, 2.0, 0.99, Termination.MAX_STEPS) - 2.98) < 1e-12
-    assert abs(td_target(1.5, 2, 4.0, 0.5, None) - 2.5) < 1e-12
+    assert abs(td_target(-1.0, 1, 5.0, 0.99, CODE[Termination.OUT_OF_TRACK]) - (-1.0)) < 1e-12
+    assert abs(td_target(1.0, 1, 2.0, 0.99, CODE[Termination.MAX_STEPS]) - 2.98) < 1e-12
+    assert abs(td_target(1.5, 2, 4.0, 0.5, CODE[None]) - 2.5) < 1e-12
     checked += 3
 
     assert checked >= 12
@@ -219,14 +220,14 @@ def test_criterion_3_at_rule_identity():
     gamma = agent.config.gamma
 
     # at r = 0 the identity holds bit for bit
-    at0 = td_target(0.0, 1, q_boot, gamma, Termination.MAX_STEPS, adopted_target=True)
-    plain0 = td_target(0.0, 1, q_boot, gamma, Termination.MAX_STEPS, adopted_target=False)
+    at0 = td_target(0.0, 1, q_boot, gamma, CODE[Termination.MAX_STEPS], adopted_target=True)
+    plain0 = td_target(0.0, 1, q_boot, gamma, CODE[Termination.MAX_STEPS], adopted_target=False)
     assert at0 - plain0 == gamma * q_boot
 
     # nonzero rewards reintroduce one float rounding in (r + g*q) - r
     for r in (-1.0, 2.375):
-        at = td_target(r, 1, q_boot, gamma, Termination.MAX_STEPS, adopted_target=True)
-        plain = td_target(r, 1, q_boot, gamma, Termination.MAX_STEPS, adopted_target=False)
+        at = td_target(r, 1, q_boot, gamma, CODE[Termination.MAX_STEPS], adopted_target=True)
+        plain = td_target(r, 1, q_boot, gamma, CODE[Termination.MAX_STEPS], adopted_target=False)
         assert math.isclose(at - plain, gamma * q_boot, rel_tol=1e-9, abs_tol=1e-15)
     report(3, f"AT minus premature-rule target equals gamma*Q'(s',mu'(s')) "
               f"(gamma*Q' = {gamma * q_boot:.6g}; bitwise at r=0)")

@@ -17,9 +17,16 @@ from racerl.agent import (
     ou_step,
     td_target,
 )
+from racerl.replay import TERMINATION_CODES as CODE
 from racerl.replay import PERConfig, Transition
 from racerl.simulator import Termination
-from oracles import finite_difference_grad, max_relative_error
+from oracles import (
+    ArrayAdam,
+    array_soft_update,
+    finite_difference_grad,
+    max_relative_error,
+    scalar_td_target,
+)
 
 
 def tiny_config(variant="WIN1", **kw):
@@ -192,36 +199,53 @@ def test_brake_exploration_mutual_exclusion_monte_carlo():
 
 
 def test_td_target_premature_terminal():
-    assert td_target(-1.0, 1, 5.0, 0.99, Termination.OUT_OF_TRACK) == -1.0
-    assert td_target(-1.0, 1, 5.0, 0.99, Termination.BACKWARDS) == -1.0
-    assert td_target(0.3, 1, 5.0, 0.99, Termination.SLOW_PROGRESS) == 0.3
+    assert td_target(-1.0, 1, 5.0, 0.99, CODE[Termination.OUT_OF_TRACK]) == -1.0
+    assert td_target(-1.0, 1, 5.0, 0.99, CODE[Termination.BACKWARDS]) == -1.0
+    assert td_target(0.3, 1, 5.0, 0.99, CODE[Termination.SLOW_PROGRESS]) == 0.3
 
 
 def test_td_target_max_steps_bootstraps():
     # adopted-target rule: y = r + gamma * Q'
-    assert td_target(1.0, 1, 2.0, 0.99, Termination.MAX_STEPS) == pytest.approx(2.98)
+    assert td_target(1.0, 1, 2.0, 0.99, CODE[Termination.MAX_STEPS]) == pytest.approx(2.98)
 
 
 def test_td_target_normal_step():
-    assert td_target(0.5, 1, 3.0, 0.9, None) == pytest.approx(0.5 + 0.9 * 3.0)
+    assert td_target(0.5, 1, 3.0, 0.9, CODE[None]) == pytest.approx(0.5 + 0.9 * 3.0)
 
 
 def test_td_target_multistep_hand_value():
     # MS2: rewards [1, 1], gamma 0.5, Q' = 4 -> 1 + 0.5 + 0.25 * 4 = 2.5
     reward_sum = 1.0 + 0.5 * 1.0
-    assert td_target(reward_sum, 2, 4.0, 0.5, None) == 2.5
+    assert td_target(reward_sum, 2, 4.0, 0.5, CODE[None]) == 2.5
 
 
 def test_td_target_adopted_flag_off():
-    assert td_target(1.0, 1, 2.0, 0.99, Termination.MAX_STEPS, adopted_target=False) == 1.0
+    assert td_target(1.0, 1, 2.0, 0.99, CODE[Termination.MAX_STEPS],
+                     adopted_target=False) == 1.0
 
 
 def test_at_identity():
     # max_steps target minus the premature-rule target equals gamma * Q' exactly
     gamma, q = 0.97, 3.71
-    at = td_target(0.4, 1, q, gamma, Termination.MAX_STEPS, adopted_target=True)
-    plain = td_target(0.4, 1, q, gamma, Termination.MAX_STEPS, adopted_target=False)
+    at = td_target(0.4, 1, q, gamma, CODE[Termination.MAX_STEPS], adopted_target=True)
+    plain = td_target(0.4, 1, q, gamma, CODE[Termination.MAX_STEPS], adopted_target=False)
     assert at - plain == gamma * q
+
+
+@pytest.mark.parametrize("adopted", [True, False])
+def test_td_target_matches_scalar_rule_bit_for_bit(adopted):
+    rng = np.random.default_rng(5)
+    kinds = [None, *Termination]
+    n = 400
+    reward_sum = rng.normal(size=n) * 3.0
+    steps = rng.integers(1, 5, size=n)
+    q = rng.normal(size=n) * 10.0
+    ends = [kinds[i] for i in rng.integers(0, len(kinds), size=n)]
+    for gamma in (0.99, 0.9, 0.5):
+        got = td_target(reward_sum, steps, q, gamma, np.array([CODE[e] for e in ends]), adopted)
+        want = [scalar_td_target(r, k, b, gamma, e, adopted)
+                for r, k, b, e in zip(reward_sum.tolist(), steps.tolist(), q, ends)]
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_compute_targets_n1_equals_ms_with_n1():
@@ -311,6 +335,78 @@ def test_train_step_reproducible_bit_for_bit():
     r2, p2 = run()
     assert r1 == r2
     assert p1 == p2
+
+
+def _run_per_array(agent, monkeypatch):
+    """Give each network standalone arrays and run the agent's Adam and soft
+    updates through the per-array oracles, as before the flat vectors."""
+    nets = (agent.actor, agent.critic, agent.target_actor, agent.target_critic)
+    for net in nets:
+        for layer, name in net._slots:
+            setattr(layer, name, getattr(layer, name).copy())
+    by_vector = {id(net.flat): net for net in nets}
+
+    class OracleOptimizer:
+        def __init__(self, net, lr):
+            self.net = net
+            self.oracle = ArrayAdam(net.parameters(), lr=lr)
+
+        def step(self, flat, grads):
+            assert flat is self.net.flat
+            self.oracle.step(self.net.parameters(), grads)
+
+    agent.actor_opt = OracleOptimizer(agent.actor, agent.config.actor_lr)
+    agent.critic_opt = OracleOptimizer(agent.critic, agent.config.critic_lr)
+    monkeypatch.setattr(nn, "soft_update", lambda source, target, tau: array_soft_update(
+        by_vector[id(source)].parameters(), by_vector[id(target)].parameters(), tau))
+
+
+@pytest.mark.parametrize("variant", ["WIN1", "WIN8", "MS4", "PER40k", "LSTM8"])
+def test_flat_learner_matches_per_array_oracle(variant, monkeypatch):
+    def run(per_array):
+        agent = DDPGAgent(tiny_config(variant, hidden=12, batch_size=16), seed=13)
+        fill_buffer(agent, 96, np.random.default_rng(4), terminal_every=20)
+        if per_array:
+            _run_per_array(agent, monkeypatch)
+        losses = [agent.train_step().critic_loss for _ in range(24)]
+        return agent, losses
+
+    flat, flat_losses = run(per_array=False)
+    oracle, oracle_losses = run(per_array=True)
+    assert flat_losses == oracle_losses
+    for name in ("actor", "critic", "target_actor", "target_critic"):
+        net, ref = getattr(flat, name), getattr(oracle, name)
+        params = net.parameters()
+        # the views tile the flat vector in order, each C-contiguous
+        assert all(p.flags.c_contiguous and np.shares_memory(p, net.flat) for p in params)
+        assert b"".join(p.tobytes() for p in params) == net.flat.tobytes()
+        assert b"".join(p.tobytes() for p in params) == \
+            b"".join(p.tobytes() for p in ref.parameters())
+    for name in ("actor_opt", "critic_opt"):
+        opt, ref = getattr(flat, name), getattr(oracle, name).oracle
+        assert opt.t == ref.t == 24
+        assert opt.m.tobytes() == b"".join(m.tobytes() for m in ref.m)
+        assert opt.v.tobytes() == b"".join(v.tobytes() for v in ref.v)
+
+
+@pytest.mark.parametrize("variant", ["WIN1", "LSTM8"])
+def test_adam_names_the_parameter_of_a_nonfinite_gradient(variant):
+    agent = DDPGAgent(tiny_config(variant, hidden=12), seed=3)
+    fill_buffer(agent, 32, np.random.default_rng(1))
+    agent.train_step()
+    opt, critic = agent.critic_opt, agent.critic
+    state = (opt.t, opt.m.copy(), opt.v.copy(), critic.flat.copy())
+    grads = [np.ones_like(p) for p in critic.parameters()]
+    for i, g in enumerate(grads):
+        for pos in sorted({0, g.size // 2, g.size - 1}):
+            g.flat[pos] = np.nan
+            with pytest.raises(nn.NumericError) as exc:
+                opt.step(critic.flat, grads)
+            assert exc.value.index == i
+            g.flat[pos] = 1.0
+    # nothing moved
+    assert (opt.t, opt.m.tobytes(), opt.v.tobytes(), critic.flat.tobytes()) == \
+        (state[0], state[1].tobytes(), state[2].tobytes(), state[3].tobytes())
 
 
 def test_train_step_supervised_sanity_loss_decreases():
@@ -421,6 +517,24 @@ def test_observation_window_padding_and_roll():
     w.push(np.array([2.0, 2.0]))
     npt.assert_array_equal(w.array()[-1], [2.0, 2.0])
     npt.assert_array_equal(w.array()[0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda arrays: arrays.update(critic_0=np.zeros(arrays["critic_0"].shape[1])),
+     r"'critic_0': expected shape \(8, 29\), got shape \(29,\)"),
+    (lambda arrays: arrays.pop("actor_5"), r"'actor_5': expected shape \(3,\), got no array"),
+    (lambda arrays: arrays.update(actor_9=np.zeros(3)),
+     r"'actor_9': expected no array, got shape \(3,\)"),
+], ids=["wrong_shape", "missing", "extra"])
+def test_agent_load_checks_every_network_array(tmp_path, edit, message):
+    path = tmp_path / "agent.npz"
+    DDPGAgent(tiny_config("WIN1"), seed=2).save(path)
+    meta, arrays = nn.load_arrays(path)
+    edit(arrays)
+    meta = {k: v for k, v in meta.items() if k not in ("format", "version")}
+    nn.save_arrays(path, meta, arrays)
+    with pytest.raises(ValueError, match=message):
+        DDPGAgent.load(path)
 
 
 def test_agent_save_load_roundtrip(tmp_path):

@@ -162,24 +162,23 @@ def test_lstm_unrolled_gradient_finite_difference():
 
 
 def test_adam_zero_gradient_is_identity():
-    params = [np.array([1.0, -2.0]), np.array([[3.0]])]
+    flat, params = nn.pack([np.array([1.0, -2.0]), np.array([[3.0]])])
     opt = nn.Adam(params, lr=1e-3)
     before = [p.copy() for p in params]
-    opt.step(params, [np.zeros_like(p) for p in params])
+    opt.step(flat, [np.zeros_like(p) for p in params])
     for p, b in zip(params, before):
         npt.assert_array_equal(p, b)
-    for m, v in zip(opt.m, opt.v):
-        npt.assert_array_equal(m, np.zeros_like(m))
-        npt.assert_array_equal(v, np.zeros_like(v))
+    npt.assert_array_equal(opt.m, np.zeros(3))
+    npt.assert_array_equal(opt.v, np.zeros(3))
 
 
 @pytest.mark.parametrize("g", [0.5, -3.0, 1e-3])
 def test_adam_first_step_magnitude(g):
     # bias-corrected first step is ~ lr * sign(g)
     lr = 1e-3
-    params = [np.array([0.7])]
+    flat, params = nn.pack([np.array([0.7])])
     opt = nn.Adam(params, lr=lr)
-    opt.step(params, [np.array([g])])
+    opt.step(flat, [np.array([g])])
     delta = abs(params[0][0] - 0.7)
     assert 0.99 * lr <= delta <= lr
 
@@ -196,58 +195,58 @@ def test_adam_two_steps_hand_recursion():
         v_hat = v / (1 - b2 ** t)
         theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
-    params = [np.array([0.0])]
+    flat, params = nn.pack([np.array([0.0])])
     opt = nn.Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
-    opt.step(params, [np.array([g])])
-    opt.step(params, [np.array([g])])
+    opt.step(flat, [np.array([g])])
+    opt.step(flat, [np.array([g])])
     npt.assert_allclose(params[0][0], theta, rtol=1e-15)
     assert opt.t == 2
 
 
 def test_adam_nonfinite_gradient_reports_index():
-    params = [np.zeros(2), np.zeros(3)]
+    flat, params = nn.pack([np.zeros(2), np.zeros(3)])
     opt = nn.Adam(params)
     bad = [np.zeros(2), np.array([0.0, np.nan, 0.0])]
     with pytest.raises(nn.NumericError) as exc:
-        opt.step(params, bad)
+        opt.step(flat, bad)
     assert exc.value.index == 1
 
 
 def test_soft_update_tau_one_copies_source():
-    src = [np.array([2.0, -1.0])]
-    tgt = [np.array([0.0, 5.0])]
+    src = np.array([2.0, -1.0])
+    tgt = np.array([0.0, 5.0])
     nn.soft_update(src, tgt, 1.0)
-    npt.assert_array_equal(tgt[0], src[0])
+    npt.assert_array_equal(tgt, src)
 
 
 def test_soft_update_tau_zero_keeps_target():
-    src = [np.array([2.0])]
-    tgt = [np.array([0.5])]
+    src = np.array([2.0])
+    tgt = np.array([0.5])
     nn.soft_update(src, tgt, 0.0)
-    npt.assert_array_equal(tgt[0], [0.5])
+    npt.assert_array_equal(tgt, [0.5])
 
 
 def test_soft_update_half_blend():
-    src = [np.array([[2.0]])]
-    tgt = [np.array([[0.0]])]
+    src = np.array([2.0])
+    tgt = np.array([0.0])
     nn.soft_update(src, tgt, 0.5)
-    assert tgt[0][0, 0] == 1.0
+    assert tgt[0] == 1.0
 
 
 def test_soft_update_contraction():
     rng = np.random.default_rng(0)
-    src = [rng.normal(size=(3, 3))]
-    tgt = [rng.normal(size=(3, 3))]
+    src = rng.normal(size=9)
+    tgt = rng.normal(size=9)
     tau = 0.1
-    d0 = np.linalg.norm(tgt[0] - src[0])
+    d0 = np.linalg.norm(tgt - src)
     for k in range(1, 6):
         nn.soft_update(src, tgt, tau)
-        npt.assert_allclose(np.linalg.norm(tgt[0] - src[0]), d0 * (1 - tau) ** k, rtol=1e-10)
+        npt.assert_allclose(np.linalg.norm(tgt - src), d0 * (1 - tau) ** k, rtol=1e-10)
 
 
 def test_soft_update_shape_mismatch():
     with pytest.raises(nn.ShapeError):
-        nn.soft_update([np.zeros(2)], [np.zeros(3)], 0.5)
+        nn.soft_update(np.zeros(2), np.zeros(3), 0.5)
 
 
 def test_actor_head_ranges_and_gradcheck():
