@@ -41,7 +41,7 @@ view = buf.assemble_nstep(3, 4, gamma=0.9)
 print(f"\n4-step view from episode 0, step 3: reward_sum={view.reward_sum:.2f}, "
       f"horizon m={view.steps}, ended by {CODE_TERMINATIONS[int(view.termination)]}")
 
-per = PrioritizedReplayBuffer(PERConfig(alpha=1.0, capacity=16))
+per = PrioritizedReplayBuffer(16, PERConfig(alpha=1.0))
 for i in range(4):
     per.push(Transition(np.array([float(i)]), np.zeros(3), 0.0,
                         np.array([float(i)]), None, 0, i))

@@ -10,29 +10,45 @@ feed-forward on the flattened window).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import nn
 from .config import from_dict
-from .replay import CODE_TERMINATIONS, TERMINATION_CODES, PERConfig, make_buffer
+from .replay import (
+    CODE_TERMINATIONS,
+    DEFAULT_CAPACITY,
+    TERMINATION_CODES,
+    PERConfig,
+    make_buffer,
+)
 from .simulator import PREMATURE_TERMINATIONS, observation_dim
 
-VARIANTS = {
-    "WIN1": dict(window=1, nstep=1, buffer="uniform", lstm=False),
-    "WIN4": dict(window=4, nstep=1, buffer="uniform", lstm=False),
-    "WIN8": dict(window=8, nstep=1, buffer="uniform", lstm=False),
-    "MS2": dict(window=1, nstep=2, buffer="uniform", lstm=False),
-    "MS3": dict(window=1, nstep=3, buffer="uniform", lstm=False),
-    "MS4": dict(window=1, nstep=4, buffer="uniform", lstm=False),
-    "PER40k": dict(window=1, nstep=1, buffer="per", capacity=40_000, lstm=False),
-    "PER1M": dict(window=1, nstep=1, buffer="per", capacity=1_000_000, lstm=False),
-    "LSTM4": dict(window=4, nstep=1, buffer="uniform", lstm=True),
-    "LSTM8": dict(window=8, nstep=1, buffer="uniform", lstm=True),
-}
 
-UNIFORM_CAPACITY = 100_000
+@dataclass(frozen=True)
+class Variant:
+    """What sets one tournament variant apart from the others."""
+
+    window: int = 1
+    nstep: int = 1
+    buffer_kind: str = "uniform"
+    capacity: int = DEFAULT_CAPACITY
+    lstm: bool = False
+
+
+VARIANTS = {
+    "WIN1": Variant(),
+    "WIN4": Variant(window=4),
+    "WIN8": Variant(window=8),
+    "MS2": Variant(nstep=2),
+    "MS3": Variant(nstep=3),
+    "MS4": Variant(nstep=4),
+    "PER40k": Variant(buffer_kind="per", capacity=40_000),
+    "PER1M": Variant(buffer_kind="per", capacity=1_000_000),
+    "LSTM4": Variant(window=4, lstm=True),
+    "LSTM8": Variant(window=8, lstm=True),
+}
 
 
 @dataclass(frozen=True)
@@ -148,9 +164,9 @@ def td_target(reward_sum, steps, bootstrap_q, gamma, termination, adopted_target
 
 
 @dataclass
-class AgentConfig:
-    variant: str = "WIN1"
-    lac_enabled: bool = False
+class AgentSettings:
+    """The learner's hyperparameters: an experiment config's ``agent`` tree."""
+
     gamma: float = 0.99
     tau: float = 1e-3
     batch_size: int = 32
@@ -158,35 +174,59 @@ class AgentConfig:
     critic_lr: float = 1e-3
     hidden: int = 64
     adopted_target: bool = True
-    window: int = 1
-    nstep: int = 1
-    buffer_kind: str = "uniform"
-    capacity: int = UNIFORM_CAPACITY
-    lstm: bool = False
+
+
+def _variant_trait(name):
+    return property(lambda self: getattr(VARIANTS[self.variant], name),
+                    doc=f"The variant's {name}, read from VARIANTS.")
+
+
+@dataclass(kw_only=True)
+class AgentConfig(AgentSettings):
+    """One agent: its hyperparameters, variant, LAC input, PER and exploration
+    settings. The variant's traits are read-only views of its VARIANTS row."""
+
+    variant: str = "WIN1"
+    lac_enabled: bool = False
     per: PERConfig = field(default_factory=PERConfig)
     exploration: ExplorationConfig = field(default_factory=ExplorationConfig)
+
+    window = _variant_trait("window")
+    nstep = _variant_trait("nstep")
+    buffer_kind = _variant_trait("buffer_kind")
+    capacity = _variant_trait("capacity")
+    lstm = _variant_trait("lstm")
+
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise KeyError(f"unknown variant {self.variant!r}; pick one of {sorted(VARIANTS)}")
 
     @property
     def obs_dim(self):
         return observation_dim(self.lac_enabled)
 
-    @classmethod
-    def from_variant(cls, variant, **overrides):
-        if variant not in VARIANTS:
-            raise KeyError(f"unknown variant {variant!r}; pick one of {sorted(VARIANTS)}")
-        spec = VARIANTS[variant]
-        cfg = cls(
-            variant=variant,
-            window=spec["window"],
-            nstep=spec["nstep"],
-            buffer_kind=spec["buffer"],
-            lstm=spec["lstm"],
-            capacity=spec.get("capacity", UNIFORM_CAPACITY),
-            **overrides,
-        )
-        if cfg.buffer_kind == "per":
-            cfg.per = replace(cfg.per, capacity=cfg.capacity)
-        return cfg
+
+def _config_from_checkpoint(stored, path):
+    """AgentConfig from a checkpoint's stored config.
+
+    An older checkpoint also stored the variant's traits and per.capacity.
+    Each must agree with the variant (per.capacity only where the buffer is
+    prioritized: a uniform buffer never read it) and is then dropped.
+    """
+    stored = dict(stored)
+    legacy = {f.name: stored.pop(f.name) for f in fields(Variant) if f.name in stored}
+    if "capacity" in stored.get("per", {}):
+        stored["per"] = dict(stored["per"])
+        legacy["per.capacity"] = stored["per"].pop("capacity")
+    config = from_dict(AgentConfig, stored)
+    for key, value in legacy.items():
+        if key == "per.capacity" and config.buffer_kind != "per":
+            continue
+        want = getattr(config, key.removeprefix("per."))
+        if value != want:
+            raise ValueError(f"{path}: checkpoint config {key!r} is {value!r}, "
+                             f"but variant {config.variant} has {want!r}")
+    return config
 
 
 @dataclass
@@ -347,7 +387,7 @@ class DDPGAgent:
         meta, arrays = nn.load_arrays(path)
         if meta.get("kind") != "agent":
             raise ValueError(f"{path} is not an agent checkpoint")
-        agent = cls(from_dict(AgentConfig, meta["config"]))
+        agent = cls(_config_from_checkpoint(meta["config"], path))
         expected = agent._network_arrays()
         for name in sorted(set(arrays) | set(expected)):
             want, got = _shape_of(expected, name), _shape_of(arrays, name)

@@ -17,23 +17,21 @@ from .geometry import RacingLine, max_speed, wrap_angle
 from .simulator import Action, CarParams, EnvSettings, RacingEnv
 
 SPEED_LOOKAHEAD = (0.0, 20.0, 40.0, 60.0, 80.0)
+LOOKAHEAD_GAIN = 0.45  # pure-pursuit look-ahead, m per m/s, clamped to [8, 26] m
+MIN_LOOKAHEAD = 8.0
+MAX_LOOKAHEAD = 26.0
+PEDAL_GAIN = 0.35      # pedal travel per m/s of speed error
 
 
 class BaselineBot:
     """Pure pursuit + curvature speed cap, proportional pedals."""
 
-    def __init__(self, track, line=None, params=None, safety=0.9, speed_scale=1.0,
-                 lookahead_gain=0.45, min_lookahead=8.0, max_lookahead=26.0,
-                 pedal_gain=0.35):
+    def __init__(self, track, line=None, params=None, safety=0.9, speed_scale=1.0):
         self.track = track
         self.line = line if line is not None else RacingLine.middle_of_track(track)
         self.params = params if params is not None else CarParams()
         self.safety = safety
         self.speed_scale = speed_scale
-        self.lookahead_gain = lookahead_gain
-        self.min_lookahead = min_lookahead
-        self.max_lookahead = max_lookahead
-        self.pedal_gain = pedal_gain
 
     def target_speed(self, delta, vx):
         """Grip-limited speed over the next 80 m, scaled by the safety factor."""
@@ -51,8 +49,7 @@ class BaselineBot:
         frame = self.line.frame(state.position, state.heading)
         p = self.params
 
-        lookahead = min(max(self.lookahead_gain * state.vx, self.min_lookahead),
-                        self.max_lookahead)
+        lookahead = min(max(LOOKAHEAD_GAIN * state.vx, MIN_LOOKAHEAD), MAX_LOOKAHEAD)
         target = self.line.world_point_at(frame.delta + lookahead)
         vec = target - state.position
         dist = float(np.hypot(vec[0], vec[1]))
@@ -62,8 +59,8 @@ class BaselineBot:
         steer = min(max(steer_angle / p.max_steer, -1.0), 1.0)
 
         err = self.target_speed(frame.delta, state.vx) - state.vx
-        throttle = min(max(self.pedal_gain * err, 0.0), 1.0)
-        brake = min(max(-self.pedal_gain * (err + 0.5), 0.0), 1.0)
+        throttle = min(max(PEDAL_GAIN * err, 0.0), 1.0)
+        brake = min(max(-PEDAL_GAIN * (err + 0.5), 0.0), 1.0)
         return Action(steer=steer, throttle=throttle, brake=brake)
 
 

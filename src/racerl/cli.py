@@ -28,10 +28,8 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    results = experiments.evaluate(
-        args.checkpoint, args.track, reference=args.reference, laps=args.laps,
-        racing_line_file=args.racing_line, runs=args.runs,
-    )
+    results = experiments.evaluate(args.checkpoint, args.track, laps=args.laps,
+                                   racing_line_file=args.racing_line, runs=args.runs)
     for i, res in enumerate(results):
         lap = f"{res.best_lap_time:.3f}s" if res.finished else "DNF"
         print(f"run {i}: {res.status} best_lap={lap} laps={len(res.lap_times)} "
@@ -134,7 +132,6 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--track", required=True)
     p.add_argument("--laps", type=int, default=3)
-    p.add_argument("--reference", choices=experiments.REFERENCE_MODES, default="mot")
     p.add_argument("--racing-line", dest="racing_line")
     p.add_argument("--runs", type=int, default=1)
     p.set_defaults(fn=cmd_eval)

@@ -21,6 +21,7 @@ from . import __version__, tracks
 from .agent import (
     VARIANTS,
     AgentConfig,
+    AgentSettings,
     DDPGAgent,
     ExplorationConfig,
     ObservationWindow,
@@ -36,15 +37,10 @@ from .simulator import CarParams, EnvSettings, RacingEnv, _fmt
 REFERENCE_MODES = ("mot", "rc", "rc-lac")
 
 
-@dataclass
-class AgentSettings:
-    gamma: float = 0.99
-    tau: float = 1e-3
-    batch_size: int = 32
-    actor_lr: float = 1e-4
-    critic_lr: float = 1e-3
-    hidden: int = 64
-    adopted_target: bool = True
+def write_json(path, data):
+    """Write data as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass
@@ -88,12 +84,25 @@ class ExperimentConfig:
     exploration: ExplorationConfig = field(default_factory=ExplorationConfig)
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self):
+        """Raise ValueError naming the first bad field (train_run checks
+        again: a field assigned after construction skips this)."""
+        if self.variant not in VARIANTS:
+            raise ValueError(f"config variant must be one of {sorted(VARIANTS)}, "
+                             f"got {self.variant!r}")
+        if not tracks.is_track(self.track):
+            raise ValueError(f"config track must be one of {list(tracks.TRACK_NAMES)}, "
+                             f"got {self.track!r}")
         if self.reference not in REFERENCE_MODES:
             raise ValueError(f"reference must be one of {REFERENCE_MODES}")
         if self.reference != "mot" and not self.racing_line_file:
             raise ValueError("rc / rc-lac reference modes require a racing-line file")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        self.env.validate()
+        self.train.validate()
 
     @property
     def lac_enabled(self):
@@ -105,9 +114,7 @@ class ExperimentConfig:
             return from_dict(cls, json.load(fh))
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, asdict(self))
 
 
 def default_config_json():
@@ -135,12 +142,8 @@ def make_env(config, track=None, reference=None, max_steps=None):
 
 
 def make_agent(config, seed):
-    agent_config = AgentConfig.from_variant(
-        config.variant,
-        lac_enabled=config.lac_enabled,
-        exploration=config.exploration,
-        **asdict(config.agent),
-    )
+    agent_config = AgentConfig(variant=config.variant, lac_enabled=config.lac_enabled,
+                               exploration=config.exploration, **asdict(config.agent))
     return DDPGAgent(agent_config, seed=seed)
 
 
@@ -197,23 +200,27 @@ def run_eval_episode(agent, env, laps=3):
     )
 
 
-def evaluate(checkpoint, track_name, reference="mot", laps=3, racing_line_file=None,
-             runs=1, config=None):
+def evaluate(checkpoint, track_name, laps=3, racing_line_file=None, runs=1, config=None):
     """Evaluate a checkpoint (path or agent) with deterministic rollouts.
 
+    Telemetry is measured against the line file's racing line, or else the
+    middle of the track; the agent's own config says whether it reads LAC.
+    The env and car settings come from config (default: the defaults).
     Damage is reported per run; a run with no completed lap is an explicit
     DNF result, not an error.
     """
     agent = checkpoint if isinstance(checkpoint, DDPGAgent) else DDPGAgent.load(checkpoint)
     cfg = config if config is not None else ExperimentConfig()
-    cfg = dataclasses.replace(cfg, track=track_name, reference=reference,
-                              racing_line_file=racing_line_file)
     track = tracks.get_track(track_name)
-    reference_line = build_reference(cfg, track)
+    if racing_line_file:
+        line = load_racing_line(racing_line_file, track)
+    else:
+        line = RacingLine.middle_of_track(track)
+    settings = dataclasses.replace(cfg.env, max_steps=eval_step_cap(track, laps, cfg.env.dt))
     out = []
     for _ in range(runs):
-        max_steps = eval_step_cap(track, laps, cfg.env.dt)
-        env = make_env(cfg, track=track, reference=reference_line, max_steps=max_steps)
+        env = RacingEnv(track, reference=line, lac_enabled=agent.config.lac_enabled,
+                        params=cfg.car, settings=settings)
         out.append(run_eval_episode(agent, env, laps=laps))
     return out
 
@@ -247,16 +254,14 @@ def run_dir_for(config, seed):
 def train_run(config, seed, run_dir=None):
     """One full training run: exploration-annealed episodes, periodic
     deterministic evaluation, checkpointing, and CSV metrics."""
-    config.train.validate()
+    config.validate()
     run_dir = run_dir if run_dir is not None else run_dir_for(config, seed)
     ckpt_dir = os.path.join(run_dir, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
     config.save(os.path.join(run_dir, "config.json"))
-    with open(os.path.join(run_dir, "runinfo.json"), "w") as fh:
-        json.dump({"version": f"racerl-{__version__}", "seed": seed,
-                   "variant": config.variant, "track": config.track,
-                   "reference": config.reference}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(run_dir, "runinfo.json"),
+               {"version": f"racerl-{__version__}", "seed": seed, "variant": config.variant,
+                "track": config.track, "reference": config.reference})
 
     track = tracks.get_track(config.track)
     reference = build_reference(config, track)
@@ -432,11 +437,6 @@ def select_family_winners(rows):
     return {fam: row.variant for fam, row in winners.items()}
 
 
-def leaderboard_to_rows(rows):
-    return [dict(variant=r.variant, blt=r.blt, alt=r.alt, avg_damage=r.avg_damage,
-                 finish_rate=r.finish_rate, models=r.models) for r in rows]
-
-
 # --- tournament --------------------------------------------------------------------
 
 
@@ -453,9 +453,9 @@ def summarize_run(config, seed, run_dir, eval_laps=3):
     ckpt = os.path.join(run_dir, "best.npz")
     if not os.path.exists(ckpt):
         ckpt = os.path.join(run_dir, "latest.npz")
-    results = evaluate(ckpt, config.track, reference=config.reference,
-                       racing_line_file=config.racing_line_file,
-                       laps=eval_laps, config=config)
+    line_file = config.racing_line_file if config.reference != "mot" else None
+    results = evaluate(ckpt, config.track, laps=eval_laps, racing_line_file=line_file,
+                       config=config)
     res = results[0]
     return ModelSummary(config.variant, seed, res.best_lap_time, res.damage)
 
@@ -502,14 +502,7 @@ def tournament(config, variants=None, phase2_track="technical", report_path=None
 
     report = TournamentReport(phase1, winners, phase2, run_dirs)
     if report_path:
-        with open(report_path, "w") as fh:
-            json.dump({
-                "phase1": leaderboard_to_rows(phase1),
-                "winners": winners,
-                "phase2": leaderboard_to_rows(phase2) if phase2 else None,
-                "run_dirs": run_dirs,
-            }, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(report_path, asdict(report))
     return report
 
 
@@ -555,14 +548,8 @@ def generalization_eval(run_dir, track_names, laps=1, out_csv=None, report_path=
         agent = DDPGAgent.load(path)
         lap_by_track = {}
         for name in track_names:
-            # unseen tracks are evaluated against their own track axis; the
-            # lac flag follows the agent's input layout
-            reference = "rc-lac" if agent.config.lac_enabled else "mot"
-            line_file = None
-            if reference == "rc-lac":
-                line_file = _mot_line_file(run_dir, name, config)
-            res = evaluate(agent, name, reference=reference, laps=laps,
-                           racing_line_file=line_file, config=config)[0]
+            # every track, the training track too, is raced against its axis
+            res = evaluate(agent, name, laps=laps, config=config)[0]
             lap_by_track[name] = res.best_lap_time
             rows.append((episode, name, res.best_lap_time, res.damage,
                          int(res.finished)))
@@ -587,20 +574,8 @@ def generalization_eval(run_dir, track_names, laps=1, out_csv=None, report_path=
         "note": None if general is not None else
         "no checkpoint finished every track; no general model exists",
     }
-    report_path = report_path or os.path.join(run_dir, "generalization.json")
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report_path or os.path.join(run_dir, "generalization.json"), report)
     return report
-
-
-def _mot_line_file(run_dir, track_name, config):
-    """Materialize a middle-of-track line file (for LAC inputs on unseen tracks)."""
-    path = os.path.join(run_dir, f"motline_{track_name}.json")
-    if not os.path.exists(path):
-        track = tracks.get_track(track_name)
-        save_racing_line(RacingLine.middle_of_track(track), path)
-    return path
 
 
 # --- AT ablation ------------------------------------------------------------------------
@@ -661,11 +636,7 @@ def ablation_at(config, seeds=None, final_window=20, out_dir=None):
         seeds=len(seeds),
         curves_csv=curves_csv,
     )
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump({"per_seed": per_seed, "at_wins": report.at_wins,
-                   "seeds": report.seeds, "curves_csv": curves_csv},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "report.json"), asdict(report))
     return report
 
 

@@ -12,6 +12,7 @@ work on the whole network in a few vector operations.
 
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -115,9 +116,6 @@ class Dense:
     def parameters(self):
         return [getattr(self, name) for name in self.PARAMS]
 
-    def copy(self):
-        return Dense(self.weight.copy(), self.bias.copy(), self.activation)
-
 
 class Mlp:
     """A plain stack of Dense layers."""
@@ -157,9 +155,6 @@ class Mlp:
         for layer in self.layers:
             out.extend(layer.parameters())
         return out
-
-    def copy(self):
-        return Mlp([layer.copy() for layer in self.layers])
 
 
 class LstmCell:
@@ -243,9 +238,6 @@ class LstmCell:
     def parameters(self):
         return [getattr(self, name) for name in self.PARAMS]
 
-    def copy(self):
-        return LstmCell(self.wx.copy(), self.wh.copy(), self.bias.copy())
-
 
 def lstm_unroll(cell, xs):
     """Run the cell over xs (batch, steps, in_dim) from a zero state.
@@ -318,6 +310,12 @@ class Network:
     def parameters(self):
         return [getattr(layer, name) for layer, name in self._slots]
 
+    def copy(self):
+        """An independent clone that owns a fresh parameter vector."""
+        clone = copy.deepcopy(self)
+        clone._own_parameters(*dict.fromkeys(layer for layer, _ in clone._slots))
+        return clone
+
 
 class Actor(Network):
     """Deterministic policy network.
@@ -350,9 +348,6 @@ class Actor(Network):
         gz[:, 1] = ga[:, 1] * a[:, 1] * (1.0 - a[:, 1])
         gz[:, 2] = ga[:, 2] * a[:, 2] * (1.0 - a[:, 2])
         return self.trunk.backward(caches, gz)
-
-    def copy(self):
-        return Actor(self.trunk.copy())
 
     def __call__(self, x):
         return self.forward(x)[0]
@@ -391,9 +386,6 @@ class Critic(Network):
         ga = gu[:, self.state_layer.out_dim:]
         gs_params, gs = self.state_layer.backward(cache_s, gh)
         return [*gs_params, *gt], gs, ga
-
-    def copy(self):
-        return Critic(self.state_layer.copy(), self.tail.copy())
 
     def __call__(self, s, a):
         return self.forward(s, a)[0]
@@ -458,9 +450,6 @@ class LstmCritic(Network):
         gs_list.reverse()
         grads = [gws, gbs, *cell_grads, *ghead]
         return grads, np.stack(gs_list, axis=1), gxs[:, :, embed_dim:]
-
-    def copy(self):
-        return LstmCritic(self.state_layer.copy(), self.cell.copy(), self.head.copy())
 
     def __call__(self, s_win, a_win):
         return self.forward(s_win, a_win)[0]

@@ -7,7 +7,7 @@ optional switch for standard IS weights kept for ablations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ CODE_TERMINATIONS = {v: k for k, v in TERMINATION_CODES.items()}
 # one array per Transition field, in its order; termination holds the codes
 FIELDS = ("state", "action", "reward", "next_state", "termination", "episode", "step", "serial")
 FIRST_ROWS = 1024  # the field arrays start this long and double up to capacity
+DEFAULT_CAPACITY = 100_000  # the uniform variants' buffer size
 
 
 class NotReadyError(RuntimeError):
@@ -176,7 +177,6 @@ class PERConfig:
     alpha: float = 0.7
     lam3: float = 0.1       # weight of the actor-gradient term in the priority
     epsilon: float = 1e-3   # priority floor
-    capacity: int = 40_000
     # minibatches are used unweighted by default; the standard correction
     # w_i = (N * P(i))^-beta (normalized by its max) can be switched on
     is_weights: bool = False
@@ -248,11 +248,10 @@ class PrioritizedReplayBuffer(ReplayBuffer):
     with one uniform draw each.
     """
 
-    def __init__(self, config=None):
-        config = config if config is not None else PERConfig()
-        super().__init__(config.capacity)
-        self.config = config
-        self.tree = SumTree(config.capacity)
+    def __init__(self, capacity, config=None):
+        super().__init__(capacity)
+        self.config = config if config is not None else PERConfig()
+        self.tree = SumTree(self.capacity)
         self.max_raw_priority = 1.0
         self.stale_updates = 0
 
@@ -296,14 +295,11 @@ class PrioritizedReplayBuffer(ReplayBuffer):
         self.tree.update(slot, raw ** self.config.alpha)
 
 
-def make_buffer(kind, capacity=None, per_config=None):
+def make_buffer(kind, capacity=DEFAULT_CAPACITY, per_config=None):
     if kind == "uniform":
-        return ReplayBuffer(capacity if capacity else 100_000)
+        return ReplayBuffer(capacity)
     if kind == "per":
-        cfg = per_config if per_config is not None else PERConfig()
-        if capacity:
-            cfg = replace(cfg, capacity=capacity)
-        return PrioritizedReplayBuffer(cfg)
+        return PrioritizedReplayBuffer(capacity, per_config)
     raise ValueError(f"unknown buffer kind {kind!r}")
 
 

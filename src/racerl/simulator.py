@@ -282,9 +282,7 @@ class StepInfo:
     lap_completed: bool = False
     lap_time: float | None = None
     damage_increment: float = 0.0
-    delta: float = 0.0
     progress: float = 0.0
-    track_theta: float = 0.0
     track_pos: float = 0.0
 
 
@@ -376,9 +374,7 @@ class RacingEnv:
             lap_completed=lap_completed,
             lap_time=lap_time,
             damage_increment=damage_increment,
-            delta=track_frame.delta,
             progress=self.lap_progress,
-            track_theta=track_frame.theta,
             track_pos=track_frame.track_pos,
         )
         return StepResult(observation=obs, reward=reward, termination=kind, info=info)

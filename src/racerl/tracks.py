@@ -104,8 +104,16 @@ _BUILDERS = {"oval": oval, "fast_mixed": fast_mixed, "technical": technical}
 TRACK_NAMES = tuple(_BUILDERS)
 
 
+def _key(name):
+    return name.lower().replace("-", "_")
+
+
+def is_track(name):
+    """Whether get_track knows name."""
+    return _key(name) in _BUILDERS
+
+
 def get_track(name, step=2.0):
-    key = name.lower().replace("-", "_")
-    if key not in _BUILDERS:
+    if not is_track(name):
         raise KeyError(f"unknown track {name!r}; available: {', '.join(TRACK_NAMES)}")
-    return _BUILDERS[key](step)
+    return _BUILDERS[_key(name)](step)

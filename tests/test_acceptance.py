@@ -111,10 +111,7 @@ def test_criterion_1_gradient_correctness():
 
 def _pinned_q_agent(variant, q_value, gamma):
     """Agent whose target critic outputs exactly q_value everywhere."""
-    cfg = AgentConfig.from_variant(variant, gamma=gamma, hidden=8)
-    if cfg.buffer_kind == "uniform":
-        cfg.capacity = 256
-    agent = DDPGAgent(cfg, seed=0)
+    agent = DDPGAgent(AgentConfig(variant=variant, gamma=gamma, hidden=8), seed=0)
     for p in agent.target_critic.parameters():
         p[...] = 0.0
     agent.target_critic.parameters()[-1][...] = q_value  # final bias
@@ -213,7 +210,7 @@ def test_criterion_2_target_equation_table():
 
 def test_criterion_3_at_rule_identity():
     rng = np.random.default_rng(7)
-    agent = DDPGAgent(AgentConfig.from_variant("WIN1", hidden=8), seed=1)
+    agent = DDPGAgent(AgentConfig(variant="WIN1", hidden=8), seed=1)
     obs = agent.config.obs_dim
     s_next = rng.normal(size=(1, obs))
     q_boot = float(agent.target_critic(s_next, agent.target_actor(s_next))[0])
@@ -240,8 +237,8 @@ def test_criterion_3_at_rule_identity():
 def test_criterion_4_per_distribution_and_tree():
     t0 = time.time()
     alpha = 0.7
-    cfg = PERConfig(alpha=alpha, lam3=0.0, epsilon=1e-12, capacity=16)
-    buf = PrioritizedReplayBuffer(cfg)
+    cfg = PERConfig(alpha=alpha, lam3=0.0, epsilon=1e-12)
+    buf = PrioritizedReplayBuffer(16, cfg)
     rng_fill = np.random.default_rng(0)
     raw = np.arange(1.0, 17.0)  # fixed 16-leaf priority vector
     for i in range(16):
@@ -366,7 +363,7 @@ def test_criterion_8_brake_exploration():
     assert frac_plain > 0.20
 
     # eps' = 0: act_explore equals act bit for bit
-    agent = DDPGAgent(AgentConfig.from_variant("WIN1", hidden=8), seed=5)
+    agent = DDPGAgent(AgentConfig(variant="WIN1", hidden=8), seed=5)
     agent.explorer.steps = agent.explorer.config.horizon
     rng = np.random.default_rng(1)
     for _ in range(100):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -18,7 +19,7 @@ from racerl.agent import (
     td_target,
 )
 from racerl.replay import TERMINATION_CODES as CODE
-from racerl.replay import PERConfig, Transition
+from racerl.replay import PERConfig, SampleBatch, Transition
 from racerl.simulator import Termination
 from oracles import (
     ArrayAdam,
@@ -32,10 +33,7 @@ from oracles import (
 def tiny_config(variant="WIN1", **kw):
     kw.setdefault("hidden", 8)
     kw.setdefault("batch_size", 4)
-    cfg = AgentConfig.from_variant(variant, **kw)
-    if cfg.buffer_kind == "uniform":
-        cfg.capacity = 512
-    return cfg
+    return AgentConfig(variant=variant, **kw)
 
 
 def zero_weight_agent(variant="WIN1"):
@@ -248,18 +246,19 @@ def test_td_target_matches_scalar_rule_bit_for_bit(adopted):
         assert got.tobytes() == np.array(want).tobytes()
 
 
-def test_compute_targets_n1_equals_ms_with_n1():
-    rng = np.random.default_rng(0)
-    one = DDPGAgent(tiny_config("WIN1"), seed=2)
-    fill_buffer(one, 40, rng, terminal_every=10)
-    ms = DDPGAgent(tiny_config("MS2"), seed=2)
-    ms.config.nstep = 1  # same networks/seed, n-step path with n=1
-    for i in range(40):
-        ms.buffer.push(one.buffer.get(i))
-    batch = one.buffer.sample(8, np.random.default_rng(5))
-    y_direct = one.compute_targets(batch)
-    y_nstep = ms.compute_targets(batch)
-    npt.assert_allclose(y_direct, y_nstep, rtol=1e-12)
+def test_compute_targets_n1_is_the_one_step_rule():
+    # every slot, terminals and the newest one included, against
+    # y = r + gamma * Q'(s', mu'(s')) built from the stored transition
+    agent = DDPGAgent(tiny_config("WIN1"), seed=2)
+    fill_buffer(agent, 40, np.random.default_rng(0), terminal_every=10)
+    batch = SampleBatch(slots=list(range(40)), serials=list(range(40)))
+    want = []
+    for slot in batch.slots:
+        t = agent.buffer.get(slot)
+        s_next = t.next_state[None, :]
+        q = agent.target_critic(s_next, agent.target_actor(s_next))[0]
+        want.append(scalar_td_target(t.reward, 1, q, agent.config.gamma, t.termination))
+    npt.assert_allclose(agent.compute_targets(batch), want, rtol=1e-12)
 
 
 @pytest.mark.parametrize("variant, calls", [("WIN8", 1), ("MS4", 2)])
@@ -436,10 +435,10 @@ def test_train_step_per_feeds_priorities_back():
 
 
 def test_per_variant_keeps_is_weight_settings():
-    cfg = AgentConfig.from_variant("PER40k", per=PERConfig(is_weights=True, beta=0.5))
-    assert (cfg.per.capacity, cfg.per.is_weights, cfg.per.beta) == (40_000, True, 0.5)
-    per = DDPGAgent(cfg).buffer.config
-    assert (per.capacity, per.is_weights, per.beta) == (40_000, True, 0.5)
+    cfg = AgentConfig(variant="PER40k", per=PERConfig(is_weights=True, beta=0.5))
+    assert (cfg.capacity, cfg.per.is_weights, cfg.per.beta) == (40_000, True, 0.5)
+    buffer = DDPGAgent(cfg).buffer
+    assert (buffer.capacity, buffer.config.is_weights, buffer.config.beta) == (40_000, True, 0.5)
 
 
 def test_variant_table_invariants():
@@ -447,7 +446,7 @@ def test_variant_table_invariants():
         "WIN1", "WIN4", "WIN8", "MS2", "MS3", "MS4", "PER40k", "PER1M", "LSTM4", "LSTM8",
     }
     for name, spec in VARIANTS.items():
-        cfg = AgentConfig.from_variant(name)
+        cfg = AgentConfig(variant=name)
         if name.startswith("WIN"):
             assert cfg.window == int(name[3:]) and cfg.nstep == 1
             assert cfg.buffer_kind == "uniform" and not cfg.lstm
@@ -457,8 +456,56 @@ def test_variant_table_invariants():
             assert cfg.buffer_kind == "per"
         if name.startswith("LSTM"):
             assert cfg.lstm and cfg.window == int(name[4:])
-    assert AgentConfig.from_variant("PER40k").per.capacity == 40_000
-    assert AgentConfig.from_variant("PER1M").per.capacity == 1_000_000
+    assert DDPGAgent(AgentConfig(variant="PER40k")).buffer.capacity == 40_000
+    assert DDPGAgent(AgentConfig(variant="PER1M")).buffer.capacity == 1_000_000
+
+
+@pytest.mark.parametrize("variant", ["WIN1", "PER40k", "LSTM8"])
+def test_load_accepts_checkpoints_that_store_the_variant_traits(tmp_path, variant):
+    agent = DDPGAgent(tiny_config(variant), seed=3)
+    agent.save(tmp_path / "agent.npz")
+    meta, arrays = nn.load_arrays(tmp_path / "agent.npz")
+    traits = ("window", "nstep", "buffer_kind", "capacity", "lstm")
+    assert not set(traits) & set(meta["config"]) and "capacity" not in meta["config"]["per"]
+    # the older layout: every trait stored, per.capacity the PER default or the PER size
+    meta["config"].update({name: getattr(agent.config, name) for name in traits})
+    meta["config"]["per"]["capacity"] = agent.config.capacity if variant == "PER40k" else 40_000
+    nn.save_arrays(tmp_path / "older.npz", meta, arrays)
+    loaded = DDPGAgent.load(tmp_path / "older.npz")
+    assert loaded.config == agent.config
+    for net in ("actor", "critic", "target_actor", "target_critic"):
+        assert getattr(loaded, net).flat.tobytes() == getattr(agent, net).flat.tobytes()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("window", 8), ("nstep", 2), ("buffer_kind", "uniform"), ("capacity", 1_000_000),
+    ("lstm", True), ("per.capacity", 1_000_000),
+])
+def test_load_rejects_a_stored_trait_that_disagrees_with_the_variant(tmp_path, key, value):
+    agent = DDPGAgent(tiny_config("PER40k"), seed=3)
+    agent.save(tmp_path / "agent.npz")
+    meta, arrays = nn.load_arrays(tmp_path / "agent.npz")
+    meta["config"].update(window=1, nstep=1, buffer_kind="per", capacity=40_000, lstm=False)
+    meta["config"]["per"]["capacity"] = 40_000
+    if key == "per.capacity":
+        meta["config"]["per"]["capacity"] = value
+    else:
+        meta["config"][key] = value
+    nn.save_arrays(tmp_path / "older.npz", meta, arrays)
+    with pytest.raises(ValueError, match=re.escape(f"{key!r} is {value!r}")):
+        DDPGAgent.load(tmp_path / "older.npz")
+
+
+def test_variant_traits_are_read_only():
+    with pytest.raises(TypeError):
+        AgentConfig(variant="WIN1", window=8)
+    cfg = AgentConfig(variant="LSTM8")
+    with pytest.raises(AttributeError):
+        cfg.window = 1
+    assert (cfg.window, cfg.nstep, cfg.buffer_kind, cfg.capacity, cfg.lstm) == \
+        (8, 1, "uniform", 100_000, True)
+    with pytest.raises(KeyError, match="unknown variant 'WIN9'"):
+        AgentConfig(variant="WIN9")
 
 
 # --- LSTM critic variant --------------------------------------------------------
@@ -466,7 +513,6 @@ def test_variant_table_invariants():
 
 def test_lstm_w1_zero_recurrent_reduces_to_feedforward():
     cfg = tiny_config("LSTM4")
-    cfg.window = 1
     agent = DDPGAgent(cfg, seed=13)
     cell = agent.critic.cell
     cell.wh[...] = 0.0

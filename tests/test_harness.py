@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 
 import numpy as np
 import numpy.testing as npt
@@ -9,9 +10,10 @@ import pytest
 from racerl import experiments as ex
 from racerl import plotting, tracks
 from racerl.bot import BaselineBot, bot_lap_time, drive_bot, record_reference_line
+from racerl.cli import build_parser
 from racerl.cli import main as cli_main
 from racerl.config import from_dict
-from racerl.geometry import RacingLine
+from racerl.geometry import RacingLine, save_racing_line
 from racerl.simulator import CarParams, CarState, EnvSettings, RacingEnv
 
 
@@ -154,6 +156,12 @@ def test_settings_assigned_after_construction_fail_naming_the_field(tmp_path):
     cfg.train.eval_every = 0
     with pytest.raises(ValueError, match=r"train\.eval_every"):
         ex.train_run(cfg, 0)
+    for tree, field, value in (("env", "max_steps", -3), (None, "variant", "WIN9"),
+                               (None, "track", "monza")):
+        cfg = tiny_config(tmp_path)
+        setattr(getattr(cfg, tree) if tree else cfg, field, value)
+        with pytest.raises(ValueError, match=rf"{field} must be"):
+            ex.train_run(cfg, 0)
     assert not os.path.exists(tmp_path / "runs")  # failed before writing the run
 
 
@@ -166,6 +174,22 @@ def test_cli_ablate_at_rejects_zero_overrides(tmp_path, monkeypatch, args, field
     with pytest.raises(ValueError, match=field):
         cli_main(["ablate-at", *args, "--seeds", "1"])
     assert not os.path.exists(tmp_path / "runs")  # failed before any training
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"variant": "WIN9"}, "variant"),
+    ({"track": "monza"}, "track"),
+])
+def test_config_rejects_unknown_variant_or_track_before_training(tmp_path, monkeypatch,
+                                                                  doc, field):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"config {field} must be one of"):
+        ex.ExperimentConfig.from_file(path)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match=field):
+        cli_main(["train", "--config", str(path)])
+    assert not os.path.exists(tmp_path / "runs")  # failed before writing the run
 
 
 def test_config_rc_requires_line_file():
@@ -239,6 +263,36 @@ def test_eval_determinism(tmp_path):
     b = ex.evaluate(ckpt, "oval", laps=1)[0]
     assert (a.return_, a.steps, a.damage, a.best_lap_time) == \
         (b.return_, b.steps, b.damage, b.best_lap_time)
+
+
+def _offset_line_file(tmp_path, track):
+    """A racing line a tenth of the width off the axis, saved to a file."""
+    grid = np.arange(0.0, track.length - 1.0, 2.0)
+    path = str(tmp_path / f"{track.name}_offset_line.json")
+    save_racing_line(RacingLine(track, grid, np.full(grid.shape, 0.6)), path)
+    return path
+
+
+@pytest.mark.parametrize("reference", ["mot", "rc-lac"])
+def test_evaluate_reads_lac_from_the_checkpoint(tmp_path, oval, reference):
+    # LAC input follows the agent; the line file, when given, sets the line
+    line = _offset_line_file(tmp_path, oval)
+    cfg = tiny_config(tmp_path, reference=reference,
+                      racing_line_file=line if reference != "mot" else None)
+    ckpt = os.path.join(ex.train_run(cfg, 0).run_dir, "latest.npz")
+    axis = ex.evaluate(ckpt, "oval", laps=1)[0]
+    on_line = ex.evaluate(ckpt, "oval", laps=1, racing_line_file=line)[0]
+    assert axis.steps > 0 and on_line.steps > 0
+    assert on_line.return_ != axis.return_  # telemetry measured against the line
+
+
+def test_generalization_of_an_lac_run_writes_no_line_files(tmp_path, oval):
+    cfg = tiny_config(tmp_path, reference="rc-lac",
+                      racing_line_file=_offset_line_file(tmp_path, oval))
+    result = ex.train_run(cfg, 0)
+    report = ex.generalization_eval(result.run_dir, ["oval", "technical"], laps=1)
+    assert len(open(report["series_csv"]).read().splitlines()) >= 3
+    assert not [f for f in os.listdir(result.run_dir) if f.startswith("motline_")]
 
 
 # --- leaderboard ------------------------------------------------------------------------
@@ -427,6 +481,17 @@ def test_cli_record_line_and_plot(tmp_path, capsys, monkeypatch):
                    "1,10,5.0,0.1,0.2,1.0,0,0.0\n2,12,6.0,0.1,0.2,0.9,0,0.0\n")
     assert cli_main(["plot", str(csv), "-o", str(tmp_path / "m.svg")]) == 0
     assert os.path.exists(tmp_path / "m.svg")
+
+
+def test_readme_cli_lines_parse():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    commands = [line for line in lines if line.startswith("racerl ")]
+    assert len(commands) >= 9
+    parser = build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])  # a stale flag exits the parser
 
 
 def test_cli_train_eval_flow(tmp_path, capsys):

@@ -314,6 +314,29 @@ def test_lstm_critic_gradcheck():
     assert max_relative_error(ga, numeric) < 1e-4
 
 
+@pytest.mark.parametrize("build", [
+    lambda rng: nn.build_actor(6, hidden=(5, 4), rng=rng),
+    lambda rng: nn.build_critic(7, hidden=6, rng=rng),
+    lambda rng: nn.build_lstm_critic(5, hidden=4, rng=rng),
+], ids=["actor", "critic", "lstm_critic"])
+def test_network_copy_owns_a_fresh_vector(build):
+    net = build(np.random.default_rng(29))
+    clone = net.copy()
+    assert type(clone) is type(net)
+    assert clone.flat.tobytes() == net.flat.tobytes()
+    assert not np.shares_memory(clone.flat, net.flat)
+    # the clone's parameters tile its own vector in the same order and shapes
+    start = 0
+    for p, q in zip(clone.parameters(), net.parameters(), strict=True):
+        assert p.shape == q.shape and p.flags.c_contiguous
+        assert p.base is clone.flat and p.__array_interface__["data"][0] == \
+            clone.flat.__array_interface__["data"][0] + 8 * start
+        start += p.size
+    assert start == clone.flat.size
+    clone.flat += 1.0
+    assert net.flat.tobytes() == build(np.random.default_rng(29)).flat.tobytes()
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(23)
     arrays = {

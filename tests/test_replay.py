@@ -75,7 +75,7 @@ def test_sample_empty_not_ready():
     with pytest.raises(NotReadyError):
         ReplayBuffer(8).sample(2, np.random.default_rng(0))
     with pytest.raises(NotReadyError):
-        PrioritizedReplayBuffer(PERConfig(capacity=8)).sample(2, np.random.default_rng(0))
+        PrioritizedReplayBuffer(8).sample(2, np.random.default_rng(0))
 
 
 def test_sample_uniform_frequencies():
@@ -144,7 +144,7 @@ def test_priority_floor_never_zero():
 
 
 def test_update_priority_repairs_root():
-    buf = PrioritizedReplayBuffer(PERConfig(capacity=16, alpha=1.0))
+    buf = PrioritizedReplayBuffer(16, PERConfig(alpha=1.0))
     for i in range(8):
         buf.push(make_transition(i))
     for i in range(8):
@@ -155,7 +155,7 @@ def test_update_priority_repairs_root():
 
 
 def test_update_priority_stale_index_skipped():
-    buf = PrioritizedReplayBuffer(PERConfig(capacity=4))
+    buf = PrioritizedReplayBuffer(4)
     for i in range(4):
         buf.push(make_transition(i))
     serial = buf.get(0).serial
@@ -170,7 +170,7 @@ def test_update_priority_stale_index_skipped():
 
 
 def test_per_distribution_two_items():
-    buf = PrioritizedReplayBuffer(PERConfig(capacity=4, alpha=1.0, epsilon=1e-12))
+    buf = PrioritizedReplayBuffer(4, PERConfig(alpha=1.0, epsilon=1e-12))
     buf.push(make_transition(0))
     buf.push(make_transition(1))
     buf.update_priority(0, buf.get(0).serial, delta=1.0, grad_sq=0.0)   # p = 1
@@ -184,7 +184,7 @@ def test_per_distribution_two_items():
 
 
 def test_per_equal_priorities_uniform():
-    buf = PrioritizedReplayBuffer(PERConfig(capacity=8, alpha=1.0))
+    buf = PrioritizedReplayBuffer(8, PERConfig(alpha=1.0))
     for i in range(8):
         buf.push(make_transition(i))
         buf.update_priority(i, buf.get(i).serial, delta=2.0, grad_sq=0.0)
@@ -197,7 +197,7 @@ def test_per_equal_priorities_uniform():
 
 
 def test_per_alpha_zero_uniform_regardless():
-    buf = PrioritizedReplayBuffer(PERConfig(capacity=8, alpha=0.0))
+    buf = PrioritizedReplayBuffer(8, PERConfig(alpha=0.0))
     deltas = [0.1, 5.0, 0.1, 20.0]
     for i in range(4):
         buf.push(make_transition(i))
@@ -212,7 +212,7 @@ def test_per_alpha_zero_uniform_regardless():
 
 
 def test_per_new_transition_gets_max_priority():
-    buf = PrioritizedReplayBuffer(PERConfig(capacity=8, alpha=1.0))
+    buf = PrioritizedReplayBuffer(8, PERConfig(alpha=1.0))
     buf.push(make_transition(0))
     buf.update_priority(0, buf.get(0).serial, delta=3.0, grad_sq=0.0)  # raw 9.001
     buf.push(make_transition(1))
@@ -221,7 +221,7 @@ def test_per_new_transition_gets_max_priority():
 
 
 def test_per_probabilities_reported():
-    buf = PrioritizedReplayBuffer(PERConfig(capacity=4, alpha=1.0))
+    buf = PrioritizedReplayBuffer(4, PERConfig(alpha=1.0))
     for i in range(4):
         buf.push(make_transition(i))
     batch = buf.sample(4, np.random.default_rng(0))
@@ -230,7 +230,7 @@ def test_per_probabilities_reported():
 
 
 def test_per_is_weight_switch():
-    buf = PrioritizedReplayBuffer(PERConfig(capacity=4, alpha=1.0, is_weights=True))
+    buf = PrioritizedReplayBuffer(4, PERConfig(alpha=1.0, is_weights=True))
     for i in range(4):
         buf.push(make_transition(i))
     # uniform priorities: every correction weight is exactly 1
