@@ -44,9 +44,16 @@ class BaselineBot:
                     kappa, p.mu_grip, mass=p.mass, downforce=p.downforce(vx)))
         return v * self.speed_scale
 
-    def act(self, state):
-        """Action for the current kinematic car state."""
-        frame = self.line.frame(state.position, state.heading)
+    def act(self, state, axis_frame=None):
+        """Action for the current kinematic car state.
+
+        axis_frame is the state's frame on the track axis when the caller has
+        it (RacingEnv.axis_frame); a line on the axis then needs no projection.
+        """
+        if axis_frame is not None and self.line.world is self.track.centerline:
+            frame = self.line.frame_from_axis(axis_frame)
+        else:
+            frame = self.line.frame(state.position, state.heading)
         p = self.params
 
         lookahead = min(max(LOOKAHEAD_GAIN * state.vx, MIN_LOOKAHEAD), MAX_LOOKAHEAD)
@@ -72,7 +79,7 @@ def drive_bot(env, bot, max_steps=None, logger=None, stop_after_laps=None):
     laps = []
     result = None
     for i in range(steps):
-        action = bot.act(env.state)
+        action = bot.act(env.state, env.axis_frame)
         result = env.step(action)
         total += result.reward
         if logger is not None:
@@ -120,7 +127,7 @@ def record_reference_line(track, params=None, slow_factor=0.6, spacing=2.0,
     progress_trace = [0.0]
     alpha_trace = [0.5]  # the car starts exactly on the axis
     while True:
-        result = env.step(bot.act(env.state))
+        result = env.step(bot.act(env.state, env.axis_frame))
         frame_alpha = 0.5 + result.info.track_pos / 2.0
         progress_trace.append(result.info.progress)
         alpha_trace.append(min(max(frame_alpha, 0.0), 1.0))

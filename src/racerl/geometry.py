@@ -3,11 +3,12 @@
 A track is a closed polyline centerline with constant width; a racing line
 is a sequence of (delta, alpha) points, where delta is arc length along the
 track axis and alpha the lateral fraction of the width measured from the
-right border. The geometry is immutable after construction. The one thing
-that changes is a memo: each polyline caches, per 4 m grid cell, which
-segments can hold the nearest point of a query in that cell. It caches a
-pure function of the fixed points, so instances stay safe to share across
-parallel evaluation episodes.
+right border. The geometry is immutable after construction. What changes
+are memos: each polyline builds Python-float tables of its segments at
+its first query, and caches, per 4 m grid cell, which segments can hold
+the nearest point of a query in that cell. Both are pure functions of
+the fixed points, so instances stay safe to share across parallel
+evaluation episodes.
 
 Both hot queries are exact against a scan of every segment:
 - ``Polyline.project`` scans only the cached candidates of the query's
@@ -25,7 +26,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -101,7 +104,31 @@ class Polyline:
         self._seg_dir = seg / seg_len[:, None]
         self.vertex_arclength = np.concatenate([[0.0], np.cumsum(seg_len)])[:-1]
         self.length = float(seg_len.sum())
-        self._cells = {}  # (i, j) -> candidate (indices, points, segments, squared lengths)
+        self._cells = {}  # (i, j) -> the candidate rows of _segments
+
+    # The scalar queries read Python floats: numpy's per-call overhead on a
+    # handful of values costs more than the arithmetic. The tables are built
+    # at the first query, so a border that is never queried holds none.
+
+    @cached_property
+    def _arc(self):
+        return self.vertex_arclength.tolist()
+
+    @cached_property
+    def _lens(self):
+        return self._seg_len.tolist()
+
+    @cached_property
+    def _dirs(self):
+        """(ux, uy, tangent angle) per segment."""
+        return [(ux, uy, math.atan2(uy, ux)) for ux, uy in self._seg_dir.tolist()]
+
+    @cached_property
+    def _segments(self):
+        """(j, ax, ay, sx, sy, len^2) per segment: start point, segment vector
+        and squared length; the cells share these rows."""
+        rows = np.column_stack([self.points, self._seg, self._seg_len2]).tolist()
+        return [(j, *row) for j, row in enumerate(rows)]
 
     def __len__(self):
         return self.points.shape[0]
@@ -112,15 +139,14 @@ class Polyline:
     def point_at(self, s):
         """World point at arc length s (wrapped around the loop)."""
         s = self.wrap(s)
-        j = int(np.searchsorted(self.vertex_arclength, s, side="right")) - 1
-        t = (s - self.vertex_arclength[j]) / self._seg_len[j]
-        return self.points[j] + t * self._seg[j]
+        j = bisect_right(self._arc, s) - 1
+        t = (s - self._arc[j]) / self._lens[j]
+        _, ax, ay, sx, sy, _ = self._segments[j]
+        return np.array([ax + t * sx, ay + t * sy])
 
     def tangent_at(self, s):
         """Unit tangent of the segment containing arc length s."""
-        s = self.wrap(s)
-        j = int(np.searchsorted(self.vertex_arclength, s, side="right")) - 1
-        return self._seg_dir[j]
+        return self._seg_dir[bisect_right(self._arc, self.wrap(s)) - 1]
 
     def normal_at(self, s):
         """Unit left normal (left of travel direction)."""
@@ -130,10 +156,11 @@ class Polyline:
     def nearest_vertex(self, s):
         """Index of the vertex closest to arc length s along the loop."""
         s = self.wrap(s)
-        j = int(np.searchsorted(self.vertex_arclength, s, side="right")) - 1
+        arc = self._arc
+        j = bisect_right(arc, s) - 1
         j_next = (j + 1) % len(self)
-        ahead = self.vertex_arclength[j_next] if j_next else self.length
-        return j if s - self.vertex_arclength[j] <= ahead - s else j_next
+        ahead = arc[j_next] if j_next else self.length
+        return j if s - arc[j] <= ahead - s else j_next
 
     def project(self, point):
         """Nearest point on the polyline.
@@ -142,25 +169,29 @@ class Polyline:
         signed lateral distance (positive left of travel), and the tangent
         direction there. Ties resolve to the smaller arc length.
         """
-        p = np.asarray(point, dtype=np.float64)
+        px, py = float(point[0]), float(point[1])
         try:
-            key = (math.floor(p[0] / _CELL), math.floor(p[1] / _CELL))
+            key = (math.floor(px / _CELL), math.floor(py / _CELL))
         except (ValueError, OverflowError):
-            raise DomainError(f"cannot project the non-finite point {p}") from None
+            raise DomainError(f"cannot project the non-finite point {(px, py)}") from None
         cell = self._cells.get(key)
         if cell is None:
             cell = self._cells[key] = self._cell_candidates(key)
-        idx, pts, seg, seg_len2 = cell
-        ap = p - pts
-        t = np.clip(np.einsum("ij,ij->i", ap, seg) / seg_len2, 0.0, 1.0)
-        proj = pts + t[:, None] * seg
-        d = p - proj
-        k = int(np.argmin(np.einsum("ij,ij->i", d, d)))
-        j = idx[k]
-        s = float(self.vertex_arclength[j] + t[k] * self._seg_len[j])
-        dir_j = self._seg_dir[j]
-        lateral = float(dir_j[0] * d[k][1] - dir_j[1] * d[k][0])
-        return s, lateral, math.atan2(dir_j[1], dir_j[0])
+        # numpy's clip (-0.0 becomes 0.0) and argmin (the first minimum)
+        best = math.inf
+        for j, ax, ay, sx, sy, len2 in cell:
+            t = ((px - ax) * sx + (py - ay) * sy) / len2
+            if t <= 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
+            dx = px - (ax + t * sx)
+            dy = py - (ay + t * sy)
+            d2 = dx * dx + dy * dy
+            if d2 < best:
+                best, jb, tb, dxb, dyb = d2, j, t, dx, dy
+        ux, uy, angle = self._dirs[jb]
+        return self._arc[jb] + tb * self._lens[jb], ux * dyb - uy * dxb, angle
 
     def _cell_candidates(self, key):
         """The segments within dist(c) + 2h of the cell centre c, in index order."""
@@ -168,8 +199,8 @@ class Polyline:
         t = np.clip(np.einsum("ij,ij->i", c - self.points, self._seg) / self._seg_len2, 0.0, 1.0)
         d = c - (self.points + t[:, None] * self._seg)
         dist = np.hypot(d[:, 0], d[:, 1])
-        idx = np.nonzero(dist <= dist.min() + _CELL_REACH)[0]
-        return idx, self.points[idx], self._seg[idx], self._seg_len2[idx]
+        rows = self._segments
+        return tuple(rows[j] for j in np.nonzero(dist <= dist.min() + _CELL_REACH)[0].tolist())
 
     def curvature_at(self, s, spacing=_CURVATURE_SPACING):
         """Signed curvature (1/m, positive left) at arc length s.
@@ -263,9 +294,11 @@ class Track:
         """World point at lateral fraction alpha of the width, from the right border."""
         if not 0.0 <= alpha <= 1.0:
             raise DomainError(f"alpha must be in [0, 1], got {alpha}")
-        c = self.centerline.point_at(delta)
-        n = self.centerline.normal_at(delta)
-        return c + (alpha - 0.5) * self.width * n
+        cx, cy = self.centerline.point_at(delta).tolist()
+        ux, uy = self.centerline.tangent_at(delta).tolist()
+        k = (alpha - 0.5) * self.width
+        # c + k * n for the left normal n = (-uy, ux)
+        return np.array([cx + k * -uy, cy + k * ux])
 
     def rangefinders(self, position, heading, frame=None):
         """19 border distances for rays spanning -90..+90 deg, clamped to 200 m.
@@ -353,16 +386,18 @@ class RacingLine:
         # and the axis frames the env already has (see frame_from_axis)
         on_axis = np.array_equal(world, track.centerline.points)
         self.world = track.centerline if on_axis else Polyline(world)
+        if len(self.world) < delta.size:
+            raise GeometryError(
+                f"delta[-1] = {delta[-1]} closes the line onto delta[0] = {delta[0]}: "
+                f"the last point repeats the first")
         self.curvature = np.array(
             [self.world.curvature_at(s) for s in self.world.vertex_arclength]
         )
         # periodic interpolation tables (delta domain and line-arc-length domain)
-        self._delta_knots = np.concatenate([delta, [delta[0] + track.length]])
-        self._kappa_knots = np.concatenate([self.curvature, [self.curvature[0]]])
-        self._alpha_knots = np.concatenate([alpha, [alpha[0]]])
-        arc = self.world.vertex_arclength
-        self._arc_knots = np.concatenate([arc, [self.world.length]])
-        self._arc_delta = np.concatenate([delta, [delta[0] + track.length]])
+        self._delta_knots = delta.tolist() + [float(delta[0]) + track.length]
+        self._kappa_knots = self.curvature.tolist() + [float(self.curvature[0])]
+        self._alpha_knots = alpha.tolist() + [float(alpha[0])]
+        self._arc_knots = self.world._arc + [self.world.length]
 
     @classmethod
     def middle_of_track(cls, track):
@@ -375,16 +410,17 @@ class RacingLine:
         return cls(track, delta, np.full(delta.size, 0.5), name=f"{track.name}-mot")
 
     def curvature_at(self, delta):
-        d = float(delta) % self.track.length
-        if d < self._delta_knots[0]:
-            d += self.track.length
-        return float(np.interp(d, self._delta_knots, self._kappa_knots))
+        return _interp(self._knot_delta(delta), self._delta_knots, self._kappa_knots)
 
     def alpha_at(self, delta):
+        return _interp(self._knot_delta(delta), self._delta_knots, self._alpha_knots)
+
+    def _knot_delta(self, delta):
+        """delta wrapped into the periodic knot range [delta[0], delta[0] + lap)."""
         d = float(delta) % self.track.length
         if d < self._delta_knots[0]:
             d += self.track.length
-        return float(np.interp(d, self._delta_knots, self._alpha_knots))
+        return d
 
     def look_ahead_curvature(self, delta, offsets=LAC_OFFSETS):
         """Curvature sampled ahead of delta, wrapped around the lap."""
@@ -413,7 +449,19 @@ class RacingLine:
                           self._track_delta(axis_frame.delta))
 
     def _track_delta(self, s):
-        return float(np.interp(s, self._arc_knots, self._arc_delta)) % self.track.length
+        return _interp(s, self._arc_knots, self._delta_knots) % self.track.length
+
+
+def _interp(x, xp, fp):
+    """np.interp(x, xp, fp) for one float x and lists xp, fp, by numpy's formula:
+    the end values outside xp, fp[j] on a knot, else slope * (x - xp[j]) + fp[j]."""
+    j = bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    return slope * (x - xp[j]) + fp[j]
 
 
 # ---------------------------------------------------------------------------

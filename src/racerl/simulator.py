@@ -316,8 +316,10 @@ class RacingEnv:
     def reset(self):
         p = self.track.centerline.point_at(self.start_delta)
         tangent = self.track.centerline.tangent_at(self.start_delta)
-        self.state = CarState(position=p.copy(), heading=math.atan2(tangent[1], tangent[0]),
+        self.state = CarState(position=p, heading=math.atan2(tangent[1], tangent[0]),
                               vx=self.settings.start_speed)
+        # the track-axis frame of the current pose, kept by step() too
+        self.axis_frame = self.track.frame(p, self.state.heading)
         self.tracker = TerminationTracker(self.settings)
         self.time = 0.0
         self.lap_progress = 0.0
@@ -326,7 +328,7 @@ class RacingEnv:
         self.last_lap_time = None
         self._prev_delta = self.start_delta
         self.done = False
-        return self.observe()
+        return self.observe(self.axis_frame)
 
     def observe(self, axis_frame=None):
         return make_observation(self.state, self.track, self.reference,
@@ -349,16 +351,18 @@ class RacingEnv:
         damage_increment = 0.0
         lap_completed = False
         lap_time = None
-        track_frame = None
+        x, y = self.state.position.tolist()
         for _ in range(settings.substeps):
-            dmg, crossed, track_frame = self._substep(act, h)
+            x, y, dmg, crossed, track_frame = self._substep(act, h, x, y)
             damage_increment += dmg
             if crossed is not None:
                 lap_completed = True
                 lap_time = crossed
+        self.state.position = np.array([x, y])
         self.state.damage += damage_increment
         # the wall response changes only the velocity, so the last substep's
         # frame is still the frame of the current pose
+        self.axis_frame = track_frame
         obs = self.observe(track_frame)
         reward = progress_reward(
             obs.vx, obs.angle, obs.track_pos, damage_increment,
@@ -381,8 +385,12 @@ class RacingEnv:
 
     # --- dynamics ---------------------------------------------------------
 
-    def _substep(self, act, h):
-        """One 20 ms integration step. Returns (damage, lap_time or None, frame)."""
+    def _substep(self, act, h, x, y):
+        """One 20 ms integration step from position (x, y).
+
+        Returns (x, y, damage, lap_time or None, frame); the caller stores
+        the position in the state.
+        """
         p = self.params
         s = self.state
 
@@ -400,17 +408,16 @@ class RacingEnv:
 
         s.heading = wrap_angle(s.heading + omega * h)
         cos_h, sin_h = math.cos(s.heading), math.sin(s.heading)
-        world_v = np.array([
-            s.vx * cos_h - s.vy * sin_h,
-            s.vx * sin_h + s.vy * cos_h,
-        ])
-        s.position = s.position + world_v * h
+        wx = s.vx * cos_h - s.vy * sin_h
+        wy = s.vx * sin_h + s.vy * cos_h
+        x += wx * h
+        y += wy * h
         self.time += h
 
-        frame = self.track.frame(s.position, s.heading)
-        damage = self._wall_contact(world_v, frame)
+        frame = self.track.frame((x, y), s.heading)
+        damage = self._wall_contact((wx, wy), frame)
         lap_time = self._advance_progress(frame.delta, h)
-        return damage, lap_time, frame
+        return x, y, damage, lap_time, frame
 
     def _wall_contact(self, world_v, frame):
         """Damage + velocity response when the car is at or beyond a border.
@@ -419,11 +426,15 @@ class RacingEnv:
         speed and zeroes that component, so the car slides along the wall;
         position is not clamped, and the step-level check then terminates
         once |trackPos| exceeds 1.
+
+        world_v is the world velocity (vx, vy). The normal speed stays a numpy
+        dot: BLAS may fuse its multiply-add, which a float expression would not.
         """
         tp = frame.track_pos
         if abs(tp) < 1.0:
             return 0.0
         s = self.state
+        world_v = np.asarray(world_v, dtype=np.float64)
         n_out = math.copysign(1.0, tp) * self.track.centerline.normal_at(frame.delta)
         v_n = float(world_v @ n_out)
         if v_n <= 0.0:

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own backward passes and data
 structures: gradients come from central finite differences on the forward
 pass alone, distributions are checked by brute-force counting, the
-geometry queries scan every segment, and the learner's updates run array
-by array with one scalar TD target per view.
+geometry queries scan every segment or call numpy's own search and
+interpolation, and the learner's updates run array by array with one
+scalar TD target per view.
 """
 
 import math
@@ -87,6 +88,62 @@ def brute_project(polyline, point):
     dir_j = seg_dir[j]
     lateral = float(dir_j[0] * d[j][1] - dir_j[1] * d[j][0])
     return s, lateral, math.atan2(dir_j[1], dir_j[0])
+
+
+def searchsorted_segment(polyline, s):
+    """(wrapped s, index of the segment holding it) by np.searchsorted."""
+    s = polyline.wrap(s)
+    return s, int(np.searchsorted(polyline.vertex_arclength, s, side="right")) - 1
+
+
+def numpy_point_at(polyline, s):
+    """Polyline.point_at as the array code did it."""
+    s, j = searchsorted_segment(polyline, s)
+    seg, seg_len = _segments(polyline.points)
+    t = (s - polyline.vertex_arclength[j]) / seg_len[j]
+    return polyline.points[j] + t * seg[j]
+
+
+def numpy_tangent_at(polyline, s):
+    """Polyline.tangent_at as the array code did it."""
+    _, j = searchsorted_segment(polyline, s)
+    seg, seg_len = _segments(polyline.points)
+    return (seg / seg_len[:, None])[j]
+
+
+def numpy_nearest_vertex(polyline, s):
+    """Polyline.nearest_vertex as the array code did it."""
+    s, j = searchsorted_segment(polyline, s)
+    arc = polyline.vertex_arclength
+    j_next = (j + 1) % len(polyline)
+    ahead = arc[j_next] if j_next else polyline.length
+    return j if s - arc[j] <= ahead - s else j_next
+
+
+def numpy_interp(x, xp, fp):
+    """geometry._interp as np.interp computes it."""
+    return float(np.interp(x, xp, fp))
+
+
+def wall_contact(env, world_v, frame):
+    """RacingEnv._wall_contact with the outward normal speed as a numpy dot,
+    which OpenBLAS may round as one fused multiply-add."""
+    tp = frame.track_pos
+    if abs(tp) < 1.0:
+        return 0.0
+    s = env.state
+    world_v = np.asarray(world_v, dtype=np.float64)
+    t = numpy_tangent_at(env.track.centerline, frame.delta)
+    n_out = math.copysign(1.0, tp) * np.array([-t[1], t[0]])
+    v_n = float(world_v @ n_out)
+    if v_n <= 0.0:
+        return 0.0
+    damage = env.settings.damage_coeff * v_n * v_n
+    new_world_v = world_v - v_n * n_out
+    cos_h, sin_h = math.cos(s.heading), math.sin(s.heading)
+    s.vx = max(new_world_v[0] * cos_h + new_world_v[1] * sin_h, 0.0)
+    s.vy = -new_world_v[0] * sin_h + new_world_v[1] * cos_h
+    return damage
 
 
 def brute_rangefinders(track, position, heading):

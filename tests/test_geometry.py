@@ -15,7 +15,15 @@ from racerl.geometry import (
     max_speed,
     wrap_angle,
 )
-from oracles import brute_project, brute_rangefinders
+from racerl.bot import record_reference_line
+from oracles import (
+    brute_project,
+    brute_rangefinders,
+    numpy_interp,
+    numpy_nearest_vertex,
+    numpy_point_at,
+    numpy_tangent_at,
+)
 
 
 def circle_points(radius, n, center=(0.0, 0.0)):
@@ -332,6 +340,61 @@ def test_racing_line_validation_indices():
         RacingLine(track, [0.0, 10.0, 20.0], [0.5, 1.5, 0.5])
     with pytest.raises(GeometryError):
         RacingLine(track, [0.0, 10.0, track.length + 5.0], [0.5, 0.5, 0.5])
+
+
+def test_racing_line_rejects_a_point_that_closes_the_loop(tmp_path):
+    # the last point repeats the first, so the polyline would drop it and
+    # leave the delta table one entry longer than the line
+    track = stadium_track()
+    delta = np.linspace(0.0, track.length, 50)
+    with pytest.raises(GeometryError, match="delta"):
+        RacingLine(track, delta, np.full(50, 0.5))
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"track": track.name,
+                                "points": [[d, 0.5] for d in delta.tolist()]}))
+    with pytest.raises(GeometryError, match="delta"):
+        geometry.load_racing_line(path, track)
+
+
+@pytest.fixture(scope="module")
+def lookup_lines():
+    """The middle-of-track line and a recorded line of every bundled track."""
+    lines = []
+    for name in tracks.TRACK_NAMES:
+        track = tracks.get_track(name)
+        lines += [RacingLine.middle_of_track(track), record_reference_line(track)]
+    return lines
+
+
+def lookup_queries(knots, span, rng):
+    """Random queries from span before the first knot to span past the last,
+    every knot and its two neighbouring floats, and both ends of that range."""
+    return (rng.uniform(knots[0] - span, knots[-1] + span, 400).tolist() + knots
+            + [math.nextafter(k, -math.inf) for k in knots]
+            + [math.nextafter(k, math.inf) for k in knots]
+            + [knots[0] - span, knots[-1] + span, -0.0])
+
+
+def test_interp_equals_numpy(lookup_lines):
+    rng = np.random.default_rng(11)
+    for line in lookup_lines:
+        lap = line.track.length
+        for xp, fp in ((line._delta_knots, line._kappa_knots),
+                       (line._delta_knots, line._alpha_knots),
+                       (line._arc_knots, line._delta_knots)):
+            for x in lookup_queries(xp, lap, rng):
+                assert geometry._interp(x, xp, fp) == numpy_interp(x, xp, fp), (line.name, x)
+
+
+def test_arc_length_lookups_equal_searchsorted(lookup_lines):
+    rng = np.random.default_rng(12)
+    for line in lookup_lines:
+        poly = line.world
+        queries = lookup_queries(poly.vertex_arclength.tolist() + [poly.length], poly.length, rng)
+        for s in queries + [s + poly.length for s in queries]:
+            assert poly.point_at(s).tolist() == numpy_point_at(poly, s).tolist(), (line.name, s)
+            assert poly.tangent_at(s).tolist() == numpy_tangent_at(poly, s).tolist()
+            assert poly.nearest_vertex(s) == numpy_nearest_vertex(poly, s)
 
 
 def test_racing_line_frame_theta_and_trackpos():

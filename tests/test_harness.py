@@ -13,7 +13,7 @@ from racerl.bot import BaselineBot, bot_lap_time, drive_bot, record_reference_li
 from racerl.cli import build_parser
 from racerl.cli import main as cli_main
 from racerl.config import from_dict
-from racerl.geometry import RacingLine, save_racing_line
+from racerl.geometry import Polyline, RacingLine, save_racing_line
 from racerl.simulator import CarParams, CarState, EnvSettings, RacingEnv
 
 
@@ -64,6 +64,19 @@ def test_bot_laps_oval_zero_damage(oval):
     assert best == best2
 
 
+def test_bot_lap_projects_once_per_substep(oval, monkeypatch):
+    # the bot takes the env's last axis frame instead of projecting again
+    calls = []
+    project = Polyline.project
+    monkeypatch.setattr(Polyline, "project",
+                        lambda self, point: calls.append(1) or project(self, point))
+    env = RacingEnv(oval, settings=EnvSettings(max_steps=2000))
+    calls.clear()
+    stats = drive_bot(env, BaselineBot(oval), stop_after_laps=1)
+    assert stats["laps"]
+    assert len(calls) == 1 + env.settings.substeps * stats["steps"]  # the reset's frame
+
+
 def test_record_reference_line_invariants(oval):
     line = record_reference_line(oval)
     assert np.all(line.alpha >= 0.0) and np.all(line.alpha <= 1.0)
@@ -77,8 +90,8 @@ def test_record_reference_line_invariants(oval):
 def test_record_line_failure_is_error(oval):
     # a bot that cannot steer fails the lap and the track is reported unusable
     class BrokenBot(BaselineBot):
-        def act(self, state):
-            a = super().act(state)
+        def act(self, state, axis_frame=None):
+            a = super().act(state, axis_frame)
             a.steer = 0.0
             return a
 

@@ -22,7 +22,7 @@ from racerl.simulator import (
     progress_reward,
     terminal_reward,
 )
-from oracles import brute_project, brute_rangefinders
+from oracles import brute_project, brute_rangefinders, wall_contact
 
 
 @pytest.fixture(scope="module")
@@ -345,6 +345,38 @@ def test_damage_monotone_and_episode_ends_out_of_track(oval):
     assert term is Termination.OUT_OF_TRACK
     assert res.reward == -1.0
     assert total > 0.0
+
+
+def wall_trace(name, episodes=100):
+    """Per-step state and observation of short random episodes that each end
+    at a wall: a 30 m/s start anywhere on the lap and a fixed random steer."""
+    track = tracks.get_track(name)
+    env = make_env(track, lac_enabled=True, max_steps=60, start_speed=30.0)
+    rng = np.random.default_rng(0)
+    trace, contacts = [], 0
+    for _ in range(episodes):
+        env.start_delta = rng.uniform(0.0, track.length)
+        env.reset()
+        steer = rng.uniform(-1.0, 1.0)
+        while True:
+            res = env.step(Action(steer=steer, throttle=rng.uniform(0.0, 1.0)))
+            s = env.state
+            contacts += res.info.damage_increment > 0.0
+            trace.append((s.position.tolist(), s.heading, s.vx, s.vy, s.damage,
+                          res.observation.vector().tolist()))
+            if res.termination:
+                break
+    return trace, contacts
+
+
+@pytest.mark.parametrize("name", tracks.TRACK_NAMES)
+def test_wall_contact_equals_the_numpy_dot_oracle(name, monkeypatch):
+    # the normal speed must stay numpy's dot: a float a0*b0 + a1*b1 rounds
+    # differently from OpenBLAS's fused multiply-add and changes this trace
+    fast, contacts = wall_trace(name)
+    assert contacts >= 90
+    monkeypatch.setattr(RacingEnv, "_wall_contact", wall_contact)
+    assert wall_trace(name) == (fast, contacts)
 
 
 # --- laps ----------------------------------------------------------------------
