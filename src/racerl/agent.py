@@ -58,13 +58,9 @@ class OUParams:
     mu: float = 0.0       # long-run mean
 
 
-def ou_step(x, params, rng, dt=1.0):
-    """x <- x + theta*(mu - x)*dt + sigma*sqrt(dt)*N(0,1)."""
-    return (
-        x
-        + params.theta * (params.mu - x) * dt
-        + params.sigma * math.sqrt(dt) * rng.standard_normal()
-    )
+def ou_step(x, params, rng):
+    """One agent step of the OU process: x <- x + theta*(mu - x) + sigma*N(0,1)."""
+    return x + params.theta * (params.mu - x) + params.sigma * rng.standard_normal()
 
 
 class OUProcess:
@@ -77,8 +73,8 @@ class OUProcess:
     def reset(self):
         self.x = self.params.mu
 
-    def step(self, rng, dt=1.0):
-        self.x = ou_step(self.x, self.params, rng, dt)
+    def step(self, rng):
+        self.x = ou_step(self.x, self.params, rng)
         return self.x
 
 

@@ -21,16 +21,17 @@ LOOKAHEAD_GAIN = 0.45  # pure-pursuit look-ahead, m per m/s, clamped to [8, 26] 
 MIN_LOOKAHEAD = 8.0
 MAX_LOOKAHEAD = 26.0
 PEDAL_GAIN = 0.35      # pedal travel per m/s of speed error
+SAFETY = 0.9           # fraction of the grip-limited cornering speed
+SLOW_FACTOR = 0.6      # speed scale of the slow lap that records a racing line
+LINE_SPACING = 2.0     # m between the recorded line's points
 
 
 class BaselineBot:
-    """Pure pursuit + curvature speed cap, proportional pedals."""
+    """Pure pursuit along the track axis + curvature speed cap, proportional pedals."""
 
-    def __init__(self, track, line=None, params=None, safety=0.9, speed_scale=1.0):
-        self.track = track
-        self.line = line if line is not None else RacingLine.middle_of_track(track)
+    def __init__(self, track, params=None, speed_scale=1.0):
+        self.line = RacingLine.middle_of_track(track)
         self.params = params if params is not None else CarParams()
-        self.safety = safety
         self.speed_scale = speed_scale
 
     def target_speed(self, delta, vx):
@@ -40,7 +41,7 @@ class BaselineBot:
         for off in SPEED_LOOKAHEAD:
             kappa = abs(self.line.curvature_at(delta + off))
             if kappa > 1e-9:
-                v = min(v, self.safety * max_speed(
+                v = min(v, SAFETY * max_speed(
                     kappa, p.mu_grip, mass=p.mass, downforce=p.downforce(vx)))
         return v * self.speed_scale
 
@@ -48,9 +49,10 @@ class BaselineBot:
         """Action for the current kinematic car state.
 
         axis_frame is the state's frame on the track axis when the caller has
-        it (RacingEnv.axis_frame); a line on the axis then needs no projection.
+        it (RacingEnv.axis_frame); the bot's line is the axis, so it then
+        needs no projection.
         """
-        if axis_frame is not None and self.line.world is self.track.centerline:
+        if axis_frame is not None:
             frame = self.line.frame_from_axis(axis_frame)
         else:
             frame = self.line.frame(state.position, state.heading)
@@ -72,7 +74,11 @@ class BaselineBot:
 
 
 def drive_bot(env, bot, max_steps=None, logger=None, stop_after_laps=None):
-    """Drive the bot until termination, max_steps, or a lap count."""
+    """Drive the bot until termination, max_steps, or a lap count.
+
+    A logger's record(step, env, action, result) sees every step: the
+    simulator's TelemetryLogger, or the line recorder's trace.
+    """
     env.reset()
     steps = max_steps if max_steps is not None else env.settings.max_steps
     total = 0.0
@@ -99,45 +105,45 @@ def drive_bot(env, bot, max_steps=None, logger=None, stop_after_laps=None):
     }
 
 
-def bot_lap_time(track, laps=2, params=None, safety=0.9):
+def bot_lap_time(track, laps=2):
     """Deterministic bot lap time on a track (best of the flying laps)."""
-    params = params if params is not None else CarParams()
     max_steps = int((laps + 1) * track.length / 3.0 / 0.2) + 600
-    env = RacingEnv(track, params=params, settings=EnvSettings(max_steps=max_steps))
-    bot = BaselineBot(track, params=params, safety=safety)
-    stats = drive_bot(env, bot, stop_after_laps=laps + 1)  # standing start + flying laps
+    env = RacingEnv(track, settings=EnvSettings(max_steps=max_steps))
+    stats = drive_bot(env, BaselineBot(track), stop_after_laps=laps + 1)  # standing start + flying laps
     if not stats["laps"]:
         raise RuntimeError(f"baseline bot failed to lap {track.name}")
     return min(stats["laps"]), stats
 
 
-def record_reference_line(track, params=None, slow_factor=0.6, spacing=2.0,
-                          safety=0.9):
+class _LineTrace:
+    """drive_bot logger of each step's lap progress and clipped lateral
+    position alpha (0 and 1 are the borders), from the start on the axis."""
+
+    def __init__(self):
+        self.progress = [0.0]
+        self.alpha = [0.5]
+
+    def record(self, step, env, action, result):
+        self.progress.append(result.info.progress)
+        self.alpha.append(min(max(0.5 + result.info.track_pos / 2.0, 0.0), 1.0))
+
+
+def record_reference_line(track, params=None):
     """Drive a slow bot lap and record its (delta, alpha) trace every 2 m.
 
     Raises RuntimeError when the bot cannot complete the lap (the track is
     then unusable for RC reference modes).
     """
-    params = params if params is not None else CarParams()
-    max_steps = int(track.length / (2.5 * slow_factor) / 0.2) + 800
+    max_steps = int(track.length / (2.5 * SLOW_FACTOR) / 0.2) + 800
     env = RacingEnv(track, params=params, settings=EnvSettings(max_steps=max_steps))
-    bot = BaselineBot(track, params=params, safety=safety, speed_scale=slow_factor)
-    env.reset()
+    trace = _LineTrace()
+    stats = drive_bot(env, BaselineBot(track, params=params, speed_scale=SLOW_FACTOR),
+                      logger=trace, stop_after_laps=1)
+    if not stats["laps"]:
+        raise RuntimeError(
+            f"bot failed to complete a slow lap on {track.name} "
+            f"({stats['termination'].value}); track unusable for RC modes")
 
-    progress_trace = [0.0]
-    alpha_trace = [0.5]  # the car starts exactly on the axis
-    while True:
-        result = env.step(bot.act(env.state, env.axis_frame))
-        frame_alpha = 0.5 + result.info.track_pos / 2.0
-        progress_trace.append(result.info.progress)
-        alpha_trace.append(min(max(frame_alpha, 0.0), 1.0))
-        if result.info.lap_completed:
-            break
-        if result.termination:
-            raise RuntimeError(
-                f"bot failed to complete a slow lap on {track.name} "
-                f"({result.termination.value}); track unusable for RC modes")
-
-    grid = np.arange(0.0, track.length - spacing / 2.0, spacing)
-    alphas = np.interp(grid, np.asarray(progress_trace), np.asarray(alpha_trace))
+    grid = np.arange(0.0, track.length - LINE_SPACING / 2.0, LINE_SPACING)
+    alphas = np.interp(grid, np.asarray(trace.progress), np.asarray(trace.alpha))
     return RacingLine(track, grid, alphas, name=f"{track.name}-recorded")

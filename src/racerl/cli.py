@@ -7,7 +7,7 @@ import dataclasses
 import sys
 
 from . import experiments, plotting, tracks
-from .bot import record_reference_line
+from .bot import bot_lap_time, record_reference_line
 from .geometry import save_racing_line
 
 
@@ -28,12 +28,11 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    results = experiments.evaluate(args.checkpoint, args.track, laps=args.laps,
-                                   racing_line_file=args.racing_line, runs=args.runs)
-    for i, res in enumerate(results):
-        lap = f"{res.best_lap_time:.3f}s" if res.finished else "DNF"
-        print(f"run {i}: {res.status} best_lap={lap} laps={len(res.lap_times)} "
-              f"damage={res.damage:.2f} return={res.return_:.1f} ({res.termination})")
+    res = experiments.evaluate(args.checkpoint, args.track, laps=args.laps,
+                               racing_line_file=args.racing_line)[0]
+    lap = f"{res.best_lap_time:.3f}s" if res.finished else "DNF"
+    print(f"{res.status} best_lap={lap} laps={len(res.lap_times)} "
+          f"damage={res.damage:.2f} return={res.return_:.1f} ({res.termination})")
     return 0
 
 
@@ -108,9 +107,9 @@ def cmd_plot(args):
 
 
 def cmd_baseline(args):
-    report = experiments.baseline_report(args.track, laps=args.laps)
-    print(f"{report['track']}: best lap {report['best_lap_time']:.3f}s "
-          f"damage={report['damage']:.2f}")
+    track = tracks.get_track(args.track)
+    best, stats = bot_lap_time(track, laps=args.laps)
+    print(f"{args.track}: best lap {best:.3f}s damage={stats['damage']:.2f}")
     return 0
 
 
@@ -133,7 +132,6 @@ def build_parser():
     p.add_argument("--track", required=True)
     p.add_argument("--laps", type=int, default=3)
     p.add_argument("--racing-line", dest="racing_line")
-    p.add_argument("--runs", type=int, default=1)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("tournament", help="train and rank the variant grid")

@@ -26,11 +26,11 @@ from .agent import (
     ExplorationConfig,
     ObservationWindow,
 )
-from .bot import bot_lap_time, record_reference_line
+from .bot import record_reference_line
 from .config import from_dict
 from .geometry import RacingLine, load_racing_line, save_racing_line
 from .nn import NumericError
-from .plotting import moving_average
+from .plotting import moving_average, read_csv_columns
 from .replay import Transition
 from .simulator import CarParams, EnvSettings, RacingEnv, _fmt
 
@@ -200,14 +200,14 @@ def run_eval_episode(agent, env, laps=3):
     )
 
 
-def evaluate(checkpoint, track_name, laps=3, racing_line_file=None, runs=1, config=None):
-    """Evaluate a checkpoint (path or agent) with deterministic rollouts.
+def evaluate(checkpoint, track_name, laps=3, racing_line_file=None, config=None):
+    """Race a checkpoint (path or agent) in one deterministic episode.
 
+    Returns a one-element list of its EpisodeResult; callers index [0].
     Telemetry is measured against the line file's racing line, or else the
     middle of the track; the agent's own config says whether it reads LAC.
     The env and car settings come from config (default: the defaults).
-    Damage is reported per run; a run with no completed lap is an explicit
-    DNF result, not an error.
+    An episode with no completed lap is an explicit DNF result, not an error.
     """
     agent = checkpoint if isinstance(checkpoint, DDPGAgent) else DDPGAgent.load(checkpoint)
     cfg = config if config is not None else ExperimentConfig()
@@ -217,12 +217,9 @@ def evaluate(checkpoint, track_name, laps=3, racing_line_file=None, runs=1, conf
     else:
         line = RacingLine.middle_of_track(track)
     settings = dataclasses.replace(cfg.env, max_steps=eval_step_cap(track, laps, cfg.env.dt))
-    out = []
-    for _ in range(runs):
-        env = RacingEnv(track, reference=line, lac_enabled=agent.config.lac_enabled,
-                        params=cfg.car, settings=settings)
-        out.append(run_eval_episode(agent, env, laps=laps))
-    return out
+    env = RacingEnv(track, reference=line, lac_enabled=agent.config.lac_enabled,
+                    params=cfg.car, settings=settings)
+    return [run_eval_episode(agent, env, laps=laps)]
 
 
 def eval_step_cap(track, laps, dt):
@@ -242,7 +239,6 @@ class TrainRunResult:
     episodes_run: int
     failed: bool
     success_episode: int | None
-    best_eval: EpisodeResult | None
     checkpoints: list
 
 
@@ -266,6 +262,7 @@ def train_run(config, seed, run_dir=None):
     track = tracks.get_track(config.track)
     reference = build_reference(config, track)
     env = make_env(config, track=track, reference=reference)
+    eval_env = make_env(config, track=track, reference=reference)
     agent = make_agent(config, seed)
     window = ObservationWindow(agent.config.window, agent.config.obs_dim)
     t = config.train
@@ -273,7 +270,6 @@ def train_run(config, seed, run_dir=None):
     checkpoints = []
     failed = False
     success_episode = None
-    best_eval = None
     best_score = None
     global_step = 0
 
@@ -283,8 +279,7 @@ def train_run(config, seed, run_dir=None):
     eval_fh.write(EVAL_HEADER + "\n")
 
     def eval_now(episode):
-        nonlocal best_eval, best_score, success_episode
-        eval_env = make_env(config, track=track, reference=reference)
+        nonlocal best_score, success_episode
         res = run_eval_episode(agent, eval_env, laps=1)
         eval_fh.write(",".join(_fmt(v) for v in (
             episode, res.return_, res.steps, len(res.lap_times),
@@ -293,7 +288,6 @@ def train_run(config, seed, run_dir=None):
         score = (1, -res.best_lap_time) if res.finished else (0, res.return_)
         if best_score is None or score > best_score:
             best_score = score
-            best_eval = res
             agent.save(os.path.join(run_dir, "best.npz"))
         if res.finished and res.damage == 0.0 and success_episode is None:
             target = t.success_lap_time
@@ -365,8 +359,7 @@ def train_run(config, seed, run_dir=None):
         eval_fh.close()
 
     agent.save(os.path.join(run_dir, "latest.npz"))
-    return TrainRunResult(run_dir, episodes_run, failed, success_episode,
-                          best_eval, checkpoints)
+    return TrainRunResult(run_dir, episodes_run, failed, success_episode, checkpoints)
 
 
 # --- leaderboard -----------------------------------------------------------------
@@ -527,8 +520,11 @@ GENERALIZATION_HEADER = "checkpoint_episode,track,best_lap_time,damage,finished"
 
 
 def generalization_eval(run_dir, track_names, laps=1, out_csv=None, report_path=None):
-    """Evaluate every saved checkpoint of a run on several tracks.
+    """Race every saved checkpoint of a run on several tracks.
 
+    Each track and its env are built once; every checkpoint races on them
+    in one deterministic episode, against the track's axis (the training
+    track too), with the run's env and car settings and LAC input.
     Emits the per-checkpoint lap-time series and selects the general model
     per the best-on-training-but-finishes-everywhere rule.
     """
@@ -541,15 +537,20 @@ def generalization_eval(run_dir, track_names, laps=1, out_csv=None, report_path=
     if not paths:
         raise FileNotFoundError(f"no checkpoints under {run_dir}")
 
+    envs = []
+    for name in track_names:
+        track = tracks.get_track(name)
+        envs.append((name, make_env(config, track=track,
+                                    reference=RacingLine.middle_of_track(track),
+                                    max_steps=eval_step_cap(track, laps, config.env.dt))))
     entries = []
     rows = []
     for path in paths:
         episode = int(os.path.basename(path).split("_")[1].split(".")[0])
         agent = DDPGAgent.load(path)
         lap_by_track = {}
-        for name in track_names:
-            # every track, the training track too, is raced against its axis
-            res = evaluate(agent, name, laps=laps, config=config)[0]
+        for name, env in envs:
+            res = run_eval_episode(agent, env, laps=laps)
             lap_by_track[name] = res.best_lap_time
             rows.append((episode, name, res.best_lap_time, res.damage,
                          int(res.finished)))
@@ -611,7 +612,8 @@ def ablation_at(config, seeds=None, final_window=20, out_dir=None):
                 agent=dataclasses.replace(config.agent, adopted_target=adopted),
             )
             result = train_run(cfg, seed, run_dir=os.path.join(out_dir, arm, f"seed{seed}"))
-            eps, rets = _read_returns(os.path.join(result.run_dir, "metrics.csv"))
+            cols = read_csv_columns(os.path.join(result.run_dir, "metrics.csv"))
+            rets = np.asarray([float(v) for v in cols["return"]])
             returns[adopted].append(rets)
             means[arm] = float(np.mean(rets[-final_window:]))
         per_seed.append({
@@ -638,28 +640,3 @@ def ablation_at(config, seeds=None, final_window=20, out_dir=None):
     )
     write_json(os.path.join(out_dir, "report.json"), asdict(report))
     return report
-
-
-def _read_returns(metrics_csv):
-    episodes = []
-    rets = []
-    with open(metrics_csv) as fh:
-        header = fh.readline().strip().split(",")
-        i_ep = header.index("episode")
-        i_ret = header.index("return")
-        for line in fh:
-            parts = line.strip().split(",")
-            episodes.append(int(parts[i_ep]))
-            rets.append(float(parts[i_ret]))
-    return episodes, np.asarray(rets)
-
-
-# --- baseline ---------------------------------------------------------------------------
-
-
-def baseline_report(track_name, laps=3, params=None):
-    """Deterministic bot lap time plus its episode stats (the repo baseline)."""
-    track = tracks.get_track(track_name)
-    best, stats = bot_lap_time(track, laps=laps, params=params)
-    return {"track": track_name, "best_lap_time": best,
-            "laps": stats["laps"], "damage": stats["damage"]}

@@ -464,8 +464,11 @@ def fanin_uniform(rng, out_dim, in_dim):
     return rng.uniform(-lim, lim, size=(out_dim, in_dim))
 
 
-def build_actor(input_dim, hidden=(64, 64), final_scale=3e-3, rng=None):
-    """Fan-in uniform init, final layer in [-final_scale, final_scale]."""
+FINAL_SCALE = 3e-3  # output layers start uniform in [-FINAL_SCALE, FINAL_SCALE]
+
+
+def build_actor(input_dim, hidden=(64, 64), rng=None):
+    """Fan-in uniform init, final layer in [-FINAL_SCALE, FINAL_SCALE]."""
     rng = np.random.default_rng(rng)
     dims = [input_dim, *hidden]
     layers = []
@@ -473,7 +476,7 @@ def build_actor(input_dim, hidden=(64, 64), final_scale=3e-3, rng=None):
         layers.append(Dense(fanin_uniform(rng, d_out, d_in), np.zeros(d_out), "relu"))
     layers.append(
         Dense(
-            rng.uniform(-final_scale, final_scale, size=(3, dims[-1])),
+            rng.uniform(-FINAL_SCALE, FINAL_SCALE, size=(3, dims[-1])),
             np.zeros(3),
             "linear",
         )
@@ -481,19 +484,19 @@ def build_actor(input_dim, hidden=(64, 64), final_scale=3e-3, rng=None):
     return Actor(Mlp(layers))
 
 
-def build_critic(state_dim, action_dim=3, hidden=64, final_scale=3e-3, rng=None):
+def build_critic(state_dim, action_dim=3, hidden=64, rng=None):
     rng = np.random.default_rng(rng)
     state_layer = Dense(fanin_uniform(rng, hidden, state_dim), np.zeros(hidden), "relu")
     tail = Mlp(
         [
             Dense(fanin_uniform(rng, hidden, hidden + action_dim), np.zeros(hidden), "relu"),
-            Dense(rng.uniform(-final_scale, final_scale, size=(1, hidden)), np.zeros(1), "linear"),
+            Dense(rng.uniform(-FINAL_SCALE, FINAL_SCALE, size=(1, hidden)), np.zeros(1), "linear"),
         ]
     )
     return Critic(state_layer, tail)
 
 
-def build_lstm_critic(state_dim, action_dim=3, hidden=64, final_scale=3e-3, rng=None):
+def build_lstm_critic(state_dim, action_dim=3, hidden=64, rng=None):
     rng = np.random.default_rng(rng)
     state_layer = Dense(fanin_uniform(rng, hidden, state_dim), np.zeros(hidden), "relu")
     in_dim = hidden + action_dim
@@ -502,7 +505,7 @@ def build_lstm_critic(state_dim, action_dim=3, hidden=64, final_scale=3e-3, rng=
         fanin_uniform(rng, 4 * hidden, hidden),
         np.zeros(4 * hidden),
     )
-    head = Dense(rng.uniform(-final_scale, final_scale, size=(1, hidden)), np.zeros(1), "linear")
+    head = Dense(rng.uniform(-FINAL_SCALE, FINAL_SCALE, size=(1, hidden)), np.zeros(1), "linear")
     return LstmCritic(state_layer, cell, head)
 
 

@@ -325,7 +325,6 @@ class RacingEnv:
         self.lap_progress = 0.0
         self.lap_start_time = 0.0
         self.laps_completed = 0
-        self.last_lap_time = None
         self._prev_delta = self.start_delta
         self.done = False
         return self.observe(self.axis_frame)
@@ -464,7 +463,6 @@ class RacingEnv:
             lap_time = crossing_time - self.lap_start_time
             self.laps_completed += 1
             self.lap_start_time = crossing_time
-            self.last_lap_time = lap_time
             return lap_time
         return None
 

@@ -87,16 +87,16 @@ _TECHNICAL_SEGMENTS = [
 ]
 
 
-def oval(step=2.0):
-    return Track(build_centerline(_OVAL_SEGMENTS, step), width=16.0, name="oval")
+def oval():
+    return Track(build_centerline(_OVAL_SEGMENTS), width=16.0, name="oval")
 
 
-def fast_mixed(step=2.0):
-    return Track(build_centerline(_FAST_MIXED_SEGMENTS, step), width=11.0, name="fast_mixed")
+def fast_mixed():
+    return Track(build_centerline(_FAST_MIXED_SEGMENTS), width=11.0, name="fast_mixed")
 
 
-def technical(step=2.0):
-    return Track(build_centerline(_TECHNICAL_SEGMENTS, step), width=10.0, name="technical")
+def technical():
+    return Track(build_centerline(_TECHNICAL_SEGMENTS), width=10.0, name="technical")
 
 
 _BUILDERS = {"oval": oval, "fast_mixed": fast_mixed, "technical": technical}
@@ -113,7 +113,7 @@ def is_track(name):
     return _key(name) in _BUILDERS
 
 
-def get_track(name, step=2.0):
+def get_track(name):
     if not is_track(name):
         raise KeyError(f"unknown track {name!r}; available: {', '.join(TRACK_NAMES)}")
-    return _BUILDERS[_key(name)](step)
+    return _BUILDERS[_key(name)]()

@@ -87,17 +87,18 @@ def test_record_reference_line_invariants(oval):
     npt.assert_allclose(lac, np.zeros(4), atol=1e-3)
 
 
-def test_record_line_failure_is_error(oval):
+def test_record_line_failure_is_error(monkeypatch):
     # a bot that cannot steer fails the lap and the track is reported unusable
-    class BrokenBot(BaselineBot):
-        def act(self, state, axis_frame=None):
-            a = super().act(state, axis_frame)
-            a.steer = 0.0
-            return a
+    act = BaselineBot.act
 
-    env = RacingEnv(tracks.get_track("technical"), settings=EnvSettings(max_steps=4000))
-    stats = drive_bot(env, BrokenBot(tracks.get_track("technical")))
-    assert stats["termination"] is not None and not stats["laps"]
+    def no_steer(self, state, axis_frame=None):
+        a = act(self, state, axis_frame)
+        a.steer = 0.0
+        return a
+
+    monkeypatch.setattr(BaselineBot, "act", no_steer)
+    with pytest.raises(RuntimeError, match=r"technical \(out_of_track\); track unusable"):
+        record_reference_line(tracks.get_track("technical"))
 
 
 # --- config ------------------------------------------------------------------------
@@ -253,6 +254,20 @@ def test_train_run_directory_contents(tmp_path):
     assert result.checkpoints
 
 
+@pytest.mark.parametrize("eval_every", [1, 2])
+def test_train_run_builds_one_env_to_train_and_one_to_race(tmp_path, monkeypatch, eval_every):
+    calls = []
+    make_env = ex.make_env
+    monkeypatch.setattr(ex, "make_env", lambda *a, **kw: calls.append(1) or make_env(*a, **kw))
+    cfg = tiny_config(tmp_path)
+    cfg.train.episodes = 4
+    cfg.train.eval_every = eval_every
+    result = ex.train_run(cfg, 0)
+    assert len(calls) == 2
+    evals = open(os.path.join(result.run_dir, "eval.csv")).read().splitlines()[1:]
+    assert len(evals) == 4 // eval_every
+
+
 # --- evaluation ---------------------------------------------------------------------------
 
 
@@ -397,6 +412,27 @@ def test_generalization_eval_pipeline(tmp_path):
         assert "no checkpoint finished" in report["note"]
 
 
+def test_generalization_eval_builds_each_track_once(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path)
+    cfg.train.episodes = 3
+    result = ex.train_run(cfg, 0)
+    assert len(result.checkpoints) == 3
+    built, races = [], []
+    get_track, race = tracks.get_track, ex.run_eval_episode
+    monkeypatch.setattr(tracks, "get_track", lambda name: built.append(name) or get_track(name))
+    monkeypatch.setattr(ex, "run_eval_episode",
+                        lambda agent, env, laps: races.append(race(agent, env, laps)) or races[-1])
+    names = ["oval", "technical"]
+    report = ex.generalization_eval(result.run_dir, names, laps=1)
+    assert built == names
+    raced = list(races)
+    # a reset env races as a fresh one: each race equals its own evaluate
+    fresh = [ex.evaluate(ckpt, name, laps=1, config=cfg)[0]
+             for ckpt in result.checkpoints for name in names]
+    assert raced == fresh
+    assert len(open(report["series_csv"]).read().splitlines()) == 1 + len(fresh)
+
+
 # --- tournament (tiny budget) ----------------------------------------------------------------
 
 
@@ -494,6 +530,12 @@ def test_cli_record_line_and_plot(tmp_path, capsys, monkeypatch):
                    "1,10,5.0,0.1,0.2,1.0,0,0.0\n2,12,6.0,0.1,0.2,0.9,0,0.0\n")
     assert cli_main(["plot", str(csv), "-o", str(tmp_path / "m.svg")]) == 0
     assert os.path.exists(tmp_path / "m.svg")
+
+
+def test_cli_baseline_prints_the_bot_lap(capsys):
+    assert cli_main(["baseline", "--track", "oval"]) == 0
+    best, stats = bot_lap_time(tracks.get_track("oval"), laps=3)
+    assert capsys.readouterr().out == f"oval: best lap {best:.3f}s damage={stats['damage']:.2f}\n"
 
 
 def test_readme_cli_lines_parse():
