@@ -81,32 +81,26 @@ def drive_bot(env, bot, max_steps=None, logger=None, stop_after_laps=None):
     """
     env.reset()
     steps = max_steps if max_steps is not None else env.settings.max_steps
-    total = 0.0
-    laps = []
-    result = None
     for i in range(steps):
         action = bot.act(env.state, env.axis_frame)
         result = env.step(action)
-        total += result.reward
         if logger is not None:
             logger.record(i, env, action, result)
-        if result.info.lap_completed:
-            laps.append(result.info.lap_time)
-            if stop_after_laps is not None and len(laps) >= stop_after_laps:
-                break
-        if result.termination:
+        if env.done or (stop_after_laps is not None and len(env.lap_times) >= stop_after_laps):
             break
     return {
         "steps": env.tracker.steps,
-        "return": total,
-        "laps": laps,
+        "return": env.episode_return,
+        "laps": env.lap_times,
         "damage": env.state.damage,
-        "termination": result.termination if result else None,
+        "termination": env.termination,
     }
 
 
 def bot_lap_time(track, laps=2):
     """Deterministic bot lap time on a track (best of the flying laps)."""
+    if laps < 0:
+        raise ValueError(f"laps must be non-negative, got {laps}")
     max_steps = int((laps + 1) * track.length / 3.0 / 0.2) + 600
     env = RacingEnv(track, settings=EnvSettings(max_steps=max_steps))
     stats = drive_bot(env, BaselineBot(track), stop_after_laps=laps + 1)  # standing start + flying laps

@@ -171,31 +171,23 @@ class EpisodeResult:
 
 
 def run_eval_episode(agent, env, laps=3):
-    """Deterministic rollout until `laps` laps, termination, or the step cap."""
+    """Deterministic rollout until `laps` laps (termination "none"), a
+    termination, or the step cap."""
+    if laps < 1:
+        raise ValueError(f"laps must be at least 1, got {laps}")
     obs = env.reset()
     window = ObservationWindow(agent.config.window, agent.config.obs_dim)
     window.reset(obs.vector())
-    total = 0.0
-    lap_times = []
-    termination = None
-    while True:
-        action = agent.act(window.array())
-        result = env.step(action)
-        total += result.reward
+    while len(env.lap_times) < laps and not env.done:
+        result = env.step(agent.act(window.array()))
         window.push(result.observation.vector())
-        if result.info.lap_completed:
-            lap_times.append(result.info.lap_time)
-            if len(lap_times) >= laps:
-                break
-        if result.termination:
-            termination = result.termination.value
-            break
+    lap_times = env.lap_times
     return EpisodeResult(
         lap_times=lap_times,
         best_lap_time=min(lap_times) if lap_times else None,
         damage=env.state.damage,
-        termination=termination or "none",
-        return_=total,
+        termination="none" if len(lap_times) >= laps else env.termination.value,
+        return_=env.episode_return,
         steps=env.tracker.steps,
     )
 
@@ -293,7 +285,6 @@ def train_run(config, seed, run_dir=None):
             target = t.success_lap_time
             if target is None or res.best_lap_time < target:
                 success_episode = episode
-        return res
 
     episodes_run = 0
     golden = (math.sqrt(5.0) - 1.0) / 2.0
@@ -306,11 +297,9 @@ def train_run(config, seed, run_dir=None):
             vec = obs.vector()
             window.reset(vec)
             agent.explorer.reset_noise()
-            ep_return = 0.0
             losses = []
             objs = []
-            laps = 0
-            while True:
+            while not env.done:
                 action = agent.act_explore(window.array())
                 result = env.step(action)
                 next_vec = result.observation.vector()
@@ -321,8 +310,6 @@ def train_run(config, seed, run_dir=None):
                 ))
                 window.push(next_vec)
                 vec = next_vec
-                ep_return += result.reward
-                laps += int(result.info.lap_completed)
                 global_step += 1
                 if global_step > t.warmup_steps and global_step % t.train_every == 0:
                     try:
@@ -335,14 +322,12 @@ def train_run(config, seed, run_dir=None):
                             fh.write(f"episode {episode}: {err}\n")
                         failed = True
                         break
-                if result.termination:
-                    break
             episodes_run = episode
             metrics_fh.write(",".join(_fmt(v) for v in (
-                episode, env.tracker.steps, ep_return,
+                episode, env.tracker.steps, env.episode_return,
                 float(np.mean(losses)) if losses else 0.0,
                 float(np.mean(objs)) if objs else 0.0,
-                agent.explorer.eps_prime, laps, env.state.damage)) + "\n")
+                agent.explorer.eps_prime, len(env.lap_times), env.state.damage)) + "\n")
             metrics_fh.flush()
             if failed:
                 break
@@ -441,15 +426,13 @@ class TournamentReport:
     run_dirs: list
 
 
-def summarize_run(config, seed, run_dir, eval_laps=3):
-    """Evaluate a finished training run's best checkpoint on its own track."""
+def summarize_run(config, seed, run_dir):
+    """Race a finished run's best checkpoint for 3 laps on its own track."""
     ckpt = os.path.join(run_dir, "best.npz")
     if not os.path.exists(ckpt):
         ckpt = os.path.join(run_dir, "latest.npz")
     line_file = config.racing_line_file if config.reference != "mot" else None
-    results = evaluate(ckpt, config.track, laps=eval_laps, racing_line_file=line_file,
-                       config=config)
-    res = results[0]
+    res = evaluate(ckpt, config.track, racing_line_file=line_file, config=config)[0]
     return ModelSummary(config.variant, seed, res.best_lap_time, res.damage)
 
 
@@ -519,14 +502,15 @@ def select_general_model(entries, training_track):
 GENERALIZATION_HEADER = "checkpoint_episode,track,best_lap_time,damage,finished"
 
 
-def generalization_eval(run_dir, track_names, laps=1, out_csv=None, report_path=None):
+def generalization_eval(run_dir, track_names, laps=1):
     """Race every saved checkpoint of a run on several tracks.
 
     Each track and its env are built once; every checkpoint races on them
     in one deterministic episode, against the track's axis (the training
     track too), with the run's env and car settings and LAC input.
-    Emits the per-checkpoint lap-time series and selects the general model
-    per the best-on-training-but-finishes-everywhere rule.
+    Writes the per-checkpoint lap-time series to generalization.csv and the
+    general model, selected per the best-on-training-but-finishes-everywhere
+    rule, to generalization.json, both in the run directory.
     """
     config = ExperimentConfig.from_file(os.path.join(run_dir, "config.json"))
     training_track = config.track
@@ -556,7 +540,7 @@ def generalization_eval(run_dir, track_names, laps=1, out_csv=None, report_path=
                          int(res.finished)))
         entries.append({"checkpoint": path, "episode": episode, "laps": lap_by_track})
 
-    out_csv = out_csv or os.path.join(run_dir, "generalization.csv")
+    out_csv = os.path.join(run_dir, "generalization.csv")
     with open(out_csv, "w") as fh:
         fh.write(GENERALIZATION_HEADER + "\n")
         for episode, name, lap, damage, fin in rows:
@@ -575,7 +559,7 @@ def generalization_eval(run_dir, track_names, laps=1, out_csv=None, report_path=
         "note": None if general is not None else
         "no checkpoint finished every track; no general model exists",
     }
-    write_json(report_path or os.path.join(run_dir, "generalization.json"), report)
+    write_json(os.path.join(run_dir, "generalization.json"), report)
     return report
 
 
@@ -590,15 +574,16 @@ class AblationReport:
     curves_csv: str
 
 
-def ablation_at(config, seeds=None, final_window=20, out_dir=None):
+def ablation_at(config, seeds=None, final_window=20):
     """Twin runs differing only in the termination-target rule.
 
     Trains an adopted-target arm and a y=r arm per seed with identical
     configs, then compares the mean return over the final episodes. Writes
-    the two smoothed training curves (moving average over 5 episodes).
+    the runs, the report and the two training curves smoothed over 5
+    episodes under the config's output_dir/ablation_at.
     """
     seeds = list(seeds) if seeds is not None else list(config.seeds)
-    out_dir = out_dir or os.path.join(config.output_dir, "ablation_at")
+    out_dir = os.path.join(config.output_dir, "ablation_at")
     os.makedirs(out_dir, exist_ok=True)
 
     returns = {True: [], False: []}

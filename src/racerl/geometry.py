@@ -422,9 +422,9 @@ class RacingLine:
             d += self.track.length
         return d
 
-    def look_ahead_curvature(self, delta, offsets=LAC_OFFSETS):
-        """Curvature sampled ahead of delta, wrapped around the lap."""
-        return np.array([self.curvature_at(delta + off) for off in offsets])
+    def look_ahead_curvature(self, delta):
+        """Curvature sampled LAC_OFFSETS ahead of delta, wrapped around the lap."""
+        return np.array([self.curvature_at(delta + off) for off in LAC_OFFSETS])
 
     def world_point_at(self, delta):
         """World point of the line at track arc length delta."""

@@ -484,24 +484,24 @@ def build_actor(input_dim, hidden=(64, 64), rng=None):
     return Actor(Mlp(layers))
 
 
-def build_critic(state_dim, action_dim=3, hidden=64, rng=None):
+def build_critic(state_dim, hidden=64, rng=None):
+    """Q(s, a) over the actor's 3 action units."""
     rng = np.random.default_rng(rng)
     state_layer = Dense(fanin_uniform(rng, hidden, state_dim), np.zeros(hidden), "relu")
     tail = Mlp(
         [
-            Dense(fanin_uniform(rng, hidden, hidden + action_dim), np.zeros(hidden), "relu"),
+            Dense(fanin_uniform(rng, hidden, hidden + 3), np.zeros(hidden), "relu"),
             Dense(rng.uniform(-FINAL_SCALE, FINAL_SCALE, size=(1, hidden)), np.zeros(1), "linear"),
         ]
     )
     return Critic(state_layer, tail)
 
 
-def build_lstm_critic(state_dim, action_dim=3, hidden=64, rng=None):
+def build_lstm_critic(state_dim, hidden=64, rng=None):
     rng = np.random.default_rng(rng)
     state_layer = Dense(fanin_uniform(rng, hidden, state_dim), np.zeros(hidden), "relu")
-    in_dim = hidden + action_dim
     cell = LstmCell(
-        fanin_uniform(rng, 4 * hidden, in_dim),
+        fanin_uniform(rng, 4 * hidden, hidden + 3),
         fanin_uniform(rng, 4 * hidden, hidden),
         np.zeros(4 * hidden),
     )

@@ -118,12 +118,13 @@ def _numbers(values):
     return np.asarray(out)
 
 
-def plot_csv(path, out_path, smooth=5):
+def plot_csv(path, out_path):
     """Render the natural plot for a known CSV layout.
 
     Telemetry logs plot the control outputs plus speed; training metrics
-    plot the smoothed episode return; lap-time series plot one line per
-    track; anything else plots every numeric column against the first.
+    plot the episode return averaged over 5 episodes; lap-time series plot
+    one line per track; anything else plots every numeric column against
+    the first.
     """
     raw = read_csv_columns(path)
     cols = {name: _numbers(values) for name, values in raw.items()}
@@ -140,7 +141,7 @@ def plot_csv(path, out_path, smooth=5):
                                 xlabel="time [s]", ylabel="value")
     if {"episode", "return"} <= set(names):
         x = cols["episode"]
-        series = [("return (ma%d)" % smooth, x, moving_average(cols["return"], smooth))]
+        series = [("return (ma5)", x, moving_average(cols["return"], 5))]
         if "critic_loss_mean" in cols:
             series.append(("critic loss", x, cols["critic_loss_mean"]))
         return render_line_plot(series, out_path, title="training metrics",

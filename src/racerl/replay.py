@@ -53,11 +53,11 @@ class SampleBatch:
 
 @dataclass
 class NStepView:
-    """Per start slot: discounted reward sum, bootstrap state, effective
-    horizon, termination code, and the slot of the last transition."""
+    """Per start slot: discounted reward sum, effective horizon, termination
+    code, and the slot of the last transition (whose next state is the
+    bootstrap state)."""
 
     reward_sum: np.ndarray
-    bootstrap_state: np.ndarray
     steps: np.ndarray
     termination: np.ndarray
     slot: np.ndarray
@@ -169,7 +169,7 @@ class ReplayBuffer:
             nxt, linked = self._neighbour(last, 1)
             going &= linked & (self.termination[last] == TERMINATION_CODES[None])
             last = np.where(going, nxt, last)
-        return NStepView(reward_sum, self.next_state[last], steps, self.termination[last], last)
+        return NStepView(reward_sum, steps, self.termination[last], last)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -71,10 +71,15 @@ class CarParams:
     rpm_per_mps: float = 140.0
 
     def __post_init__(self):
-        for name in ("mass", "mu_grip", "drag_coeff", "engine_force", "brake_force",
-                     "max_steer", "wheelbase", "width", "top_speed", "wheel_radius"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"car.{f.name} must be finite, got {value}")
+            if f.name in ("downforce_coeff", "rpm_idle", "rpm_per_mps"):
+                if value < 0:
+                    raise ValueError(f"car.{f.name} must be non-negative, got {value}")
+            elif not value > 0:
+                raise ValueError(f"car.{f.name} must be positive, got {value}")
         # declared top speed must be reachable: engine force >= drag there
         if self.engine_force < self.drag_coeff * self.top_speed**2 - 1e-9:
             raise ValueError("engine force cannot sustain the declared top speed")
@@ -112,13 +117,18 @@ class EnvSettings:
     def validate(self):
         """Raise ValueError naming the first out-of-range field (RacingEnv
         checks again: a field assigned after construction skips this)."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"env.{f.name} must be finite, got {value}")
         if not self.dt > 0:
             raise ValueError(f"env.dt must be positive, got {self.dt}")
+        for name in ("damage_weight", "damage_coeff", "start_speed", "slow_speed", "slow_grace"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"env.{name} must be non-negative, got {getattr(self, name)}")
         for name in ("substeps", "max_steps", "backwards_steps", "slow_window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"env.{name} must be at least 1, got {getattr(self, name)}")
-        if self.slow_grace < 0:
-            raise ValueError(f"env.slow_grace must be non-negative, got {self.slow_grace}")
 
 
 @dataclass
@@ -279,8 +289,6 @@ class TerminationTracker:
 
 @dataclass
 class StepInfo:
-    lap_completed: bool = False
-    lap_time: float | None = None
     damage_increment: float = 0.0
     progress: float = 0.0
     track_pos: float = 0.0
@@ -295,7 +303,9 @@ class StepResult:
 
 
 class RacingEnv:
-    """Single-car environment over a track with a telemetry reference line."""
+    """Single-car environment over a track with a telemetry reference line,
+    owning the episode record: lap_times, episode_return and termination.
+    reset() binds a new lap_times list; a list handed out earlier keeps its laps."""
 
     def __init__(self, track, reference=None, lac_enabled=False, params=None,
                  settings=None):
@@ -324,10 +334,15 @@ class RacingEnv:
         self.time = 0.0
         self.lap_progress = 0.0
         self.lap_start_time = 0.0
-        self.laps_completed = 0
         self._prev_delta = self.start_delta
-        self.done = False
+        self.lap_times = []
+        self.episode_return = 0.0
+        self.termination = None
         return self.observe(self.axis_frame)
+
+    @property
+    def done(self):
+        return self.termination is not None
 
     def observe(self, axis_frame=None):
         return make_observation(self.state, self.track, self.reference,
@@ -335,7 +350,7 @@ class RacingEnv:
 
     def step(self, action):
         """Advance one 200 ms agent step. Returns a StepResult."""
-        if self.done:
+        if self.termination is not None:
             raise RuntimeError("episode is over; call reset()")
         if isinstance(action, Action):
             raw = action
@@ -348,15 +363,10 @@ class RacingEnv:
         settings = self.settings
         h = settings.dt / settings.substeps
         damage_increment = 0.0
-        lap_completed = False
-        lap_time = None
         x, y = self.state.position.tolist()
         for _ in range(settings.substeps):
-            x, y, dmg, crossed, track_frame = self._substep(act, h, x, y)
+            x, y, dmg, track_frame = self._substep(act, h, x, y)
             damage_increment += dmg
-            if crossed is not None:
-                lap_completed = True
-                lap_time = crossed
         self.state.position = np.array([x, y])
         self.state.damage += damage_increment
         # the wall response changes only the velocity, so the last substep's
@@ -367,28 +377,26 @@ class RacingEnv:
             obs.vx, obs.angle, obs.track_pos, damage_increment,
             damage_weight=settings.damage_weight, literal_sin=settings.literal_sin,
         )
-        kind = self.tracker.update(track_frame.track_pos, track_frame.theta, self.state.vx)
-        if kind is not None:
-            self.done = True
-            penalty = terminal_reward(kind)
-            if penalty is not None:
-                reward = penalty
+        self.termination = self.tracker.update(
+            track_frame.track_pos, track_frame.theta, self.state.vx)
+        penalty = terminal_reward(self.termination)
+        if penalty is not None:
+            reward = penalty
+        self.episode_return += reward
         info = StepInfo(
-            lap_completed=lap_completed,
-            lap_time=lap_time,
             damage_increment=damage_increment,
             progress=self.lap_progress,
             track_pos=track_frame.track_pos,
         )
-        return StepResult(observation=obs, reward=reward, termination=kind, info=info)
+        return StepResult(observation=obs, reward=reward, termination=self.termination, info=info)
 
     # --- dynamics ---------------------------------------------------------
 
     def _substep(self, act, h, x, y):
         """One 20 ms integration step from position (x, y).
 
-        Returns (x, y, damage, lap_time or None, frame); the caller stores
-        the position in the state.
+        Returns (x, y, damage, frame); the caller stores the position in
+        the state.
         """
         p = self.params
         s = self.state
@@ -415,8 +423,8 @@ class RacingEnv:
 
         frame = self.track.frame((x, y), s.heading)
         damage = self._wall_contact((wx, wy), frame)
-        lap_time = self._advance_progress(frame.delta, h)
-        return x, y, damage, lap_time, frame
+        self._advance_progress(frame.delta, h)
+        return x, y, damage, frame
 
     def _wall_contact(self, world_v, frame):
         """Damage + velocity response when the car is at or beyond a border.
@@ -446,7 +454,7 @@ class RacingEnv:
         return damage
 
     def _advance_progress(self, delta, h):
-        """Accumulate signed progress along the track axis; detect lap crossings."""
+        """Accumulate signed progress along the track axis; record lap crossings."""
         d = delta - self._prev_delta
         half = self.track.length / 2.0
         if d > half:
@@ -456,15 +464,12 @@ class RacingEnv:
         before = self.lap_progress
         self.lap_progress += d
         self._prev_delta = delta
-        target = (self.laps_completed + 1) * self.track.length
+        target = (len(self.lap_times) + 1) * self.track.length
         if before < target <= self.lap_progress:
             frac = (target - before) / (self.lap_progress - before)
             crossing_time = self.time - h + frac * h
-            lap_time = crossing_time - self.lap_start_time
-            self.laps_completed += 1
+            self.lap_times.append(crossing_time - self.lap_start_time)
             self.lap_start_time = crossing_time
-            return lap_time
-        return None
 
 
 TELEMETRY_HEADER = "step,t,x,y,heading,Vx,Vy,steer,throttle,brake,reward,trackPos,theta,damage"

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shlex
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -75,6 +76,39 @@ def test_bot_lap_projects_once_per_substep(oval, monkeypatch):
     stats = drive_bot(env, BaselineBot(oval), stop_after_laps=1)
     assert stats["laps"]
     assert len(calls) == 1 + env.settings.substeps * stats["steps"]  # the reset's frame
+
+
+class BotAgent:
+    """The baseline bot behind the agent interface run_eval_episode drives."""
+
+    config = SimpleNamespace(window=1, obs_dim=29)
+
+    def __init__(self, env):
+        self.env = env
+        self.bot = BaselineBot(env.track)
+
+    def act(self, window):
+        return self.bot.act(self.env.state, self.env.axis_frame)
+
+
+def test_results_keep_their_laps_when_the_env_races_again(oval):
+    env = RacingEnv(oval, settings=EnvSettings(max_steps=2000))
+    stats = drive_bot(env, BaselineBot(oval), stop_after_laps=1)
+    res = ex.run_eval_episode(BotAgent(env), env, laps=2)
+    first, second = list(stats["laps"]), list(res.lap_times)
+    assert len(first) == 1 and len(second) == 2
+    assert (res.termination, res.return_) == ("none", env.episode_return)
+    drive_bot(env, BaselineBot(oval), max_steps=3)
+    assert stats["laps"] == first and res.lap_times == second
+    assert env.lap_times == []
+
+
+def test_lap_counts_below_their_minimum_are_rejected(oval):
+    env = RacingEnv(oval)
+    with pytest.raises(ValueError, match="laps must be at least 1, got 0"):
+        ex.run_eval_episode(BotAgent(env), env, laps=0)
+    with pytest.raises(ValueError, match="laps must be non-negative, got -1"):
+        bot_lap_time(oval, laps=-1)
 
 
 def test_record_reference_line_invariants(oval):
@@ -152,6 +186,24 @@ def test_config_load_rejects_wrong_types(tmp_path, doc, field):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=rf"config {field} must be"):
         ex.ExperimentConfig.from_file(path)
+
+
+@pytest.mark.parametrize("text,field", [
+    ('{"env": {"damage_weight": NaN}}', "env.damage_weight"),
+    ('{"env": {"slow_speed": NaN}}', "env.slow_speed"),
+    ('{"env": {"start_delta": Infinity}}', "env.start_delta"),
+    ('{"env": {"dt": Infinity}}', "env.dt"),
+    ('{"env": {"damage_coeff": -1.0}}', "env.damage_coeff"),
+    ('{"env": {"start_speed": -0.5}}', "env.start_speed"),
+    ('{"car": {"mass": NaN}}', "car.mass"),
+    ('{"car": {"mu_grip": Infinity}}', "car.mu_grip"),
+    ('{"car": {"downforce_coeff": -1.0}}', "car.downforce_coeff"),
+    ('{"car": {"rpm_per_mps": -Infinity}}', "car.rpm_per_mps"),
+])
+def test_config_load_rejects_non_finite_or_negative_values(text, field):
+    # json accepts the NaN and Infinity literals
+    with pytest.raises(ValueError, match=rf"{field} must be"):
+        from_dict(ex.ExperimentConfig, json.loads(text))
 
 
 def test_config_loads_printed_defaults_and_ints_for_floats(capsys):

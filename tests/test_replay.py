@@ -305,7 +305,7 @@ def test_nstep_n1_reduces_to_transition():
         t = buf.get(i)
         view = buf.assemble_nstep(i, 1, 0.9)
         assert view.reward_sum == t.reward
-        npt.assert_array_equal(view.bootstrap_state, t.next_state)
+        npt.assert_array_equal(buf.next_state[view.slot], t.next_state)
         assert view.steps == 1
         assert view.termination == TERMINATION_CODES[t.termination]
 
@@ -316,7 +316,7 @@ def test_nstep_hand_arithmetic():
         buf.push(make_transition(i, reward=1.0))
     view = buf.assemble_nstep(0, 2, 0.5)
     assert view.reward_sum == 1.5  # 1 + 0.5*1
-    npt.assert_array_equal(view.bootstrap_state, buf.get(1).next_state)
+    npt.assert_array_equal(buf.next_state[view.slot], buf.get(1).next_state)
     assert view.steps == 2
     assert view.termination == TERMINATION_CODES[None]
 
@@ -447,7 +447,7 @@ def test_batched_views_match_per_transition_walk(capacity, pushes, monkeypatch):
             single = buf.assemble_nstep(int(slot), n, gamma)
             for v, i in ((view, row), (single, ...)):
                 assert v.reward_sum[i] == reward_sum  # same order of additions: bit equal
-                npt.assert_array_equal(v.bootstrap_state[i], boot)
+                npt.assert_array_equal(buf.next_state[v.slot[i]], boot)
                 assert (v.steps[i], v.termination[i]) == (steps, code)
 
 

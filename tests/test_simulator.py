@@ -401,6 +401,44 @@ def test_step_after_done_raises(oval):
         env.step(Action())
 
 
+def drive_and_tally(env, policy):
+    """One episode tallied step by step: the sum of the step rewards, the
+    end time of each step whose lap progress reached a new lap, and the
+    last step's termination."""
+    env.reset()
+    total, lap_ends, termination = 0.0, [], None
+    while termination is None:
+        result = env.step(policy())
+        total += result.reward
+        if result.info.progress >= (len(lap_ends) + 1) * env.track.length:
+            lap_ends.append(env.time)
+        termination = result.termination
+    return total, lap_ends, termination
+
+
+@pytest.mark.parametrize("name", tracks.TRACK_NAMES)
+def test_episode_record_equals_a_step_by_step_tally(name):
+    track = tracks.get_track(name)
+    env = make_env(track, max_steps=450)
+    bot = BaselineBot(track)
+    rng = np.random.default_rng(7)
+    policies = [lambda: bot.act(env.state, env.axis_frame)]
+    policies += [lambda: rng.uniform([-1.0, 0.0, 0.0], [1.0, 1.0, 0.2])] * 3
+    kinds = []
+    for policy in policies:
+        total, lap_ends, termination = drive_and_tally(env, policy)
+        assert env.episode_return == total  # same additions in the same order
+        assert env.termination is termination and env.done
+        assert len(env.lap_times) == len(lap_ends)
+        # each lap ends inside the step whose progress completed it
+        for end, seen in zip(np.cumsum(env.lap_times), lap_ends):
+            assert seen - env.settings.dt - 1e-9 <= end <= seen + 1e-9
+        kinds.append((termination, len(lap_ends)))
+    # the bot laps until the step cap; random actions leave the track (-1)
+    assert kinds[0][0] is Termination.MAX_STEPS and kinds[0][1] >= 1
+    assert all(kind is Termination.OUT_OF_TRACK for kind, _ in kinds[1:])
+
+
 # --- telemetry log -------------------------------------------------------------
 
 
@@ -443,8 +481,8 @@ def bot_lap_trace(name, own_reference=False):
         trace.append((s.position.tolist(), s.heading, s.vx, s.vy, s.damage,
                       res.observation.vector().tolist()))
         assert res.termination is None
-        if res.info.lap_completed:
-            return trace, res.info.lap_time
+        if env.lap_times:
+            return trace, env.lap_times[0]
 
 
 @pytest.mark.parametrize("name", tracks.TRACK_NAMES)
