@@ -81,7 +81,7 @@ def cmd_ablate_at(args):
         config.train = dataclasses.replace(config.train, episodes=args.episodes)
     if args.max_steps is not None:
         config.env = dataclasses.replace(config.env, max_steps=args.max_steps)
-    seeds = range(args.seeds) if args.seeds else None
+    seeds = range(args.seeds) if args.seeds is not None else None
     report = experiments.ablation_at(config, seeds=seeds)
     for row in report.per_seed:
         mark = "AT" if row["at_wins"] else "y=r"

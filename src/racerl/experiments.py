@@ -583,6 +583,8 @@ def ablation_at(config, seeds=None, final_window=20):
     episodes under the config's output_dir/ablation_at.
     """
     seeds = list(seeds) if seeds is not None else list(config.seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     out_dir = os.path.join(config.output_dir, "ablation_at")
     os.makedirs(out_dir, exist_ok=True)
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -177,11 +178,12 @@ class Observation:
     """The telemetry feature set, fixed ordering, raw physical units.
 
     vector() applies the declared scaling constants. LAC is present only in
-    LAC-enabled configurations (vector length 33 vs 29).
+    LAC-enabled configurations (vector length 33 vs 29). The rangefinders
+    are cast on the first read of track (or vector()) and cached: _cast_track
+    is a zero-argument callable over the pose the observation was built at.
     """
 
     angle: float
-    track: np.ndarray          # 19 rangefinder distances, m
     track_pos: float
     vx: float
     vy: float
@@ -189,6 +191,12 @@ class Observation:
     wheel_speeds: np.ndarray   # 4 values, rad/s
     rpm: float
     lac: np.ndarray | None = None
+    _cast_track: object = field(kw_only=True, repr=False, compare=False)
+
+    @cached_property
+    def track(self):
+        """19 rangefinder distances, m."""
+        return self._cast_track()
 
     def vector(self):
         parts = [
@@ -226,7 +234,8 @@ def make_observation(state, track, reference, lac_enabled, params, axis_frame=No
     theta/trackPos come from the configured reference line; rangefinders
     from the physical borders; wheel speeds are vx / wheel_radius with no
     per-wheel slip; vz is always 0. axis_frame is the state's track-axis
-    frame when the caller already has it.
+    frame when the caller already has it. The rangefinders are cast on the
+    first read of the observation's track, from a copy of this call's pose.
     """
     if axis_frame is None:
         axis_frame = track.frame(state.position, state.heading)
@@ -236,7 +245,6 @@ def make_observation(state, track, reference, lac_enabled, params, axis_frame=No
         ref_frame = reference.frame(state.position, state.heading)
     return Observation(
         angle=ref_frame.theta,
-        track=track.rangefinders(state.position, state.heading, axis_frame),
         track_pos=ref_frame.track_pos,
         vx=state.vx,
         vy=state.vy,
@@ -244,6 +252,8 @@ def make_observation(state, track, reference, lac_enabled, params, axis_frame=No
         wheel_speeds=np.full(4, state.vx / params.wheel_radius),
         rpm=params.rpm(state.vx),
         lac=reference.look_ahead_curvature(ref_frame.delta) if lac_enabled else None,
+        _cast_track=partial(track.rangefinders, tuple(state.position.tolist()),
+                            state.heading, axis_frame),
     )
 
 

@@ -14,8 +14,8 @@ from racerl.bot import BaselineBot, bot_lap_time, drive_bot, record_reference_li
 from racerl.cli import build_parser
 from racerl.cli import main as cli_main
 from racerl.config import from_dict
-from racerl.geometry import Polyline, RacingLine, save_racing_line
-from racerl.simulator import CarParams, CarState, EnvSettings, RacingEnv
+from racerl.geometry import Polyline, RacingLine, Track, save_racing_line
+from racerl.simulator import CarParams, CarState, EnvSettings, RacingEnv, TelemetryLogger
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +133,51 @@ def test_record_line_failure_is_error(monkeypatch):
     monkeypatch.setattr(BaselineBot, "act", no_steer)
     with pytest.raises(RuntimeError, match=r"technical \(out_of_track\); track unusable"):
         record_reference_line(tracks.get_track("technical"))
+
+
+# --- rangefinder casts -------------------------------------------------------------
+
+
+@pytest.fixture
+def casts(monkeypatch):
+    """Counts of Track.rangefinders calls and RacingEnv.step calls."""
+    counts = {"rangefinders": 0, "steps": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Track, "rangefinders", counted("rangefinders", Track.rangefinders))
+    monkeypatch.setattr(RacingEnv, "step", counted("steps", RacingEnv.step))
+    return counts
+
+
+def test_bot_drives_cast_no_rangefinders(oval, casts):
+    # the bot, its telemetry log and the line recorder never read Observation.track
+    bot_lap_time(oval)
+    record_reference_line(oval)
+    log = TelemetryLogger()
+    drive_bot(RacingEnv(oval), BaselineBot(oval), max_steps=50, logger=log)
+    assert len(log.rows) == 50 and casts["steps"] > 50
+    assert casts["rangefinders"] == 0
+
+
+def test_agent_drives_cast_rangefinders_once_per_step(tmp_path, casts):
+    # the agent reads every observation's vector: the reset's and each step's
+    cfg = tiny_config(tmp_path)
+    res = ex.run_eval_episode(ex.make_agent(cfg, 0), ex.make_env(cfg), laps=1)
+    assert casts["steps"] == res.steps
+    assert casts["rangefinders"] == res.steps + 1
+
+    casts.update(rangefinders=0, steps=0)
+    run_dir = ex.train_run(cfg, 0).run_dir
+    episodes = ex.read_csv_columns(os.path.join(run_dir, "metrics.csv"))["steps"]
+    evals = ex.read_csv_columns(os.path.join(run_dir, "eval.csv"))["steps"]
+    steps = sum(int(v) for v in episodes + evals)
+    assert casts["steps"] == steps
+    assert casts["rangefinders"] == steps + len(episodes) + len(evals)
 
 
 # --- config ------------------------------------------------------------------------
@@ -518,6 +563,15 @@ def test_ablation_at_smoke(tmp_path):
     assert plain_cfg["agent"]["adopted_target"] is False
     at_cfg["agent"]["adopted_target"] = plain_cfg["agent"]["adopted_target"]
     assert at_cfg == plain_cfg
+
+
+def test_ablate_at_rejects_an_empty_seed_list(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="need at least one seed"):
+        cli_main(["ablate-at", "--seeds", "0", "--episodes", "1", "--max-steps", "5"])
+    with pytest.raises(ValueError, match="need at least one seed"):
+        ex.ablation_at(tiny_config(tmp_path), seeds=[])
+    assert not os.path.exists(tmp_path / "runs")  # failed before writing anything
 
 
 # --- plotting ----------------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_sumtree_consistency_random_ops():
     tree = SumTree(64)
     for _ in range(10_000):
         tree.update(int(rng.integers(0, 64)), float(rng.uniform(0, 10)))
-        assert tree.consistency_error() < 1e-9 or True  # checked fully below
+        assert tree.consistency_error() < 1e-9
     assert tree.consistency_error() < 1e-9
     leaves = tree.nodes[tree.leaves:]
     assert tree.total == pytest.approx(leaves.sum(), abs=1e-9)

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from racerl import simulator, tracks
-from racerl.bot import BaselineBot
+from racerl.bot import BaselineBot, record_reference_line
 from racerl.geometry import Polyline, RacingLine, Track
 from racerl.nn import NumericError
 from racerl.simulator import (
@@ -437,6 +437,44 @@ def test_episode_record_equals_a_step_by_step_tally(name):
     # the bot laps until the step cap; random actions leave the track (-1)
     assert kinds[0][0] is Termination.MAX_STEPS and kinds[0][1] >= 1
     assert all(kind is Termination.OUT_OF_TRACK for kind, _ in kinds[1:])
+
+
+@pytest.mark.parametrize("recorded", [False, True], ids=["mot", "recorded_line"])
+@pytest.mark.parametrize("name", tracks.TRACK_NAMES)
+def test_lazy_rangefinders_read_the_pose_of_their_step(name, recorded):
+    """Observation.track is cast on its first read. Read only after the env
+    has moved on, reset and had its state changed, it must still equal the
+    rangefinders of the pose its step (or reset) ended at, bit for bit."""
+    track = tracks.get_track(name)
+    reference = record_reference_line(track) if recorded else None
+    env = make_env(track, reference=reference, lac_enabled=recorded, max_steps=300)
+    bot = BaselineBot(track)
+    rng = np.random.default_rng(11)
+    policies = [lambda: bot.act(env.state, env.axis_frame)]
+    policies += [lambda: rng.uniform([-1.0, 0.0, 0.0], [1.0, 1.0, 0.2])] * 3
+    kept = []  # (observation, rangefinders cast when it was made)
+
+    def keep(observation):
+        s = env.state
+        kept.append((observation, track.rangefinders(s.position.copy(), s.heading)))
+
+    kinds = []
+    for policy in policies:
+        keep(env.reset())
+        while not env.done:
+            result = env.step(policy())
+            keep(result.observation)
+        kinds.append(result.termination)
+    keep(env.reset())
+    env.state.position += 5.0  # in place: the array the last reset's observation saw
+    env.state.heading += 1.0
+    # the bot drives to the step cap; random actions leave the track (zeros)
+    assert kinds[0] is Termination.MAX_STEPS
+    assert all(kind is Termination.OUT_OF_TRACK for kind in kinds[1:])
+    assert not kept[-2][1].any()
+    for observation, eager in kept:
+        assert np.array_equal(observation.track, eager)
+        assert np.array_equal(observation.vector()[1:20], eager / simulator.RANGE_SCALE)
 
 
 # --- telemetry log -------------------------------------------------------------
