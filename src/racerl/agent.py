@@ -87,6 +87,21 @@ class ExplorationConfig:
     brake: OUParams = OUParams(0.15, 0.15, -0.6)
     brake_burst: OUParams = OUParams(0.15, 0.6, 0.6)
 
+    def __post_init__(self):
+        if self.horizon < 1:
+            raise ValueError(f"exploration.horizon must be at least 1, got {self.horizon}")
+        if not 0.0 <= self.burst_prob <= 1.0:
+            raise ValueError(f"exploration.burst_prob must be in [0, 1], got {self.burst_prob}")
+        for name in ("steer", "throttle", "brake", "brake_burst"):
+            ou = getattr(self, name)
+            for f in fields(ou):
+                value = getattr(ou, f.name)
+                if not math.isfinite(value):
+                    raise ValueError(f"exploration.{name}.{f.name} must be finite, got {value}")
+                if f.name != "mu" and value < 0:
+                    raise ValueError(f"exploration.{name}.{f.name} must be non-negative, "
+                                     f"got {value}")
+
 
 class Explorer:
     """Annealed OU action noise with the brake-burst scheme.
@@ -171,6 +186,24 @@ class AgentSettings:
     hidden: int = 64
     adopted_target: bool = True
 
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self):
+        """Raise ValueError naming the first out-of-range field (train_run
+        checks again: a field assigned after construction skips this)."""
+        for name in ("gamma", "tau"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"agent.{name} must be in [0, 1], got {value}")
+        for name in ("actor_lr", "critic_lr"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"agent.{name} must be finite and positive, got {value}")
+        for name in ("batch_size", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"agent.{name} must be at least 1, got {getattr(self, name)}")
+
 
 def _variant_trait(name):
     return property(lambda self: getattr(VARIANTS[self.variant], name),
@@ -196,6 +229,7 @@ class AgentConfig(AgentSettings):
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise KeyError(f"unknown variant {self.variant!r}; pick one of {sorted(VARIANTS)}")
+        self.validate()
 
     @property
     def obs_dim(self):
@@ -207,13 +241,22 @@ def _config_from_checkpoint(stored, path):
 
     An older checkpoint also stored the variant's traits and per.capacity.
     Each must agree with the variant (per.capacity only where the buffer is
-    prioritized: a uniform buffer never read it) and is then dropped.
+    prioritized: a uniform buffer never read it) and is then dropped. It
+    also stored the importance-sampling switch per.is_weights and its
+    per.beta: both are dropped while the switch is off, and a checkpoint
+    trained with IS-weighted minibatches is refused.
     """
     stored = dict(stored)
     legacy = {f.name: stored.pop(f.name) for f in fields(Variant) if f.name in stored}
-    if "capacity" in stored.get("per", {}):
-        stored["per"] = dict(stored["per"])
-        legacy["per.capacity"] = stored["per"].pop("capacity")
+    per = stored.get("per")
+    if isinstance(per, dict):
+        per = stored["per"] = dict(per)
+        if "capacity" in per:
+            legacy["per.capacity"] = per.pop("capacity")
+        if per.pop("is_weights", False):
+            raise ValueError(f"{path}: checkpoint config 'per.is_weights' is true, "
+                             "but PER minibatches are unweighted")
+        per.pop("beta", None)
     config = from_dict(AgentConfig, stored)
     for key, value in legacy.items():
         if key == "per.capacity" and config.buffer_kind != "per":
@@ -327,17 +370,16 @@ class DDPGAgent:
         s_flat = s_win.reshape(n, -1)
         actions = a_win[:, -1, :]
 
-        # critic regression toward the targets (IS-weighted when enabled)
+        # critic regression toward the targets
         q, cache = self._critic_eval(s_win, a_win, actions)
         td = y - q
-        w = batch.is_weights if batch.is_weights is not None else 1.0
-        critic_loss = float(np.mean(w * td * td))
+        critic_loss = float(np.mean(td * td))
         if not math.isfinite(critic_loss):
             raise nn.NumericError(
                 "non-finite critic loss; minibatch serials "
                 f"{batch.serials}, targets {np.array2string(y, precision=3)}"
             )
-        grads, _ = self._critic_action_grad(cache, (2.0 / n) * w * (q - y))
+        grads, _ = self._critic_action_grad(cache, (2.0 / n) * (q - y))
         # per-sample grad_a Q at the stored actions, before the weights move
         grad_sq = None
         if c.buffer_kind == "per":

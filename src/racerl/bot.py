@@ -45,17 +45,14 @@ class BaselineBot:
                     kappa, p.mu_grip, mass=p.mass, downforce=p.downforce(vx)))
         return v * self.speed_scale
 
-    def act(self, state, axis_frame=None):
+    def act(self, state, axis_frame):
         """Action for the current kinematic car state.
 
-        axis_frame is the state's frame on the track axis when the caller has
-        it (RacingEnv.axis_frame); the bot's line is the axis, so it then
-        needs no projection.
+        axis_frame is the state's frame on the track axis
+        (RacingEnv.axis_frame); the bot's line is the axis, so it needs no
+        projection of its own.
         """
-        if axis_frame is not None:
-            frame = self.line.frame_from_axis(axis_frame)
-        else:
-            frame = self.line.frame(state.position, state.heading)
+        frame = self.line.frame_from_axis(axis_frame)
         p = self.params
 
         lookahead = min(max(LOOKAHEAD_GAIN * state.vx, MIN_LOOKAHEAD), MAX_LOOKAHEAD)
@@ -118,8 +115,8 @@ class _LineTrace:
         self.alpha = [0.5]
 
     def record(self, step, env, action, result):
-        self.progress.append(result.info.progress)
-        self.alpha.append(min(max(0.5 + result.info.track_pos / 2.0, 0.0), 1.0))
+        self.progress.append(env.lap_progress)
+        self.alpha.append(min(max(0.5 + env.axis_frame.track_pos / 2.0, 0.0), 1.0))
 
 
 def record_reference_line(track, params=None):

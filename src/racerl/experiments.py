@@ -37,6 +37,12 @@ from .simulator import CarParams, EnvSettings, RacingEnv, _fmt
 REFERENCE_MODES = ("mot", "rc", "rc-lac")
 
 
+def _check_seed(seed, name="seed"):
+    """Raise ValueError unless seed is a non-negative int (a bool is not)."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
+
+
 def write_json(path, data):
     """Write data as indented JSON with sorted keys and a final newline."""
     with open(path, "w") as fh:
@@ -65,6 +71,8 @@ class TrainSettings:
                      "updates_per_step"):
             if getattr(self, name) < 1:
                 raise ValueError(f"train.{name} must be at least 1, got {getattr(self, name)}")
+        if self.warmup_steps < 0:
+            raise ValueError(f"train.warmup_steps must be non-negative, got {self.warmup_steps}")
 
 
 @dataclass
@@ -101,7 +109,10 @@ class ExperimentConfig:
             raise ValueError("rc / rc-lac reference modes require a racing-line file")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for i, seed in enumerate(self.seeds):
+            _check_seed(seed, f"seeds[{i}]")
         self.env.validate()
+        self.agent.validate()
         self.train.validate()
 
     @property
@@ -243,6 +254,7 @@ def train_run(config, seed, run_dir=None):
     """One full training run: exploration-annealed episodes, periodic
     deterministic evaluation, checkpointing, and CSV metrics."""
     config.validate()
+    _check_seed(seed)
     run_dir = run_dir if run_dir is not None else run_dir_for(config, seed)
     ckpt_dir = os.path.join(run_dir, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
@@ -442,13 +454,17 @@ def tournament(config, variants=None, phase2_track="technical", report_path=None
     Phase 1 trains every variant on the configured (simple) track with the
     MOT reference and builds the leaderboard; per-family winners (by aLT)
     are then promoted to the technical track, trained with both MOT and a
-    recorded racing line.
+    recorded racing line. The variants and the phase-2 track are checked
+    before anything trains.
     """
     variants = variants if variants is not None else sorted(VARIANTS)
+    if phase2_track and not tracks.is_track(phase2_track):
+        raise ValueError(f"tournament phase2_track must be one of {list(tracks.TRACK_NAMES)}, "
+                         f"got {phase2_track!r}")
+    configs = [dataclasses.replace(config, variant=variant) for variant in variants]
     run_dirs = []
     summaries = []
-    for variant in variants:
-        cfg = dataclasses.replace(config, variant=variant)
+    for cfg in configs:
         for seed in config.seeds:
             result = train_run(cfg, seed)
             run_dirs.append(result.run_dir)
@@ -585,6 +601,8 @@ def ablation_at(config, seeds=None, final_window=20):
     seeds = list(seeds) if seeds is not None else list(config.seeds)
     if not seeds:
         raise ValueError("need at least one seed")
+    for i, seed in enumerate(seeds):
+        _check_seed(seed, f"seeds[{i}]")
     out_dir = os.path.join(config.output_dir, "ablation_at")
     os.makedirs(out_dir, exist_ok=True)
 

@@ -1,8 +1,7 @@
 """Transition storage and sampling: a uniform ring buffer of field arrays,
 prioritized replay with a sum tree, and batched window and n-step views.
 
-Minibatches are used unweighted (no importance-sampling correction), with an
-optional switch for standard IS weights kept for ablations.
+Minibatches are used unweighted: there is no importance-sampling correction.
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ class Transition:
 class SampleBatch:
     slots: list
     serials: list
-    probabilities: np.ndarray | None = None
-    is_weights: np.ndarray | None = None
 
     def __len__(self):
         return len(self.slots)
@@ -177,16 +174,10 @@ class PERConfig:
     alpha: float = 0.7
     lam3: float = 0.1       # weight of the actor-gradient term in the priority
     epsilon: float = 1e-3   # priority floor
-    # minibatches are used unweighted by default; the standard correction
-    # w_i = (N * P(i))^-beta (normalized by its max) can be switched on
-    is_weights: bool = False
-    beta: float = 1.0
 
     def __post_init__(self):
         if self.alpha < 0 or self.epsilon <= 0 or self.lam3 < 0:
             raise ValueError("need alpha >= 0, epsilon > 0, lam3 >= 0")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must be in [0, 1]")
 
 
 def priority_from(delta, grad_sq, config):
@@ -259,7 +250,7 @@ class PrioritizedReplayBuffer(ReplayBuffer):
         self.tree.update(slot, self.max_raw_priority ** self.config.alpha)
 
     def sample(self, batch_size, rng):
-        """Stratified prioritized sample; also reports each P(i)."""
+        """Stratified prioritized sample."""
         if self.size == 0:
             raise NotReadyError("buffer is empty")
         total = self.tree.total
@@ -269,17 +260,7 @@ class PrioritizedReplayBuffer(ReplayBuffer):
         for k in range(batch_size):
             u = rng.uniform(k * segment, (k + 1) * segment)
             slots.append(min(self.tree.find(u), self.size - 1))
-        probs = np.array([self.tree.get(s) / total for s in slots])
-        weights = None
-        if self.config.is_weights:
-            w = (self.size * probs) ** -self.config.beta
-            weights = w / w.max()
-        return SampleBatch(
-            slots=slots,
-            serials=self.serial[slots].tolist(),
-            probabilities=probs,
-            is_weights=weights,
-        )
+        return SampleBatch(slots=slots, serials=self.serial[slots].tolist())
 
     def update_priority(self, slot, serial, delta, grad_sq=0.0):
         """Set the slot's priority from its TD error and actor-gradient norm.

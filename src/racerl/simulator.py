@@ -159,10 +159,6 @@ class CarState:
     yaw_rate: float = 0.0
     damage: float = 0.0
 
-    def copy(self):
-        return CarState(self.position.copy(), self.heading, self.vx, self.vy,
-                        self.yaw_rate, self.damage)
-
 
 # observation scaling constants: each feature lands roughly in [-1, 1]
 ANGLE_SCALE = math.pi
@@ -228,17 +224,15 @@ def progress_reward(vx, theta, track_pos, damage_increment=0.0,
     return vx * (math.cos(theta) - sin_term - abs(track_pos)) - damage_weight * damage_increment
 
 
-def make_observation(state, track, reference, lac_enabled, params, axis_frame=None):
+def make_observation(state, track, reference, lac_enabled, params, axis_frame):
     """Assemble the Table-style telemetry for a car state.
 
     theta/trackPos come from the configured reference line; rangefinders
     from the physical borders; wheel speeds are vx / wheel_radius with no
     per-wheel slip; vz is always 0. axis_frame is the state's track-axis
-    frame when the caller already has it. The rangefinders are cast on the
-    first read of the observation's track, from a copy of this call's pose.
+    frame. The rangefinders are cast on the first read of the observation's
+    track, from a copy of this call's pose.
     """
-    if axis_frame is None:
-        axis_frame = track.frame(state.position, state.heading)
     if reference.world is track.centerline:
         ref_frame = reference.frame_from_axis(axis_frame)
     else:
@@ -298,24 +292,20 @@ class TerminationTracker:
 
 
 @dataclass
-class StepInfo:
-    damage_increment: float = 0.0
-    progress: float = 0.0
-    track_pos: float = 0.0
-
-
-@dataclass
 class StepResult:
     observation: Observation
     reward: float
     termination: Termination | None
-    info: StepInfo
+    damage_increment: float
 
 
 class RacingEnv:
-    """Single-car environment over a track with a telemetry reference line,
-    owning the episode record: lap_times, episode_return and termination.
-    reset() binds a new lap_times list; a list handed out earlier keeps its laps."""
+    """Single-car environment over a track with a telemetry reference line.
+
+    It owns the current pose's track-axis frame (axis_frame) and lap
+    progress, and the episode record: lap_times, episode_return and
+    termination. reset() binds a new lap_times list; a list handed out
+    earlier keeps its laps."""
 
     def __init__(self, track, reference=None, lac_enabled=False, params=None,
                  settings=None):
@@ -348,15 +338,16 @@ class RacingEnv:
         self.lap_times = []
         self.episode_return = 0.0
         self.termination = None
-        return self.observe(self.axis_frame)
+        return self.observe()
 
     @property
     def done(self):
         return self.termination is not None
 
-    def observe(self, axis_frame=None):
+    def observe(self):
+        """The current pose's observation, from axis_frame (reset and step set it)."""
         return make_observation(self.state, self.track, self.reference,
-                                self.lac_enabled, self.params, axis_frame)
+                                self.lac_enabled, self.params, self.axis_frame)
 
     def step(self, action):
         """Advance one 200 ms agent step. Returns a StepResult."""
@@ -382,7 +373,7 @@ class RacingEnv:
         # the wall response changes only the velocity, so the last substep's
         # frame is still the frame of the current pose
         self.axis_frame = track_frame
-        obs = self.observe(track_frame)
+        obs = self.observe()
         reward = progress_reward(
             obs.vx, obs.angle, obs.track_pos, damage_increment,
             damage_weight=settings.damage_weight, literal_sin=settings.literal_sin,
@@ -393,12 +384,8 @@ class RacingEnv:
         if penalty is not None:
             reward = penalty
         self.episode_return += reward
-        info = StepInfo(
-            damage_increment=damage_increment,
-            progress=self.lap_progress,
-            track_pos=track_frame.track_pos,
-        )
-        return StepResult(observation=obs, reward=reward, termination=self.termination, info=info)
+        return StepResult(observation=obs, reward=reward, termination=self.termination,
+                          damage_increment=damage_increment)
 
     # --- dynamics ---------------------------------------------------------
 

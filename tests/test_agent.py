@@ -19,7 +19,7 @@ from racerl.agent import (
     td_target,
 )
 from racerl.replay import TERMINATION_CODES as CODE
-from racerl.replay import PERConfig, SampleBatch, Transition
+from racerl.replay import SampleBatch, Transition
 from racerl.simulator import Termination
 from oracles import (
     ArrayAdam,
@@ -434,11 +434,23 @@ def test_train_step_per_feeds_priorities_back():
     assert agent.buffer.tree.consistency_error() < 1e-9
 
 
-def test_per_variant_keeps_is_weight_settings():
-    cfg = AgentConfig(variant="PER40k", per=PERConfig(is_weights=True, beta=0.5))
-    assert (cfg.capacity, cfg.per.is_weights, cfg.per.beta) == (40_000, True, 0.5)
-    buffer = DDPGAgent(cfg).buffer
-    assert (buffer.capacity, buffer.config.is_weights, buffer.config.beta) == (40_000, True, 0.5)
+def test_load_drops_an_off_is_weight_switch_and_refuses_an_on_one(tmp_path):
+    agent = DDPGAgent(tiny_config("PER40k"), seed=3)
+    agent.save(tmp_path / "agent.npz")
+    meta, arrays = nn.load_arrays(tmp_path / "agent.npz")
+    assert not {"is_weights", "beta"} & set(meta["config"]["per"])
+    # the older layout: the switch stored off, next to its beta
+    meta["config"]["per"].update(is_weights=False, beta=0.5)
+    nn.save_arrays(tmp_path / "older.npz", meta, arrays)
+    loaded = DDPGAgent.load(tmp_path / "older.npz")
+    assert loaded.config == agent.config
+    for net in ("actor", "critic", "target_actor", "target_critic"):
+        assert getattr(loaded, net).flat.tobytes() == getattr(agent, net).flat.tobytes()
+    # trained on weighted minibatches, which no update makes any more
+    meta["config"]["per"]["is_weights"] = True
+    nn.save_arrays(tmp_path / "weighted.npz", meta, arrays)
+    with pytest.raises(ValueError, match=re.escape("'per.is_weights' is true")):
+        DDPGAgent.load(tmp_path / "weighted.npz")
 
 
 def test_variant_table_invariants():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shlex
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ import pytest
 
 from racerl import experiments as ex
 from racerl import plotting, tracks
+from racerl.agent import AgentConfig
 from racerl.bot import BaselineBot, bot_lap_time, drive_bot, record_reference_line
 from racerl.cli import build_parser
 from racerl.cli import main as cli_main
@@ -40,7 +42,7 @@ def tiny_config(tmp_path, **kw):
 def test_bot_on_straight_accelerates(oval):
     bot = BaselineBot(oval)
     state = CarState(position=oval.centerline.point_at(30.0).copy(), heading=0.0, vx=10.0)
-    action = bot.act(state)
+    action = bot.act(state, oval.frame(state.position, state.heading))
     assert action.throttle > 0.0
     assert action.brake == 0.0
 
@@ -51,7 +53,7 @@ def test_bot_brakes_above_corner_speed():
     bot = BaselineBot(track)
     # place the car just before the first hairpin (straight ends at delta=200)
     state = CarState(position=track.centerline.point_at(150.0).copy(), heading=0.0, vx=40.0)
-    action = bot.act(state)
+    action = bot.act(state, track.frame(state.position, state.heading))
     assert action.brake > 0.0
     assert action.throttle == 0.0
 
@@ -249,6 +251,52 @@ def test_config_load_rejects_non_finite_or_negative_values(text, field):
     # json accepts the NaN and Infinity literals
     with pytest.raises(ValueError, match=rf"{field} must be"):
         from_dict(ex.ExperimentConfig, json.loads(text))
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"agent": {"tau": 2.0}}', "agent.tau must be in [0, 1], got 2.0"),
+    ('{"agent": {"gamma": NaN}}', "agent.gamma must be in [0, 1], got nan"),
+    ('{"agent": {"batch_size": 0}}', "agent.batch_size must be at least 1, got 0"),
+    ('{"agent": {"hidden": 0}}', "agent.hidden must be at least 1, got 0"),
+    ('{"agent": {"actor_lr": -1}}', "agent.actor_lr must be finite and positive, got -1"),
+    ('{"agent": {"critic_lr": Infinity}}', "agent.critic_lr must be finite and positive"),
+    ('{"exploration": {"horizon": 0}}', "exploration.horizon must be at least 1, got 0"),
+    ('{"exploration": {"burst_prob": NaN}}', "exploration.burst_prob must be in [0, 1]"),
+    ('{"exploration": {"steer": {"sigma": -1}}}',
+     "exploration.steer.sigma must be non-negative, got -1"),
+    ('{"exploration": {"brake": {"mu": Infinity}}}', "exploration.brake.mu must be finite"),
+    ('{"train": {"warmup_steps": -5}}', "train.warmup_steps must be non-negative, got -5"),
+    ('{"seeds": [0, -1]}', "seeds[1] must be a non-negative integer, got -1"),
+    ('{"seeds": [true]}', "seeds[0] must be a non-negative integer, got True"),
+    ('{"seeds": [1.5]}', "seeds[0] must be a non-negative integer, got 1.5"),
+])
+def test_agent_exploration_and_seed_settings_fail_at_load(tmp_path, monkeypatch, text,
+                                                          message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        from_dict(ex.ExperimentConfig, json.loads(text))
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cli_main(["train", "--config", str(path)])
+    assert not os.path.exists(tmp_path / "runs")  # failed before writing the run
+
+
+def test_agent_settings_and_seeds_set_in_code_fail_before_writing(tmp_path, monkeypatch):
+    with pytest.raises(ValueError, match=re.escape("agent.tau must be in [0, 1], got 2.0")):
+        AgentConfig(tau=2.0)
+    cfg = tiny_config(tmp_path)
+    cfg.agent.batch_size = 0
+    with pytest.raises(ValueError, match=re.escape("agent.batch_size must be at least 1")):
+        ex.train_run(cfg, 0)
+    for seed in (-1, True, 1.0):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, "
+                                                       f"got {seed!r}")):
+            ex.train_run(tiny_config(tmp_path), seed)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        cli_main(["train", "--seed", "-1"])
+    assert not os.path.exists(tmp_path / "runs")  # failed before writing the run
 
 
 def test_config_loads_printed_defaults_and_ints_for_floats(capsys):
@@ -541,6 +589,18 @@ def test_tournament_tiny(tmp_path):
     assert os.path.exists(tmp_path / "report.json")
     doc = json.load(open(tmp_path / "report.json"))
     assert "phase1" in doc and "winners" in doc
+
+
+@pytest.mark.parametrize("kw,message", [
+    ({"variants": ["WIN1", "WIN9"]}, "config variant must be one of .*, got 'WIN9'"),
+    ({"phase2_track": "nosuch"}, "tournament phase2_track must be one of .*, got 'nosuch'"),
+])
+def test_tournament_checks_its_arguments_before_training(tmp_path, monkeypatch, kw, message):
+    calls = []
+    monkeypatch.setattr(ex, "train_run", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        ex.tournament(tiny_config(tmp_path), **kw)
+    assert calls == []
 
 
 # --- AT ablation ------------------------------------------------------------------------------

@@ -220,31 +220,6 @@ def test_per_new_transition_gets_max_priority():
     assert buf.tree.get(1) >= buf.tree.get(0)
 
 
-def test_per_probabilities_reported():
-    buf = PrioritizedReplayBuffer(4, PERConfig(alpha=1.0))
-    for i in range(4):
-        buf.push(make_transition(i))
-    batch = buf.sample(4, np.random.default_rng(0))
-    npt.assert_allclose(batch.probabilities, np.full(4, 0.25))
-    assert batch.is_weights is None  # unweighted by default
-
-
-def test_per_is_weight_switch():
-    buf = PrioritizedReplayBuffer(4, PERConfig(alpha=1.0, is_weights=True))
-    for i in range(4):
-        buf.push(make_transition(i))
-    # uniform priorities: every correction weight is exactly 1
-    batch = buf.sample(4, np.random.default_rng(0))
-    npt.assert_allclose(batch.is_weights, np.ones(4))
-    # skew one priority: the rare item gets the max weight of 1
-    buf.update_priority(0, buf.get(0).serial, delta=3.0, grad_sq=0.0)
-    batch = buf.sample(64, np.random.default_rng(1))
-    assert np.max(batch.is_weights) <= 1.0 + 1e-12
-    for slot, w in zip(batch.slots, batch.is_weights):
-        if slot != 0:
-            assert w == np.max(batch.is_weights)
-
-
 # --- window assembly --------------------------------------------------------------
 
 

@@ -172,7 +172,8 @@ def test_telemetry_wheel_speeds_v_over_r(oval):
     params = CarParams(wheel_radius=0.33)
     state = CarState(position=oval.centerline.point_at(30.0).copy(), heading=0.0, vx=20.0)
     line = RacingLine.middle_of_track(oval)
-    obs = make_observation(state, oval, line, False, params)
+    obs = make_observation(state, oval, line, False, params,
+                           oval.frame(state.position, state.heading))
     npt.assert_allclose(obs.wheel_speeds, np.full(4, 20.0 / 0.33), rtol=1e-12)
     assert obs.wheel_speeds[0] == pytest.approx(60.606, abs=1e-3)
 
@@ -336,8 +337,8 @@ def test_damage_monotone_and_episode_ends_out_of_track(oval):
     term = None
     for _ in range(300):
         res = env.step(Action(steer=1.0, throttle=1.0))
-        assert res.info.damage_increment >= 0.0
-        total += res.info.damage_increment
+        assert res.damage_increment >= 0.0
+        total += res.damage_increment
         assert env.state.damage == pytest.approx(total)
         if res.termination:
             term = res.termination
@@ -361,7 +362,7 @@ def wall_trace(name, episodes=100):
         while True:
             res = env.step(Action(steer=steer, throttle=rng.uniform(0.0, 1.0)))
             s = env.state
-            contacts += res.info.damage_increment > 0.0
+            contacts += res.damage_increment > 0.0
             trace.append((s.position.tolist(), s.heading, s.vx, s.vy, s.damage,
                           res.observation.vector().tolist()))
             if res.termination:
@@ -388,7 +389,7 @@ def test_lap_accounting_straight_line_progress(oval):
     progressed = 0.0
     for _ in range(25):
         res = env.step(Action(throttle=1.0))
-        progressed = res.info.progress
+        progressed = env.lap_progress
     assert progressed > 60.0  # moving forward along delta while spinning up
 
 
@@ -410,7 +411,7 @@ def drive_and_tally(env, policy):
     while termination is None:
         result = env.step(policy())
         total += result.reward
-        if result.info.progress >= (len(lap_ends) + 1) * env.track.length:
+        if env.lap_progress >= (len(lap_ends) + 1) * env.track.length:
             lap_ends.append(env.time)
         termination = result.termination
     return total, lap_ends, termination
@@ -514,7 +515,7 @@ def bot_lap_trace(name, own_reference=False):
     bot = BaselineBot(track)
     trace = []
     while True:
-        res = env.step(bot.act(env.state))
+        res = env.step(bot.act(env.state, env.axis_frame))
         s = env.state
         trace.append((s.position.tolist(), s.heading, s.vx, s.vy, s.damage,
                       res.observation.vector().tolist()))
