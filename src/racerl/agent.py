@@ -351,14 +351,6 @@ class DDPGAgent:
             q, cache = self.critic.forward(s_win.reshape(len(actions), -1), actions)
         return q, cache
 
-    def _critic_action_grad(self, cache, gq):
-        """Backward through the critic; returns (param grads, grad wrt current action)."""
-        if self.config.lstm:
-            grads, _, ga_win = self.critic.backward(cache, gq)
-            return grads, ga_win[:, -1, :]
-        grads, _, ga = self.critic.backward(cache, gq)
-        return grads, ga
-
     def train_step(self):
         """One sampled update of critic and actor plus target soft updates."""
         c = self.config
@@ -379,11 +371,11 @@ class DDPGAgent:
                 "non-finite critic loss; minibatch serials "
                 f"{batch.serials}, targets {np.array2string(y, precision=3)}"
             )
-        grads, _ = self._critic_action_grad(cache, (2.0 / n) * (q - y))
+        grads, _ = self.critic.backward(cache, (2.0 / n) * (q - y))
         # per-sample grad_a Q at the stored actions, before the weights move
         grad_sq = None
         if c.buffer_kind == "per":
-            _, ga_stored = self._critic_action_grad(cache, np.ones(n))
+            ga_stored = self.critic.action_grad(cache, np.ones(n))
             grad_sq = np.einsum("ij,ij->i", ga_stored, ga_stored)
         self.critic_opt.step(self.critic.flat, grads)
 
@@ -391,7 +383,7 @@ class DDPGAgent:
         a_pred, actor_cache = self.actor.forward(s_flat)
         q_pred, cache_pred = self._critic_eval(s_win, a_win, a_pred)
         actor_objective = float(np.mean(q_pred))
-        _, ga = self._critic_action_grad(cache_pred, np.full(n, 1.0 / n))
+        ga = self.critic.action_grad(cache_pred, np.full(n, 1.0 / n))
         actor_grads, _ = self.actor.backward(actor_cache, -ga)
         self.actor_opt.step(self.actor.flat, actor_grads)
 

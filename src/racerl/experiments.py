@@ -73,6 +73,10 @@ class TrainSettings:
                 raise ValueError(f"train.{name} must be at least 1, got {getattr(self, name)}")
         if self.warmup_steps < 0:
             raise ValueError(f"train.warmup_steps must be non-negative, got {self.warmup_steps}")
+        target = self.success_lap_time
+        if target is not None and not (math.isfinite(target) and target > 0):
+            raise ValueError(f"train.success_lap_time must be None or finite and positive, "
+                             f"got {target}")
 
 
 @dataclass
@@ -139,7 +143,11 @@ def build_reference(config, track):
     """Reference line per the configured mode (None lines mean MOT)."""
     if config.reference == "mot":
         return RacingLine.middle_of_track(track)
-    return load_racing_line(config.racing_line_file, track)
+    try:
+        return load_racing_line(config.racing_line_file, track)
+    except FileNotFoundError as err:
+        raise FileNotFoundError(
+            f"racing_line_file {config.racing_line_file!r} not found") from err
 
 
 def make_env(config, track=None, reference=None, max_steps=None):
@@ -256,13 +264,7 @@ def train_run(config, seed, run_dir=None):
     config.validate()
     _check_seed(seed)
     run_dir = run_dir if run_dir is not None else run_dir_for(config, seed)
-    ckpt_dir = os.path.join(run_dir, "checkpoints")
-    os.makedirs(ckpt_dir, exist_ok=True)
-    config.save(os.path.join(run_dir, "config.json"))
-    write_json(os.path.join(run_dir, "runinfo.json"),
-               {"version": f"racerl-{__version__}", "seed": seed, "variant": config.variant,
-                "track": config.track, "reference": config.reference})
-
+    # everything that can fail on the config is built before anything is written
     track = tracks.get_track(config.track)
     reference = build_reference(config, track)
     env = make_env(config, track=track, reference=reference)
@@ -270,6 +272,13 @@ def train_run(config, seed, run_dir=None):
     agent = make_agent(config, seed)
     window = ObservationWindow(agent.config.window, agent.config.obs_dim)
     t = config.train
+
+    ckpt_dir = os.path.join(run_dir, "checkpoints")
+    os.makedirs(ckpt_dir, exist_ok=True)
+    config.save(os.path.join(run_dir, "config.json"))
+    write_json(os.path.join(run_dir, "runinfo.json"),
+               {"version": f"racerl-{__version__}", "seed": seed, "variant": config.variant,
+                "track": config.track, "reference": config.reference})
 
     checkpoints = []
     failed = False

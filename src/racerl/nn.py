@@ -64,6 +64,14 @@ def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def sigmoid_(z):
+    """sigmoid(z) written over z, with the bits of ``sigmoid``."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
+
+
 class Dense:
     """One affine layer with an elementwise activation.
 
@@ -103,15 +111,21 @@ class Dense:
         return y, (x, z, y)
 
     def backward(self, cache, gy):
-        x, z, y = cache
+        gz = self.pre_activation_grad(cache, gy)
+        return self.param_grads(cache[0], gz), gz @ self.weight
+
+    def pre_activation_grad(self, cache, gy):
+        """Gradient wrt z = x @ weight.T + bias, from the output's gradient gy."""
+        _, z, y = cache
         gy = np.asarray(gy, dtype=np.float64)
         if gy.shape != z.shape:
             raise ShapeError(f"output gradient shape {gy.shape} != {z.shape}")
-        gz = gy * _activate_grad(z, y, self.activation)
-        gw = gz.T @ x
-        gb = gz.sum(axis=0)
-        gx = gz @ self.weight
-        return (gw, gb), gx
+        return gy * _activate_grad(z, y, self.activation)
+
+    @staticmethod
+    def param_grads(x, gz):
+        """(weight, bias) gradients from the input x and the gradient gz wrt z."""
+        return gz.T @ x, gz.sum(axis=0)
 
     def parameters(self):
         return [getattr(self, name) for name in self.PARAMS]
@@ -190,50 +204,44 @@ class LstmCell:
 
     def step(self, x, state):
         """One recurrence step. Returns (h_new, (h_new, c_new), cache)."""
-        h_prev, c_prev = state
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"lstm step expects (batch, {self.in_dim}), got {x.shape}")
+        return self.advance(x, x @ self.wx.T, state)
+
+    def advance(self, x, xw, state):
+        """``step`` from x's projection xw = x @ wx.T, which it overwrites
+        with the step's gates: lstm_unroll projects a whole window in one
+        product, and that one array then holds the window's gates. (Freed
+        after the unroll instead, that block left a hole in the heap that
+        glibc trimmed and faulted back in on LSTM8 updates.)"""
+        h_prev, c_prev = state
         hd = self.hidden_dim
-        z = x @ self.wx.T + h_prev @ self.wh.T + self.bias
-        i = sigmoid(z[:, 0 * hd:1 * hd])
-        f = sigmoid(z[:, 1 * hd:2 * hd])
-        o = sigmoid(z[:, 2 * hd:3 * hd])
-        g = np.tanh(z[:, 3 * hd:4 * hd])
+        z = xw
+        z += h_prev @ self.wh.T  # z = (xw + h_prev @ wh.T) + bias, in this order
+        z += self.bias
+        ifo = sigmoid_(z[:, :3 * hd])  # the input, forget and output gates side by side
+        i, f, o = ifo[:, :hd], ifo[:, hd:2 * hd], ifo[:, 2 * hd:]
+        g = np.tanh(z[:, 3 * hd:], out=z[:, 3 * hd:])
         c_new = f * c_prev + i * g
         tc = np.tanh(c_new)
         h_new = o * tc
-        cache = (x, h_prev, c_prev, i, f, o, g, tc)
+        cache = (x, h_prev, c_prev, ifo, g, tc)
         return h_new, (h_new, c_new), cache
 
-    def step_backward(self, cache, gh, gc):
-        """Backward through one step.
+    def pre_activation_grad(self, cache, gh, gc):
+        """Gradient wrt the stacked gate pre-activations z, plus gc_prev.
 
-        gh, gc are gradients wrt h_new and c_new. Returns the parameter
-        gradients for this step plus (gx, gh_prev, gc_prev).
+        gh, gc are gradients wrt the step's h_new and c_new.
         """
-        x, h_prev, c_prev, i, f, o, g, tc = cache
-        go = gh * tc
+        _, _, c_prev, ifo, g, tc = cache
+        hd = self.hidden_dim
+        i, f, o = ifo[:, :hd], ifo[:, hd:2 * hd], ifo[:, 2 * hd:]
         gc_total = gc + gh * o * (1.0 - tc * tc)
-        gf = gc_total * c_prev
-        gi = gc_total * g
-        gg = gc_total * i
-        gz = np.concatenate(
-            [
-                gi * i * (1.0 - i),
-                gf * f * (1.0 - f),
-                go * o * (1.0 - o),
-                gg * (1.0 - g * g),
-            ],
-            axis=1,
-        )
-        gwx = gz.T @ x
-        gwh = gz.T @ h_prev
-        gb = gz.sum(axis=0)
-        gx = gz @ self.wx
-        gh_prev = gz @ self.wh
-        gc_prev = gc_total * f
-        return (gwx, gwh, gb), gx, gh_prev, gc_prev
+        # d/d(gate) for i, f, o, then through the sigmoids all at once
+        g_ifo = np.concatenate([gc_total * g, gc_total * c_prev, gh * tc], axis=1)
+        gz = np.concatenate([g_ifo * ifo * (1.0 - ifo), gc_total * i * (1.0 - g * g)], axis=1)
+        return gz, gc_total * f
 
     def parameters(self):
         return [getattr(self, name) for name in self.PARAMS]
@@ -242,36 +250,52 @@ class LstmCell:
 def lstm_unroll(cell, xs):
     """Run the cell over xs (batch, steps, in_dim) from a zero state.
 
-    Returns (h_last, caches).
+    Returns (h_last, caches). The window is worked on time-major, each
+    step's rows one contiguous block; xs is copied to that layout unless it
+    is already a transposed view of it. (Batch-major, a step's rows of the
+    projection sit 16 KiB apart for LSTM8 at hidden 64, and the gate math
+    on them ran slower.)
     """
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 3:
-        raise ShapeError(f"lstm_unroll expects (batch, steps, in), got {xs.shape}")
-    state = cell.zero_state(xs.shape[0])
+    if xs.ndim != 3 or xs.shape[2] != cell.in_dim:
+        raise ShapeError(f"lstm_unroll expects (batch, steps, {cell.in_dim}), got {xs.shape}")
+    batch, steps, k = xs.shape
+    xt = xs.transpose(1, 0, 2).reshape(steps * batch, k)
+    # one product projects every step, with the bits of the per-step products
+    xws = (xt @ cell.wx.T).reshape(steps, batch, -1)
+    xt = xt.reshape(steps, batch, k)
+    state = cell.zero_state(batch)
     caches = []
     h = state[0]
-    for t in range(xs.shape[1]):
-        h, state, cache = cell.step(xs[:, t, :], state)
+    for t in range(steps):
+        h, state, cache = cell.advance(xt[t], xws[t], state)
         caches.append(cache)
     return h, caches
 
 
 def lstm_unroll_backward(cell, caches, gh_last):
-    """BPTT over an unrolled window. Returns (cell grads, gxs (batch, steps, in))."""
+    """BPTT over an unrolled window. Returns (cell grads, gxs (batch, steps, in)),
+    gxs a transposed view of a time-major array.
+
+    Weight gradients are summed last step first, one step's product at a
+    time; the gradient into the zero initial state is not formed.
+    """
     gwx = np.zeros_like(cell.wx)
     gwh = np.zeros_like(cell.wh)
     gb = np.zeros_like(cell.bias)
     gh = gh_last
     gc = np.zeros_like(gh_last)
-    gxs = []
-    for cache in reversed(caches):
-        (dwx, dwh, db), gx, gh, gc = cell.step_backward(cache, gh, gc)
-        gwx += dwx
-        gwh += dwh
-        gb += db
-        gxs.append(gx)
-    gxs.reverse()
-    return [gwx, gwh, gb], np.stack(gxs, axis=1)
+    gxs = [None] * len(caches)
+    for t in range(len(caches) - 1, -1, -1):
+        x, h_prev = caches[t][:2]
+        gz, gc = cell.pre_activation_grad(caches[t], gh, gc)
+        gwx += gz.T @ x
+        gwh += gz.T @ h_prev
+        gb += gz.sum(axis=0)
+        gxs[t] = gz @ cell.wx
+        if t:
+            gh = gz @ cell.wh
+    return [gwx, gwh, gb], np.stack(gxs).transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +403,17 @@ class Critic(Network):
         return q[:, 0], (cache_s, caches_t)
 
     def backward(self, cache, gq):
-        """gq is (batch,). Returns (grads, gs, ga)."""
+        """gq is (batch,). Returns (grads, ga); the state's gradient is not formed."""
         cache_s, caches_t = cache
         gt, gu = self.tail.backward(caches_t, gq[:, None])
-        gh = gu[:, : self.state_layer.out_dim]
-        ga = gu[:, self.state_layer.out_dim:]
-        gs_params, gs = self.state_layer.backward(cache_s, gh)
-        return [*gs_params, *gt], gs, ga
+        embed_dim = self.state_layer.out_dim
+        gz = self.state_layer.pre_activation_grad(cache_s, gu[:, :embed_dim])
+        return [*self.state_layer.param_grads(cache_s[0], gz), *gt], gu[:, embed_dim:]
+
+    def action_grad(self, cache, gq):
+        """The ga of ``backward``: the tail's backward alone."""
+        _, caches_t = cache
+        return self.tail.backward(caches_t, gq[:, None])[1][:, self.state_layer.out_dim:]
 
     def __call__(self, s, a):
         return self.forward(s, a)[0]
@@ -421,35 +449,49 @@ class LstmCritic(Network):
             raise ShapeError(f"window shapes {s_win.shape} / {a_win.shape} incompatible")
         if s_win.shape[2] != self.state_dim or a_win.shape[2] != self.action_dim:
             raise ShapeError(f"window features {s_win.shape[2]}/{a_win.shape[2]} mismatch")
-        embeds = []
-        embed_caches = []
-        for t in range(s_win.shape[1]):
-            e, ce = self.state_layer.forward(s_win[:, t, :])
-            embeds.append(e)
-            embed_caches.append(ce)
-        xs = np.concatenate([np.stack(embeds, axis=1), a_win], axis=2)
-        h, step_caches = lstm_unroll(self.cell, xs)
+        batch, w, _ = s_win.shape
+        # time-major, like lstm_unroll: every step's states embedded in one
+        # product, each row with the bits it has alone
+        e, embed_cache = self.state_layer.forward(s_win.transpose(1, 0, 2).reshape(w * batch, -1))
+        xs = np.concatenate([e.reshape(w, batch, -1), a_win.transpose(1, 0, 2)], axis=2)
+        h, step_caches = lstm_unroll(self.cell, xs.transpose(1, 0, 2))
         q, cache_h = self.head.forward(h)
-        return q[:, 0], (embed_caches, step_caches, cache_h)
+        return q[:, 0], (embed_cache, step_caches, cache_h)
 
     def backward(self, cache, gq):
-        """Returns (grads, gs_win, ga_win); grads ordered like parameters()."""
-        embed_caches, step_caches, cache_h = cache
+        """Returns (grads, ga_win); grads ordered like parameters(). The
+        states' gradients are not formed."""
+        embed_cache, step_caches, cache_h = cache
         ghead, gh = self.head.backward(cache_h, gq[:, None])
         cell_grads, gxs = lstm_unroll_backward(self.cell, step_caches, gh)
+        gxs = gxs.transpose(1, 0, 2)  # time-major, like the embedding's cache
+        w, batch, _ = gxs.shape
         embed_dim = self.state_layer.out_dim
+        gz = self.state_layer.pre_activation_grad(
+            embed_cache, gxs[:, :, :embed_dim].reshape(w * batch, embed_dim))
+        s = embed_cache[0]
         gws = np.zeros_like(self.state_layer.weight)
         gbs = np.zeros_like(self.state_layer.bias)
-        gs_list = []
-        # summed last step first, like the cell gradients in lstm_unroll_backward
-        for t in range(len(embed_caches) - 1, -1, -1):
-            (dws, dbs), gs = self.state_layer.backward(embed_caches[t], gxs[:, t, :embed_dim])
+        # per step and summed last step first, like the cell gradients in
+        # lstm_unroll_backward: one product over the window rounds differently
+        for t in range(w - 1, -1, -1):
+            rows = slice(t * batch, (t + 1) * batch)
+            dws, dbs = self.state_layer.param_grads(s[rows], gz[rows])
             gws += dws
             gbs += dbs
-            gs_list.append(gs)
-        gs_list.reverse()
-        grads = [gws, gbs, *cell_grads, *ghead]
-        return grads, np.stack(gs_list, axis=1), gxs[:, :, embed_dim:]
+        return [gws, gbs, *cell_grads, *ghead], gxs[:, :, embed_dim:].transpose(1, 0, 2)
+
+    def action_grad(self, cache, gq):
+        """The last step of ``backward``'s ga_win, dQ/da for the current action.
+
+        That action enters the recurrence at the last step only, so this is
+        the head's backward and the last cell step's, from a zero cell
+        gradient: the first iteration of lstm_unroll_backward.
+        """
+        _, step_caches, cache_h = cache
+        gh = self.head.pre_activation_grad(cache_h, gq[:, None]) @ self.head.weight
+        gz, _ = self.cell.pre_activation_grad(step_caches[-1], gh, np.zeros_like(gh))
+        return (gz @ self.cell.wx)[:, self.state_layer.out_dim:]
 
     def __call__(self, s_win, a_win):
         return self.forward(s_win, a_win)[0]

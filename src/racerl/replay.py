@@ -211,16 +211,17 @@ class SumTree:
             self.nodes[i] = self.nodes[2 * i] + self.nodes[2 * i + 1]
             i //= 2
 
-    def find(self, prefix):
-        """Leaf index whose cumulative-priority interval contains prefix."""
-        i = 1
-        while i < self.leaves:
+    def find(self, prefixes):
+        """Leaf index whose cumulative-priority interval contains each prefix;
+        all prefixes descend the tree together, level by level."""
+        prefix = np.asarray(prefixes, dtype=np.float64)
+        i = np.ones(prefix.shape, dtype=np.int64)
+        for _ in range(self.leaves.bit_length() - 1):
             left = 2 * i
-            if prefix <= self.nodes[left] or self.nodes[left + 1] == 0.0:
-                i = left
-            else:
-                prefix -= self.nodes[left]
-                i = left + 1
+            left_sum = self.nodes[left]
+            go_left = (prefix <= left_sum) | (self.nodes[left + 1] == 0.0)
+            prefix = np.where(go_left, prefix, prefix - left_sum)
+            i = np.where(go_left, left, left + 1)
         return i - self.leaves
 
     def consistency_error(self):
@@ -256,11 +257,12 @@ class PrioritizedReplayBuffer(ReplayBuffer):
         total = self.tree.total
         assert total > 0.0, "epsilon floor keeps priorities positive"
         segment = total / batch_size
-        slots = []
-        for k in range(batch_size):
-            u = rng.uniform(k * segment, (k + 1) * segment)
-            slots.append(min(self.tree.find(u), self.size - 1))
-        return SampleBatch(slots=slots, serials=self.serial[slots].tolist())
+        k = np.arange(batch_size)
+        # one draw per segment, in segment order: the stream of one scalar
+        # uniform call per segment
+        prefixes = rng.uniform(k * segment, (k + 1) * segment)
+        slots = np.minimum(self.tree.find(prefixes), self.size - 1)
+        return SampleBatch(slots=slots.tolist(), serials=self.serial[slots].tolist())
 
     def update_priority(self, slot, serial, delta, grad_sq=0.0):
         """Set the slot's priority from its TD error and actor-gradient norm.

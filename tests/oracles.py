@@ -222,3 +222,28 @@ def scalar_td_target(reward_sum, steps, bootstrap_q, gamma, termination, adopted
         if termination in PREMATURE_TERMINATIONS or not adopted_target:
             return reward_sum
     return reward_sum + (gamma ** steps) * bootstrap_q
+
+
+def scalar_find(tree, prefix):
+    """SumTree.find for one prefix, walking the tree alone."""
+    i = 1
+    while i < tree.leaves:
+        left = 2 * i
+        if prefix <= tree.nodes[left] or tree.nodes[left + 1] == 0.0:
+            i = left
+        else:
+            prefix -= tree.nodes[left]
+            i = left + 1
+    return i - tree.leaves
+
+
+def scalar_per_sample(buffer, batch_size, rng):
+    """PrioritizedReplayBuffer.sample as it was before the batched descent:
+    one scalar uniform draw per segment, each prefix walking the sum tree
+    alone. Returns the slots."""
+    segment = buffer.tree.total / batch_size
+    slots = []
+    for k in range(batch_size):
+        prefix = rng.uniform(k * segment, (k + 1) * segment)
+        slots.append(min(scalar_find(buffer.tree, prefix), buffer.size - 1))
+    return slots

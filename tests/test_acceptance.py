@@ -77,7 +77,7 @@ def test_criterion_1_gradient_correctness():
 
         def fb(critic=critic, s=s, a=a, g=g):
             q, cache = critic.forward(s, a)
-            grads, _, _ = critic.backward(cache, g)
+            grads, _ = critic.backward(cache, g)
             return float(np.sum(g * q)), grads
 
         gradcheck(critic, fb)
@@ -92,7 +92,7 @@ def test_criterion_1_gradient_correctness():
 
         def fb(critic=critic, s=s, a=a, g=g):
             q, cache = critic.forward(s, a)
-            grads, _, _ = critic.backward(cache, g)
+            grads, _ = critic.backward(cache, g)
             return float(np.sum(g * q)), grads
 
         gradcheck(critic, fb)

@@ -299,7 +299,7 @@ def test_train_step_action_gradient_matches_finite_differences():
     s = rng.normal(size=(3, agent.config.obs_dim))
     a = rng.uniform(size=(3, 3))
     q, cache = agent.critic.forward(s, a)
-    _, _, ga = agent.critic.backward(cache, np.ones(3))
+    _, ga = agent.critic.backward(cache, np.ones(3))
     numeric = finite_difference_grad(
         lambda arr: float(np.sum(agent.critic(s, arr))), a.copy()
     )
@@ -555,6 +555,25 @@ def test_lstm_order_sensitivity():
     s_perm[0, [0, 1, 2]] = s[0, [2, 0, 1]]
     q_perm = agent.critic(s_perm, a)
     assert q[0] != q_perm[0]
+
+
+@pytest.mark.parametrize("variant", ["LSTM4", "LSTM8"])
+def test_lstm_action_grad_is_the_last_step_of_the_full_backward(variant):
+    # full-size critics on stored windows, a third of them padded at an
+    # episode start, scored at the stored and at freshly chosen actions
+    agent = DDPGAgent(AgentConfig(variant=variant), seed=21)
+    rng = np.random.default_rng(22)
+    fill_buffer(agent, 120, rng, terminal_every=12)
+    slots = rng.integers(0, len(agent.buffer), size=32)
+    slots[::3] = 12 * rng.integers(0, 10, size=len(slots[::3]))  # episode starts
+    s_win, a_win, _ = agent.buffer.assemble_window(slots, agent.config.window)
+    assert (agent.buffer.step[slots] < agent.config.window - 1).any()
+    for last in (a_win[:, -1, :], rng.uniform([-1, 0, 0], [1, 1, 1], size=(32, 3))):
+        full_a = np.concatenate([a_win[:, :-1, :], last[:, None, :]], axis=1)
+        _, cache = agent.critic.forward(s_win, full_a)
+        for gq in (np.ones(32), rng.normal(size=32)):
+            _, ga_win = agent.critic.backward(cache, gq)
+            assert np.array_equal(agent.critic.action_grad(cache, gq), ga_win[:, -1, :])
 
 
 def test_lstm_train_step_runs_and_learns_shape():

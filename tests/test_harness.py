@@ -266,6 +266,10 @@ def test_config_load_rejects_non_finite_or_negative_values(text, field):
      "exploration.steer.sigma must be non-negative, got -1"),
     ('{"exploration": {"brake": {"mu": Infinity}}}', "exploration.brake.mu must be finite"),
     ('{"train": {"warmup_steps": -5}}', "train.warmup_steps must be non-negative, got -5"),
+    ('{"train": {"success_lap_time": -1}}',
+     "train.success_lap_time must be None or finite and positive, got -1"),
+    ('{"train": {"success_lap_time": NaN}}',
+     "train.success_lap_time must be None or finite and positive, got nan"),
     ('{"seeds": [0, -1]}', "seeds[1] must be a non-negative integer, got -1"),
     ('{"seeds": [true]}', "seeds[0] must be a non-negative integer, got True"),
     ('{"seeds": [1.5]}', "seeds[0] must be a non-negative integer, got 1.5"),
@@ -280,6 +284,13 @@ def test_agent_exploration_and_seed_settings_fail_at_load(tmp_path, monkeypatch,
     with pytest.raises(ValueError, match=re.escape(message)):
         cli_main(["train", "--config", str(path)])
     assert not os.path.exists(tmp_path / "runs")  # failed before writing the run
+
+
+def test_missing_racing_line_file_fails_before_writing(tmp_path):
+    cfg = tiny_config(tmp_path, reference="rc", racing_line_file=str(tmp_path / "nosuch.json"))
+    with pytest.raises(FileNotFoundError, match="racing_line_file .*nosuch.json"):
+        ex.train_run(cfg, 0)
+    assert not os.path.exists(tmp_path / "runs")
 
 
 def test_agent_settings_and_seeds_set_in_code_fail_before_writing(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from racerl import nn
 from oracles import check_network_gradients, finite_difference_grad, max_relative_error
+import update_golden
 
 
 def test_forward_affine_identity():
@@ -278,13 +279,13 @@ def test_critic_gradcheck_including_action_input():
     def loss_fn():
         q, cache = critic.forward(s, a)
         loss = float(np.sum(g_out * q))
-        grads, _, _ = critic.backward(cache, g_out)
+        grads, _ = critic.backward(cache, g_out)
         return loss, grads
 
     assert check_network_gradients(critic.parameters(), loss_fn) < 1e-4
 
     _, cache = critic.forward(s, a)
-    _, _, ga = critic.backward(cache, g_out)
+    _, ga = critic.backward(cache, g_out)
     numeric = finite_difference_grad(
         lambda arr: float(np.sum(g_out * critic(s, arr))), a.copy()
     )
@@ -301,17 +302,75 @@ def test_lstm_critic_gradcheck():
     def loss_fn():
         q, cache = critic.forward(s_win, a_win)
         loss = float(np.sum(g_out * q))
-        grads, _, _ = critic.backward(cache, g_out)
+        grads, _ = critic.backward(cache, g_out)
         return loss, grads
 
     assert check_network_gradients(critic.parameters(), loss_fn) < 1e-4
 
     _, cache = critic.forward(s_win, a_win)
-    _, _, ga = critic.backward(cache, g_out)
+    _, ga = critic.backward(cache, g_out)
     numeric = finite_difference_grad(
         lambda arr: float(np.sum(g_out * critic(s_win, arr))), a_win.copy()
     )
     assert max_relative_error(ga, numeric) < 1e-4
+
+
+def test_critic_action_grad_matches_finite_differences():
+    rng = np.random.default_rng(19)
+    critic = nn.build_critic(7, hidden=6, rng=rng)
+    s = rng.normal(size=(4, 7))
+    a = rng.normal(size=(4, 3))
+    g_out = rng.normal(size=4)
+    _, cache = critic.forward(s, a)
+    ga = critic.action_grad(cache, g_out)
+    assert np.array_equal(ga, critic.backward(cache, g_out)[1])
+    numeric = finite_difference_grad(
+        lambda arr: float(np.sum(g_out * critic(s, arr))), a.copy()
+    )
+    assert max_relative_error(ga, numeric) < 1e-4
+
+
+def test_lstm_critic_action_grad_matches_finite_differences():
+    # the gradient wrt the window's last action only
+    rng = np.random.default_rng(23)
+    critic = nn.build_lstm_critic(5, hidden=4, rng=rng)
+    s_win = rng.normal(size=(3, 4, 5))
+    a_win = rng.normal(size=(3, 4, 3))
+    g_out = rng.normal(size=3)
+    _, cache = critic.forward(s_win, a_win)
+
+    def q_at(last):
+        full = a_win.copy()
+        full[:, -1, :] = last
+        return float(np.sum(g_out * critic(s_win, full)))
+
+    numeric = finite_difference_grad(q_at, a_win[:, -1, :].copy())
+    assert max_relative_error(critic.action_grad(cache, g_out), numeric) < 1e-4
+
+
+@pytest.mark.parametrize("window", [4, 8])
+def test_window_products_equal_the_per_step_products_bit_for_bit(window):
+    # LstmCritic embeds every step's states in one product and lstm_unroll
+    # projects every step's input in one; the digests in golden.json hold
+    # only while this BLAS gives each row the bits of the per-step product
+    rng = np.random.default_rng(window)
+    critic = nn.build_lstm_critic(29, hidden=64, rng=rng)
+    s_win = rng.normal(size=(32, window, 29))
+    a_win = rng.uniform(size=(32, window, 3))
+    q, (embed_cache, _, _) = critic.forward(s_win, a_win)
+    embeds = embed_cache[2].reshape(window, 32, -1)
+    state = critic.cell.zero_state(32)
+    differ = []
+    for t in range(window):
+        e = critic.state_layer.forward(s_win[:, t, :])[0]
+        if not np.array_equal(embeds[t], e):
+            differ.append(f"embedding of step {t}")
+        h, state, _ = critic.cell.step(np.concatenate([e, a_win[:, t, :]], axis=1), state)
+    if not np.array_equal(q, critic.head.forward(h)[0][:, 0]):
+        differ.append("q after the unroll")
+    here = update_golden.versions()
+    assert not differ, (f"batched and per-step products differ ({', '.join(differ)}) "
+                        f"with numpy {here['numpy']} and {here['blas']}")
 
 
 @pytest.mark.parametrize("build", [

@@ -19,7 +19,7 @@ from racerl.replay import (
     save_buffer,
 )
 from racerl.simulator import Termination
-from oracles import empirical_frequencies
+from oracles import empirical_frequencies, scalar_find, scalar_per_sample
 
 
 def make_transition(i, episode=0, step=None, termination=None, reward=None):
@@ -167,6 +167,28 @@ def test_update_priority_stale_index_skipped():
 
 
 # --- prioritized sampling ---------------------------------------------------------
+
+
+def test_per_sample_matches_the_scalar_oracle():
+    # the batched draw and descent give the scalar loop's slots and leave
+    # the rng where it left it, on trees with zero leaves past the fill
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        capacity = int(rng.integers(1, 100))
+        buf = PrioritizedReplayBuffer(capacity, PERConfig(alpha=float(rng.uniform(0.0, 1.0))))
+        for i in range(int(rng.integers(1, capacity + 1))):
+            buf.push(make_transition(i))
+        for slot in range(buf.size):
+            if rng.random() < 0.7:
+                buf.update_priority(slot, buf.get(slot).serial, delta=float(rng.normal(0.0, 3.0)),
+                                    grad_sq=float(rng.exponential()))
+        n = int(rng.integers(1, 64))
+        batched, scalar = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
+        assert buf.sample(n, batched).slots == scalar_per_sample(buf, n, scalar)
+        assert batched.bit_generator.state == scalar.bit_generator.state
+        # past the total, a prefix stops at the last leaf with mass
+        prefixes = rng.uniform(0.0, 1.2 * buf.tree.total, size=16)
+        assert buf.tree.find(prefixes).tolist() == [scalar_find(buf.tree, p) for p in prefixes]
 
 
 def test_per_distribution_two_items():
