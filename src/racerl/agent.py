@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import nn
-from .config import from_dict
+from .config import Config, from_dict, ranged
 from .replay import (
     CODE_TERMINATIONS,
     DEFAULT_CAPACITY,
@@ -53,9 +53,9 @@ VARIANTS = {
 
 @dataclass(frozen=True)
 class OUParams:
-    theta: float = 0.15   # mean reversion
-    sigma: float = 0.2    # volatility
-    mu: float = 0.0       # long-run mean
+    theta: float = ranged("non-negative", 0.15)   # mean reversion
+    sigma: float = ranged("non-negative", 0.2)    # volatility
+    mu: float = 0.0                               # long-run mean
 
 
 def ou_step(x, params, rng):
@@ -79,28 +79,13 @@ class OUProcess:
 
 
 @dataclass(frozen=True)
-class ExplorationConfig:
-    horizon: int = 100_000      # env steps until eps' reaches 0 (linear anneal)
-    burst_prob: float = 0.1
+class ExplorationConfig(Config, tree="exploration"):
+    horizon: int = ranged("at least 1", 100_000)  # env steps until eps' reaches 0 (linear anneal)
+    burst_prob: float = ranged("in [0, 1]", 0.1)
     steer: OUParams = OUParams(0.15, 0.3, 0.0)
     throttle: OUParams = OUParams(0.15, 0.2, 0.3)
     brake: OUParams = OUParams(0.15, 0.15, -0.6)
     brake_burst: OUParams = OUParams(0.15, 0.6, 0.6)
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"exploration.horizon must be at least 1, got {self.horizon}")
-        if not 0.0 <= self.burst_prob <= 1.0:
-            raise ValueError(f"exploration.burst_prob must be in [0, 1], got {self.burst_prob}")
-        for name in ("steer", "throttle", "brake", "brake_burst"):
-            ou = getattr(self, name)
-            for f in fields(ou):
-                value = getattr(ou, f.name)
-                if not math.isfinite(value):
-                    raise ValueError(f"exploration.{name}.{f.name} must be finite, got {value}")
-                if f.name != "mu" and value < 0:
-                    raise ValueError(f"exploration.{name}.{f.name} must be non-negative, "
-                                     f"got {value}")
 
 
 class Explorer:
@@ -175,34 +160,16 @@ def td_target(reward_sum, steps, bootstrap_q, gamma, termination, adopted_target
 
 
 @dataclass
-class AgentSettings:
+class AgentSettings(Config, tree="agent"):
     """The learner's hyperparameters: an experiment config's ``agent`` tree."""
 
-    gamma: float = 0.99
-    tau: float = 1e-3
-    batch_size: int = 32
-    actor_lr: float = 1e-4
-    critic_lr: float = 1e-3
-    hidden: int = 64
+    gamma: float = ranged("in [0, 1]", 0.99)
+    tau: float = ranged("in [0, 1]", 1e-3)
+    batch_size: int = ranged("at least 1", 32)
+    actor_lr: float = ranged("finite and positive", 1e-4)
+    critic_lr: float = ranged("finite and positive", 1e-3)
+    hidden: int = ranged("at least 1", 64)
     adopted_target: bool = True
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        """Raise ValueError naming the first out-of-range field (train_run
-        checks again: a field assigned after construction skips this)."""
-        for name in ("gamma", "tau"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"agent.{name} must be in [0, 1], got {value}")
-        for name in ("actor_lr", "critic_lr"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"agent.{name} must be finite and positive, got {value}")
-        for name in ("batch_size", "hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"agent.{name} must be at least 1, got {getattr(self, name)}")
 
 
 def _variant_trait(name):
@@ -229,7 +196,7 @@ class AgentConfig(AgentSettings):
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise KeyError(f"unknown variant {self.variant!r}; pick one of {sorted(VARIANTS)}")
-        self.validate()
+        super().__post_init__()
 
     @property
     def obs_dim(self):

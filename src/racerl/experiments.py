@@ -27,7 +27,7 @@ from .agent import (
     ObservationWindow,
 )
 from .bot import record_reference_line
-from .config import from_dict
+from .config import Config, from_dict, ranged
 from .geometry import RacingLine, load_racing_line, save_racing_line
 from .nn import NumericError
 from .plotting import moving_average, read_csv_columns
@@ -43,6 +43,19 @@ def _check_seed(seed, name="seed"):
         raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
 
 
+def _check_seeds(seeds):
+    """Raise ValueError unless seeds is a non-empty list of distinct seeds:
+    a repeated seed would train the same run into the same directory."""
+    if not seeds:
+        raise ValueError("need at least one seed")
+    first = {}
+    for i, seed in enumerate(seeds):
+        _check_seed(seed, f"seeds[{i}]")
+        if seed in first:
+            raise ValueError(f"seeds[{i}] repeats seeds[{first[seed]}]")
+        first[seed] = i
+
+
 def write_json(path, data):
     """Write data as indented JSON with sorted keys and a final newline."""
     with open(path, "w") as fh:
@@ -50,37 +63,22 @@ def write_json(path, data):
 
 
 @dataclass
-class TrainSettings:
-    episodes: int = 500
-    eval_every: int = 10
-    checkpoint_every: int = 50
-    warmup_steps: int = 1000
-    train_every: int = 1
-    updates_per_step: int = 1          # gradient steps per environment step
+class TrainSettings(Config, tree="train"):
+    episodes: int = ranged("at least 1", 500)
+    eval_every: int = ranged("at least 1", 10)
+    checkpoint_every: int = ranged("at least 1", 50)
+    warmup_steps: int = ranged("non-negative", 1000)
+    train_every: int = ranged("at least 1", 1)
+    updates_per_step: int = ranged("at least 1", 1)  # gradient steps per environment step
     spread_starts: bool = False        # deterministic per-episode start positions
-    stop_on_success: bool = False      # stop once an eval lap completes with 0 damage
-    success_lap_time: float | None = None  # and, when set, beats this lap time
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        """Raise ValueError naming the first out-of-range field (train_run
-        checks again: a field assigned after construction skips this)."""
-        for name in ("episodes", "eval_every", "checkpoint_every", "train_every",
-                     "updates_per_step"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"train.{name} must be at least 1, got {getattr(self, name)}")
-        if self.warmup_steps < 0:
-            raise ValueError(f"train.warmup_steps must be non-negative, got {self.warmup_steps}")
-        target = self.success_lap_time
-        if target is not None and not (math.isfinite(target) and target > 0):
-            raise ValueError(f"train.success_lap_time must be None or finite and positive, "
-                             f"got {target}")
+    # stop once an eval lap completes with 0 damage and, when success_lap_time
+    # is set, beats that lap time
+    stop_on_success: bool = False
+    success_lap_time: float | None = ranged("None or finite and positive", None)
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(Config):
     """Declarative description of one training experiment."""
 
     track: str = "oval"
@@ -95,12 +93,9 @@ class ExperimentConfig:
     car: CarParams = field(default_factory=CarParams)
     exploration: ExplorationConfig = field(default_factory=ExplorationConfig)
 
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        """Raise ValueError naming the first bad field (train_run checks
-        again: a field assigned after construction skips this)."""
+    def validate(self, path=None):
+        """Raise ValueError naming the first bad field: the memberships and
+        seeds here, then every tree's declared ranges."""
         if self.variant not in VARIANTS:
             raise ValueError(f"config variant must be one of {sorted(VARIANTS)}, "
                              f"got {self.variant!r}")
@@ -111,13 +106,8 @@ class ExperimentConfig:
             raise ValueError(f"reference must be one of {REFERENCE_MODES}")
         if self.reference != "mot" and not self.racing_line_file:
             raise ValueError("rc / rc-lac reference modes require a racing-line file")
-        if not self.seeds:
-            raise ValueError("need at least one seed")
-        for i, seed in enumerate(self.seeds):
-            _check_seed(seed, f"seeds[{i}]")
-        self.env.validate()
-        self.agent.validate()
-        self.train.validate()
+        _check_seeds(self.seeds)
+        super().validate(path)
 
     @property
     def lac_enabled(self):
@@ -608,10 +598,7 @@ def ablation_at(config, seeds=None, final_window=20):
     episodes under the config's output_dir/ablation_at.
     """
     seeds = list(seeds) if seeds is not None else list(config.seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    for i, seed in enumerate(seeds):
-        _check_seed(seed, f"seeds[{i}]")
+    _check_seeds(seeds)
     out_dir = os.path.join(config.output_dir, "ablation_at")
     os.makedirs(out_dir, exist_ok=True)
 

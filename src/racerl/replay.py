@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Config, ranged
 from .nn import save_arrays, load_arrays
 from .simulator import Termination
 
@@ -170,14 +171,10 @@ class ReplayBuffer:
 
 
 @dataclass
-class PERConfig:
-    alpha: float = 0.7
-    lam3: float = 0.1       # weight of the actor-gradient term in the priority
-    epsilon: float = 1e-3   # priority floor
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.epsilon <= 0 or self.lam3 < 0:
-            raise ValueError("need alpha >= 0, epsilon > 0, lam3 >= 0")
+class PERConfig(Config, tree="per"):
+    alpha: float = ranged("non-negative", 0.7)
+    lam3: float = ranged("non-negative", 0.1)  # weight of the actor-gradient term in the priority
+    epsilon: float = ranged("finite and positive", 1e-3)  # priority floor
 
 
 def priority_from(delta, grad_sq, config):

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
 
 import numpy as np
 
+from .config import Config, ranged
 from .geometry import RacingLine, wrap_angle
 from .nn import NumericError
 
@@ -56,31 +57,23 @@ def terminal_reward(kind):
 
 
 @dataclass(frozen=True)
-class CarParams:
-    mass: float = 1000.0              # kg
-    mu_grip: float = 1.1
-    downforce_coeff: float = 2.0      # F_a = c * v^2, N/(m/s)^2
-    drag_coeff: float = 2.8           # N/(m/s)^2
-    engine_force: float = 7000.0      # N
-    brake_force: float = 12000.0      # N
-    max_steer: float = 0.45           # rad
-    wheelbase: float = 2.6            # m
-    width: float = 1.8                # m
-    top_speed: float = 50.0           # m/s
-    wheel_radius: float = 0.33        # m
-    rpm_idle: float = 1000.0
-    rpm_per_mps: float = 140.0
+class CarParams(Config, tree="car"):
+    mass: float = ranged("finite and positive", 1000.0)             # kg
+    mu_grip: float = ranged("finite and positive", 1.1)
+    downforce_coeff: float = ranged("non-negative", 2.0)            # F_a = c * v^2, N/(m/s)^2
+    drag_coeff: float = ranged("finite and positive", 2.8)          # N/(m/s)^2
+    engine_force: float = ranged("finite and positive", 7000.0)     # N
+    brake_force: float = ranged("finite and positive", 12000.0)     # N
+    max_steer: float = ranged("finite and positive", 0.45)          # rad
+    wheelbase: float = ranged("finite and positive", 2.6)           # m
+    width: float = ranged("finite and positive", 1.8)               # m
+    top_speed: float = ranged("finite and positive", 50.0)          # m/s
+    wheel_radius: float = ranged("finite and positive", 0.33)       # m
+    rpm_idle: float = ranged("non-negative", 1000.0)
+    rpm_per_mps: float = ranged("non-negative", 140.0)
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"car.{f.name} must be finite, got {value}")
-            if f.name in ("downforce_coeff", "rpm_idle", "rpm_per_mps"):
-                if value < 0:
-                    raise ValueError(f"car.{f.name} must be non-negative, got {value}")
-            elif not value > 0:
-                raise ValueError(f"car.{f.name} must be positive, got {value}")
+    def validate(self, path=None):
+        super().validate(path)
         # declared top speed must be reachable: engine force >= drag there
         if self.engine_force < self.drag_coeff * self.top_speed**2 - 1e-9:
             raise ValueError("engine force cannot sustain the declared top speed")
@@ -96,40 +89,23 @@ class CarParams:
 
 
 @dataclass
-class EnvSettings:
+class EnvSettings(Config, tree="env"):
     """Episode settings of a RacingEnv: time step, reward, start, termination rules."""
 
-    dt: float = 0.2               # agent step, s
-    substeps: int = 10            # integration steps per agent step
-    max_steps: int = 400
-    damage_weight: float = 0.01
-    damage_coeff: float = 1.0
+    dt: float = ranged("finite and positive", 0.2)  # agent step, s
+    substeps: int = ranged("at least 1", 10)        # integration steps per agent step
+    max_steps: int = ranged("at least 1", 400)
+    damage_weight: float = ranged("non-negative", 0.01)
+    damage_coeff: float = ranged("non-negative", 1.0)
     literal_sin: bool = False
-    start_delta: float = 0.0      # start position, m along the track axis
-    start_speed: float = 0.0
-    backwards_steps: int = 5      # consecutive |theta| > pi/2 steps that end the episode
-    slow_window: int = 50         # steps in the slow-progress speed mean
-    slow_speed: float = 2.0       # m/s
-    slow_grace: int = 100         # steps before slow progress can end the episode
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        """Raise ValueError naming the first out-of-range field (RacingEnv
-        checks again: a field assigned after construction skips this)."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"env.{f.name} must be finite, got {value}")
-        if not self.dt > 0:
-            raise ValueError(f"env.dt must be positive, got {self.dt}")
-        for name in ("damage_weight", "damage_coeff", "start_speed", "slow_speed", "slow_grace"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"env.{name} must be non-negative, got {getattr(self, name)}")
-        for name in ("substeps", "max_steps", "backwards_steps", "slow_window"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"env.{name} must be at least 1, got {getattr(self, name)}")
+    start_delta: float = 0.0                        # start position, m along the track axis
+    start_speed: float = ranged("non-negative", 0.0)
+    # consecutive |theta| > pi/2 steps that end the episode
+    backwards_steps: int = ranged("at least 1", 5)
+    slow_window: int = ranged("at least 1", 50)     # steps in the slow-progress speed mean
+    slow_speed: float = ranged("non-negative", 2.0)  # m/s
+    # steps before slow progress can end the episode
+    slow_grace: int = ranged("non-negative", 100)
 
 
 @dataclass

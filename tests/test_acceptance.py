@@ -9,6 +9,7 @@ import dataclasses
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -506,8 +507,8 @@ def test_criterion_12_determinism(tmp_path):
     r1 = ex.train_run(cfg, 7, run_dir=str(tmp_path / "a"))
     r2 = ex.train_run(cfg, 7, run_dir=str(tmp_path / "b"))
     for name in ("metrics.csv", "eval.csv"):
-        b1 = open(os.path.join(r1.run_dir, name), "rb").read()
-        b2 = open(os.path.join(r2.run_dir, name), "rb").read()
+        b1 = Path(os.path.join(r1.run_dir, name)).read_bytes()
+        b2 = Path(os.path.join(r2.run_dir, name)).read_bytes()
         assert b1 == b2, f"{name} differs between same-seed runs"
 
     ckpt = os.path.join(r1.run_dir, "latest.npz")

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import math
 import os
 import re
 import shlex
+import typing
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,8 +18,9 @@ from racerl.agent import AgentConfig
 from racerl.bot import BaselineBot, bot_lap_time, drive_bot, record_reference_line
 from racerl.cli import build_parser
 from racerl.cli import main as cli_main
-from racerl.config import from_dict
+from racerl.config import RULES, from_dict
 from racerl.geometry import Polyline, RacingLine, Track, save_racing_line
+from racerl.replay import PERConfig
 from racerl.simulator import CarParams, CarState, EnvSettings, RacingEnv, TelemetryLogger
 
 
@@ -369,6 +373,77 @@ def test_config_rc_requires_line_file():
         ex.ExperimentConfig(seeds=[])
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"alpha": math.nan}, "per.alpha must be non-negative, got nan"),
+    ({"lam3": math.nan}, "per.lam3 must be non-negative, got nan"),
+    ({"epsilon": math.inf}, "per.epsilon must be finite and positive, got inf"),
+    ({"epsilon": math.nan}, "per.epsilon must be finite and positive, got nan"),
+])
+def test_per_config_rejects_non_finite_values(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PERConfig(**kwargs)
+    with pytest.raises(ValueError, match=re.escape(f"agent.{message}")):
+        from_dict(AgentConfig, {"per": kwargs})  # as a checkpoint's stored config loads
+
+
+def test_repeated_seeds_fail_before_anything_is_written(tmp_path):
+    with pytest.raises(ValueError, match=re.escape("seeds[1] repeats seeds[0]")):
+        ex.ExperimentConfig(seeds=[0, 0])
+    with pytest.raises(ValueError, match=re.escape("seeds[3] repeats seeds[1]")):
+        from_dict(ex.ExperimentConfig, {"seeds": [2, 5, 0, 5]})
+    with pytest.raises(ValueError, match=re.escape("seeds[1] repeats seeds[0]")):
+        ex.ablation_at(tiny_config(tmp_path), seeds=[1, 1])
+    cfg = tiny_config(tmp_path)
+    cfg.seeds = [0, 0]
+    with pytest.raises(ValueError, match=re.escape("seeds[1] repeats seeds[0]")):
+        ex.tournament(cfg, variants=["WIN1"], phase2_track=None)
+    assert not os.path.exists(tmp_path / "runs")
+
+
+# a value that breaks each rule, of a type from_dict accepts for int and float fields
+BREAKS_RULE = {"at least 1": 0, "non-negative": -1, "finite and positive": 0,
+               "in [0, 1]": 2, "None or finite and positive": 0}
+FREE_FIELDS = {"env.start_delta", "exploration.steer.mu", "exploration.throttle.mu",
+               "exploration.brake.mu", "exploration.brake_burst.mu"}
+
+
+def _numeric_fields(cls, path, keys=()):
+    """(dotted path, JSON keys from the root, field, is_float) for every int
+    or float field of the tree cls, which messages name path."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        dotted = f"{path}.{f.name}" if path else f.name
+        kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from _numeric_fields(hints[f.name], dotted, (*keys, f.name))
+        elif int in kinds or float in kinds:
+            yield dotted, (*keys, f.name), f, float in kinds
+
+
+CHECKED_FIELDS = [(root, *found) for root, path in ((ex.ExperimentConfig, ""), (PERConfig, "per"))
+                  for found in _numeric_fields(root, path)]
+
+
+def test_every_numeric_field_declares_a_rule_or_is_free():
+    assert set(BREAKS_RULE) == set(RULES)
+    assert {dotted for _, dotted, _, f, _ in CHECKED_FIELDS
+            if "rule" not in f.metadata} == FREE_FIELDS
+
+
+@pytest.mark.parametrize("root,dotted,keys,f,is_float", CHECKED_FIELDS,
+                         ids=[found[1] for found in CHECKED_FIELDS])
+def test_every_numeric_field_is_checked_at_load(root, dotted, keys, f, is_float):
+    bad = [BREAKS_RULE[f.metadata["rule"]]] if "rule" in f.metadata else []
+    bad += [math.nan] if is_float else []
+    assert bad
+    for value in bad:
+        doc = value
+        for key in reversed(keys):
+            doc = {key: doc}
+        with pytest.raises(ValueError, match=re.escape(f"{dotted} must be")):
+            from_dict(root, doc)
+
+
 # --- training runs ---------------------------------------------------------------------
 
 
@@ -376,7 +451,7 @@ def test_train_one_episode_metrics_row(tmp_path):
     cfg = tiny_config(tmp_path)
     cfg.train.episodes = 1
     result = ex.train_run(cfg, 0)
-    lines = open(os.path.join(result.run_dir, "metrics.csv")).read().splitlines()
+    lines = Path(os.path.join(result.run_dir, "metrics.csv")).read_text().splitlines()
     assert lines[0] == ex.METRICS_HEADER
     assert len(lines) == 2  # header + exactly one row
 
@@ -391,10 +466,10 @@ def test_train_determinism_byte_identical(tmp_path):
         r1 = ex.train_run(cfg, 0, run_dir=str(tmp_path / variant / "a"))
         r2 = ex.train_run(cfg, 0, run_dir=str(tmp_path / variant / "b"))
         for name in ("metrics.csv", "eval.csv"):
-            b1 = open(os.path.join(r1.run_dir, name), "rb").read()
-            b2 = open(os.path.join(r2.run_dir, name), "rb").read()
+            b1 = Path(os.path.join(r1.run_dir, name)).read_bytes()
+            b2 = Path(os.path.join(r2.run_dir, name)).read_bytes()
             assert b1 == b2
-        rows = open(os.path.join(r1.run_dir, "metrics.csv")).read().splitlines()[1:]
+        rows = Path(os.path.join(r1.run_dir, "metrics.csv")).read_text().splitlines()[1:]
         assert sum(float(row.split(",")[3]) != 0.0 for row in rows) >= 2  # episodes that trained
 
 
@@ -404,7 +479,7 @@ def test_train_run_directory_contents(tmp_path):
     for name in ("config.json", "runinfo.json", "metrics.csv", "eval.csv",
                  "best.npz", "latest.npz"):
         assert os.path.exists(os.path.join(result.run_dir, name)), name
-    info = json.load(open(os.path.join(result.run_dir, "runinfo.json")))
+    info = json.loads(Path(os.path.join(result.run_dir, "runinfo.json")).read_text())
     assert info["version"].startswith("racerl-")
     assert info["seed"] == 0
     assert result.checkpoints
@@ -420,7 +495,7 @@ def test_train_run_builds_one_env_to_train_and_one_to_race(tmp_path, monkeypatch
     cfg.train.eval_every = eval_every
     result = ex.train_run(cfg, 0)
     assert len(calls) == 2
-    evals = open(os.path.join(result.run_dir, "eval.csv")).read().splitlines()[1:]
+    evals = Path(os.path.join(result.run_dir, "eval.csv")).read_text().splitlines()[1:]
     assert len(evals) == 4 // eval_every
 
 
@@ -475,7 +550,7 @@ def test_generalization_of_an_lac_run_writes_no_line_files(tmp_path, oval):
                       racing_line_file=_offset_line_file(tmp_path, oval))
     result = ex.train_run(cfg, 0)
     report = ex.generalization_eval(result.run_dir, ["oval", "technical"], laps=1)
-    assert len(open(report["series_csv"]).read().splitlines()) >= 3
+    assert len(Path(report["series_csv"]).read_text().splitlines()) >= 3
     assert not [f for f in os.listdir(result.run_dir) if f.startswith("motline_")]
 
 
@@ -559,7 +634,7 @@ def test_generalization_eval_pipeline(tmp_path):
     result = ex.train_run(cfg, 0)
     report = ex.generalization_eval(result.run_dir, ["oval"], laps=1)
     assert os.path.exists(report["series_csv"])
-    lines = open(report["series_csv"]).read().splitlines()
+    lines = Path(report["series_csv"]).read_text().splitlines()
     assert lines[0] == ex.GENERALIZATION_HEADER
     assert len(lines) >= 2
     assert report["training_track"] == "oval"
@@ -586,7 +661,7 @@ def test_generalization_eval_builds_each_track_once(tmp_path, monkeypatch):
     fresh = [ex.evaluate(ckpt, name, laps=1, config=cfg)[0]
              for ckpt in result.checkpoints for name in names]
     assert raced == fresh
-    assert len(open(report["series_csv"]).read().splitlines()) == 1 + len(fresh)
+    assert len(Path(report["series_csv"]).read_text().splitlines()) == 1 + len(fresh)
 
 
 # --- tournament (tiny budget) ----------------------------------------------------------------
@@ -598,7 +673,7 @@ def test_tournament_tiny(tmp_path):
                            report_path=str(tmp_path / "report.json"))
     assert {r.variant for r in report.phase1} == {"WIN1", "WIN4"}
     assert os.path.exists(tmp_path / "report.json")
-    doc = json.load(open(tmp_path / "report.json"))
+    doc = json.loads((tmp_path / "report.json").read_text())
     assert "phase1" in doc and "winners" in doc
 
 
@@ -625,11 +700,12 @@ def test_ablation_at_smoke(tmp_path):
     assert report.seeds == 2
     assert 0 <= report.at_wins <= 2
     assert os.path.exists(report.curves_csv)
-    lines = open(report.curves_csv).read().splitlines()
+    lines = Path(report.curves_csv).read_text().splitlines()
     assert lines[0] == "episode,at_smoothed,plain_smoothed"
     # twin arms share everything except the termination-target flag
-    at_cfg = json.load(open(tmp_path / "runs" / "ablation_at" / "at" / "seed0" / "config.json"))
-    plain_cfg = json.load(open(tmp_path / "runs" / "ablation_at" / "plain" / "seed0" / "config.json"))
+    arms = tmp_path / "runs" / "ablation_at"
+    at_cfg = json.loads((arms / "at" / "seed0" / "config.json").read_text())
+    plain_cfg = json.loads((arms / "plain" / "seed0" / "config.json").read_text())
     assert at_cfg["agent"]["adopted_target"] is True
     assert plain_cfg["agent"]["adopted_target"] is False
     at_cfg["agent"]["adopted_target"] = plain_cfg["agent"]["adopted_target"]
@@ -684,7 +760,7 @@ def test_plot_metrics_and_telemetry_csv(tmp_path):
                  "0,0.2,1,0,0,5,0,0.1,0.8,0.0,4.0,0.0,0.0,0\n"
                  "1,0.4,2,0,0,6,0,0.1,0.8,0.0,5.0,0.0,0.0,0\n")
     out2 = plotting.plot_csv(t, tmp_path / "t.svg")
-    svg = open(out2).read()
+    svg = Path(out2).read_text()
     assert "steer" in svg and "brake" in svg
 
 
@@ -716,7 +792,7 @@ def test_cli_baseline_prints_the_bot_lap(capsys):
 
 
 def test_readme_cli_lines_parse():
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```", 2)[1]
     lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
     commands = [line for line in lines if line.startswith("racerl ")]
