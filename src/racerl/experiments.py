@@ -28,6 +28,7 @@ from .agent import (
 )
 from .bot import record_reference_line
 from .config import Config, from_dict, ranged
+from .files import write_atomic
 from .geometry import RacingLine, load_racing_line, save_racing_line
 from .nn import NumericError
 from .plotting import moving_average, read_csv_columns
@@ -57,9 +58,9 @@ def _check_seeds(seeds):
 
 
 def write_json(path, data):
-    """Write data as indented JSON with sorted keys and a final newline."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    """Write data as indented JSON with sorted keys and a final newline, atomically."""
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    write_atomic(path, lambda fh: fh.write(text))
 
 
 @dataclass

@@ -7,8 +7,14 @@ right border. The geometry is immutable after construction. What changes
 are memos: each polyline builds Python-float tables of its segments at
 its first query, and caches, per 4 m grid cell, which segments can hold
 the nearest point of a query in that cell. Both are pure functions of
-the fixed points, so instances stay safe to share across parallel
-evaluation episodes.
+the fixed points, so instances stay safe to share: ``tracks.get_track``
+builds each bundled track once per process and hands every caller the
+same one. A track holds no racing line.
+
+A racing line builds its world points and vertex-curvature table with
+array operations over all points at once, repeating the scalar queries'
+operations in their order (``np.mod`` for ``%``, ``np.searchsorted`` for
+``bisect_right``), so the tables equal a per-point build bit for bit.
 
 Both hot queries are exact against a scan of every segment:
 - ``Polyline.project`` scans only the cached candidates of the query's
@@ -31,6 +37,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .files import write_atomic
 
 RANGEFINDER_COUNT = 19
 RANGEFINDER_MAX = 200.0
@@ -153,14 +161,19 @@ class Polyline:
         t = self.tangent_at(s)
         return np.array([-t[1], t[0]])
 
+    def segment_index(self, s):
+        """(s wrapped onto the loop, index of the segment holding it), elementwise
+        over an array s: the array twin of wrap() and the bisection."""
+        s = np.mod(s, self.length)
+        return s, np.searchsorted(self.vertex_arclength, s, side="right") - 1
+
     def nearest_vertex(self, s):
-        """Index of the vertex closest to arc length s along the loop."""
-        s = self.wrap(s)
-        arc = self._arc
-        j = bisect_right(arc, s) - 1
+        """Index of the vertex closest to arc length s along the loop, elementwise."""
+        s, j = self.segment_index(s)
+        arc = self.vertex_arclength
         j_next = (j + 1) % len(self)
-        ahead = arc[j_next] if j_next else self.length
-        return j if s - arc[j] <= ahead - s else j_next
+        ahead = np.where(j_next > 0, arc[j_next], self.length)
+        return np.where(s - arc[j] <= ahead - s, j, j_next)
 
     def project(self, point):
         """Nearest point on the polyline.
@@ -203,37 +216,32 @@ class Polyline:
         return tuple(rows[j] for j in np.nonzero(dist <= dist.min() + _CELL_REACH)[0].tolist())
 
     def curvature_at(self, s, spacing=_CURVATURE_SPACING):
-        """Signed curvature (1/m, positive left) at arc length s.
+        """Signed curvature (1/m, positive left) at arc length s."""
+        return float(self.curvatures(s, spacing))
+
+    def curvatures(self, s, spacing=_CURVATURE_SPACING):
+        """Signed curvature (1/m, positive left) at each arc length of s.
 
         Uses the circumscribed circle of the three polyline vertices nearest
         to s - spacing, s, s + spacing. Vertices of a polyline sampled on a
         circle lie exactly on it, so circles come out exact regardless of
         sampling density; straights give exactly 0.
         """
+        n = len(self)
         i = self.nearest_vertex(s)
         j = self.nearest_vertex(s + spacing)
         k = self.nearest_vertex(s - spacing)
-        n = len(self)
-        if j == i:
-            j = (i + 1) % n
-        if k == i or k == j:
-            k = (i - 1) % n
-        return circumscribed_curvature(self.points[k], self.points[i], self.points[j])
-
-
-def circumscribed_curvature(a, b, c):
-    """Signed curvature of the circle through a, b, c (traversed in order)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    ab = b - a
-    bc = c - b
-    ca = c - a
-    lengths = (np.hypot(*ab), np.hypot(*bc), np.hypot(*ca))
-    if min(lengths) < 1e-12:
-        raise GeometryError("coincident points have no circumscribed circle")
-    cross = ab[0] * bc[1] - ab[1] * bc[0]
-    return float(2.0 * cross / (lengths[0] * lengths[1] * lengths[2]))
+        j = np.where(j == i, (i + 1) % n, j)
+        k = np.where((k == i) | (k == j), (i - 1) % n, k)
+        a, b, c = self.points[k], self.points[i], self.points[j]
+        # the sides ab, bc and ca of the triangle
+        sides = np.stack([b - a, c - b, c - a])
+        lengths = np.hypot(sides[..., 0], sides[..., 1])
+        if lengths.min() < 1e-12:
+            raise GeometryError("coincident points have no circumscribed circle")
+        ab, bc = sides[0], sides[1]
+        cross = ab[..., 0] * bc[..., 1] - ab[..., 1] * bc[..., 0]
+        return 2.0 * cross / (lengths[0] * lengths[1] * lengths[2])
 
 
 def max_speed(kappa, mu_grip, mass=None, downforce=0.0, g=9.81, straight_speed=math.inf):
@@ -299,6 +307,20 @@ class Track:
         k = (alpha - 0.5) * self.width
         # c + k * n for the left normal n = (-uy, ux)
         return np.array([cx + k * -uy, cy + k * ux])
+
+    def points_at_alpha(self, delta, alpha):
+        """point_at_alpha over arrays delta and alpha, one world point per row."""
+        alpha = np.asarray(alpha, dtype=np.float64)
+        out = np.nonzero((alpha < 0.0) | (alpha > 1.0))[0]
+        if out.size:
+            raise DomainError(f"alpha must be in [0, 1], violated at index {out[0]}")
+        axis = self.centerline
+        s, j = axis.segment_index(delta)
+        t = (s - axis.vertex_arclength[j]) / axis._seg_len[j]
+        centre = axis.points[j] + t[:, None] * axis._seg[j]
+        u = axis._seg_dir[j]
+        k = (alpha - 0.5) * self.width
+        return np.column_stack([centre[:, 0] + k * -u[:, 1], centre[:, 1] + k * u[:, 0]])
 
     def rangefinders(self, position, heading, frame=None):
         """19 border distances for rays spanning -90..+90 deg, clamped to 200 m.
@@ -374,14 +396,11 @@ class RacingLine:
             raise GeometryError("delta[0] must be >= 0")
         if delta[-1] > track.length:
             raise GeometryError(f"delta[-1] = {delta[-1]} exceeds the lap length {track.length}")
-        out = np.nonzero((alpha < 0.0) | (alpha > 1.0))[0]
-        if out.size:
-            raise DomainError(f"alpha must be in [0, 1], violated at index {out[0]}")
+        world = track.points_at_alpha(delta, alpha)
         self.track = track
         self.delta = delta
         self.alpha = alpha
         self.name = name or f"{track.name}-line"
-        world = np.stack([track.point_at_alpha(d, a) for d, a in zip(delta, alpha)])
         # a line on the track axis shares the centerline, its projection cache
         # and the axis frames the env already has (see frame_from_axis)
         on_axis = np.array_equal(world, track.centerline.points)
@@ -390,9 +409,7 @@ class RacingLine:
             raise GeometryError(
                 f"delta[-1] = {delta[-1]} closes the line onto delta[0] = {delta[0]}: "
                 f"the last point repeats the first")
-        self.curvature = np.array(
-            [self.world.curvature_at(s) for s in self.world.vertex_arclength]
-        )
+        self.curvature = self.world.curvatures(self.world.vertex_arclength)
         # periodic interpolation tables (delta domain and line-arc-length domain)
         self._delta_knots = delta.tolist() + [float(delta[0]) + track.length]
         self._kappa_knots = self.curvature.tolist() + [float(self.curvature[0])]
@@ -474,8 +491,7 @@ def save_track(track, path):
         "width": track.width,
         "centerline": track.centerline.points.tolist(),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    write_atomic(path, lambda fh: json.dump(doc, fh))
 
 
 def load_track(path):
@@ -518,8 +534,7 @@ def save_racing_line(line, path):
         "track": line.track.name,
         "points": [[float(d), float(a)] for d, a in zip(line.delta, line.alpha)],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    write_atomic(path, lambda fh: json.dump(doc, fh))
 
 
 def load_racing_line(path, track):

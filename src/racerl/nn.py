@@ -17,6 +17,8 @@ import json
 
 import numpy as np
 
+from .files import write_atomic
+
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "linear")
 
 
@@ -631,8 +633,7 @@ def save_arrays(path, meta, arrays):
         if name.startswith("__"):
             raise ValueError(f"reserved array name {name!r}")
         payload[name] = np.asarray(arr)
-    with open(path, "wb") as fh:
-        np.savez(fh, **payload)
+    write_atomic(path, lambda fh: np.savez(fh, **payload), binary=True)
 
 
 def load_arrays(path):

@@ -9,6 +9,7 @@ is counterclockwise.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -114,6 +115,17 @@ def is_track(name):
 
 
 def get_track(name):
+    """The bundled track called name (case and "-" or "_" do not matter).
+
+    Each track is built once per process and shared by every caller, with
+    its float tables and cached projection cells: the geometry is immutable
+    and its caches are pure memos.
+    """
     if not is_track(name):
         raise KeyError(f"unknown track {name!r}; available: {', '.join(TRACK_NAMES)}")
-    return _BUILDERS[_key(name)]()
+    return _built(_key(name))
+
+
+@functools.cache
+def _built(key):
+    return _BUILDERS[key]()

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from racerl.geometry import RANGEFINDER_ANGLES, RANGEFINDER_COUNT, RANGEFINDER_MAX
+from racerl.geometry import RANGEFINDER_ANGLES, RANGEFINDER_COUNT, RANGEFINDER_MAX, Polyline
 from racerl.nn import NumericError, ShapeError
 from racerl.simulator import PREMATURE_TERMINATIONS
 
@@ -118,6 +118,39 @@ def numpy_nearest_vertex(polyline, s):
     j_next = (j + 1) % len(polyline)
     ahead = arc[j_next] if j_next else polyline.length
     return j if s - arc[j] <= ahead - s else j_next
+
+
+def circumscribed_curvature(a, b, c):
+    """Signed curvature of the circle through a, b, c (traversed in order)."""
+    ab = b - a
+    bc = c - b
+    ca = c - a
+    lengths = (np.hypot(*ab), np.hypot(*bc), np.hypot(*ca))
+    if min(lengths) < 1e-12:
+        raise ValueError("coincident points have no circumscribed circle")
+    cross = ab[0] * bc[1] - ab[1] * bc[0]
+    return float(2.0 * cross / (lengths[0] * lengths[1] * lengths[2]))
+
+
+def scalar_curvature_at(polyline, s, spacing=5.0):
+    """Polyline.curvature_at as the per-query code did it."""
+    i = numpy_nearest_vertex(polyline, s)
+    j = numpy_nearest_vertex(polyline, s + spacing)
+    k = numpy_nearest_vertex(polyline, s - spacing)
+    n = len(polyline)
+    if j == i:
+        j = (i + 1) % n
+    if k == i or k == j:
+        k = (i - 1) % n
+    return circumscribed_curvature(polyline.points[k], polyline.points[i], polyline.points[j])
+
+
+def scalar_line_tables(track, delta, alpha):
+    """A RacingLine's world points and vertex curvature, as the per-point
+    stack and the per-vertex loop built them."""
+    world = np.stack([track.point_at_alpha(d, a) for d, a in zip(delta, alpha)])
+    poly = Polyline(world)
+    return world, np.array([scalar_curvature_at(poly, s) for s in poly.vertex_arclength])
 
 
 def numpy_interp(x, xp, fp):

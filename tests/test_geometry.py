@@ -15,7 +15,7 @@ from racerl.geometry import (
     max_speed,
     wrap_angle,
 )
-from racerl.bot import record_reference_line
+from racerl.bot import bot_lap_time, record_reference_line
 from oracles import (
     brute_project,
     brute_rangefinders,
@@ -23,6 +23,8 @@ from oracles import (
     numpy_nearest_vertex,
     numpy_point_at,
     numpy_tangent_at,
+    scalar_curvature_at,
+    scalar_line_tables,
 )
 
 
@@ -397,6 +399,28 @@ def test_arc_length_lookups_equal_searchsorted(lookup_lines):
             assert poly.nearest_vertex(s) == numpy_nearest_vertex(poly, s)
 
 
+def test_line_tables_equal_the_per_vertex_code(lookup_lines):
+    # the array code repeats the scalar code's operations in its order; a
+    # libm or numpy whose ufuncs round otherwise fails here
+    irregular = irregular_track()
+    rng = np.random.default_rng(14)
+    delta = np.unique(rng.uniform(0.0, irregular.length * 0.999, 150))
+    lines = lookup_lines + [RacingLine.middle_of_track(irregular),
+                            RacingLine(irregular, delta, rng.uniform(0.0, 1.0, delta.size))]
+    for line in lines:
+        world, curvature = scalar_line_tables(line.track, line.delta, line.alpha)
+        assert np.array_equal(line.world.points, world), line.name
+        assert np.array_equal(line.curvature, curvature), line.name
+
+
+def test_curvature_at_equals_the_per_query_code():
+    rng = np.random.default_rng(15)
+    for track in [tracks.get_track(name) for name in tracks.TRACK_NAMES] + [irregular_track()]:
+        axis = track.centerline
+        for s in rng.uniform(-track.length, 2.0 * track.length, 200).tolist():
+            assert axis.curvature_at(s, spacing=2.0) == scalar_curvature_at(axis, s, spacing=2.0)
+
+
 def test_racing_line_frame_theta_and_trackpos():
     track = stadium_track(width=10.0)
     line = RacingLine.middle_of_track(track)
@@ -490,3 +514,26 @@ def test_get_track_normalizes_name():
     assert tracks.get_track("FAST-MIXED").name == "fast_mixed"
     with pytest.raises(KeyError):
         tracks.get_track("nürburgring")
+
+
+def test_get_track_builds_each_track_once():
+    for name in tracks.TRACK_NAMES:
+        assert tracks.get_track(name) is tracks.get_track(name)
+    assert tracks.get_track("FAST-MIXED") is tracks.get_track("fast_mixed")
+
+
+@pytest.mark.parametrize("name", tracks.TRACK_NAMES)
+def test_a_shared_track_answers_as_a_fresh_one(name):
+    shared = tracks.get_track(name)
+    rng = np.random.default_rng(16)
+    # fill the shared track's cells with unrelated queries first
+    lo, hi = shared.centerline.points.min(axis=0) - 50.0, shared.centerline.points.max(axis=0) + 50.0
+    for p in rng.uniform(lo, hi, (300, 2)):
+        shared.rangefinders(p, 0.0)
+    fresh = getattr(tracks, name)()
+    assert fresh is not shared
+    assert bot_lap_time(shared, laps=1) == bot_lap_time(fresh, laps=1)
+    for p in index_poses(fresh, rng, n=40):
+        heading = rng.uniform(-math.pi, math.pi)
+        assert shared.centerline.project(p) == fresh.centerline.project(p)
+        assert np.array_equal(shared.rangefinders(p, heading), fresh.rangefinders(p, heading))

@@ -13,13 +13,13 @@ import numpy.testing as npt
 import pytest
 
 from racerl import experiments as ex
-from racerl import plotting, tracks
+from racerl import nn, plotting, tracks
 from racerl.agent import AgentConfig
 from racerl.bot import BaselineBot, bot_lap_time, drive_bot, record_reference_line
 from racerl.cli import build_parser
 from racerl.cli import main as cli_main
 from racerl.config import RULES, from_dict
-from racerl.geometry import Polyline, RacingLine, Track, save_racing_line
+from racerl.geometry import Polyline, RacingLine, Track, save_racing_line, save_track
 from racerl.replay import PERConfig
 from racerl.simulator import CarParams, CarState, EnvSettings, RacingEnv, TelemetryLogger
 
@@ -497,6 +497,38 @@ def test_train_run_builds_one_env_to_train_and_one_to_race(tmp_path, monkeypatch
     assert len(calls) == 2
     evals = Path(os.path.join(result.run_dir, "eval.csv")).read_text().splitlines()[1:]
     assert len(evals) == 4 // eval_every
+
+
+# --- file writes ---------------------------------------------------------------------------
+
+
+class Unserialisable:
+    def __reduce__(self):
+        raise RuntimeError("cannot serialise")
+
+
+@pytest.mark.parametrize("name, write", [
+    # the zip holds the meta block and "w" when pickling "bad" raises
+    ("latest.npz", lambda path: nn.save_arrays(
+        path, {}, {"w": np.zeros(1000), "bad": np.array([Unserialisable()], dtype=object)})),
+    ("track.json", lambda path: save_track(
+        SimpleNamespace(name="t", width=Unserialisable(),
+                        centerline=SimpleNamespace(points=np.zeros((3, 2)))), path)),
+    ("runinfo.json", lambda path: ex.write_json(path, {"a": [1.0] * 100, "z": Unserialisable()})),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_a_write_that_fails_partway_leaves_the_previous_file(tmp_path, name, write):
+    path = tmp_path / name
+    path.write_bytes(b"previous bytes")
+    with pytest.raises((RuntimeError, TypeError)):
+        write(path)
+    assert path.read_bytes() == b"previous bytes"
+    assert os.listdir(tmp_path) == [name]
+
+
+def test_a_train_run_leaves_no_temporary_file(tmp_path):
+    result = ex.train_run(tiny_config(tmp_path), 0)
+    left = [f for _, _, files in os.walk(result.run_dir) for f in files if ".tmp" in f]
+    assert left == []
 
 
 # --- evaluation ---------------------------------------------------------------------------
