@@ -45,12 +45,11 @@ per = PrioritizedReplayBuffer(16, PERConfig(alpha=1.0))
 for i in range(4):
     per.push(Transition(np.array([float(i)]), np.zeros(3), 0.0,
                         np.array([float(i)]), None, 0, i))
-for i, delta in enumerate([0.1, 0.1, 2.0, 0.1]):
-    per.update_priority(i, per.get(i).serial, delta=delta, grad_sq=0.0)
+per.update_priority(np.arange(4), [0.1, 0.1, 2.0, 0.1], np.zeros(4))
 
 counts = np.zeros(4)
 for _ in range(200):
-    for slot in per.sample(50, rng).slots:
+    for slot in per.sample(50, rng):
         counts[slot] += 1
 print(f"\npriorities favour the high-TD-error slot 2: "
       f"empirical frequencies {counts / counts.sum()}")

@@ -287,19 +287,19 @@ class DDPGAgent:
 
     # --- training ------------------------------------------------------------
 
-    def compute_targets(self, batch, windows=None):
-        """TD targets for a sampled batch, per the variant's rules.
+    def compute_targets(self, slots, windows=None):
+        """TD targets for a sampled slot array, per the variant's rules.
 
-        windows is assemble_window of the batch's slots when the caller has
-        it; with nstep 1 every view ends at its own slot, so it is reused.
+        windows is assemble_window of the slots when the caller has it; with
+        nstep 1 every view ends at its own slot, so it is reused.
         """
         c = self.config
-        view = self.buffer.assemble_nstep(np.asarray(batch.slots), c.nstep, c.gamma)
+        view = self.buffer.assemble_nstep(np.asarray(slots), c.nstep, c.gamma)
         # bootstrap from the window that ends at each view's last transition
         if windows is None or c.nstep != 1:
             windows = self.buffer.assemble_window(view.slot, c.window)
         _, a_win, next_s_win = windows
-        next_flat = next_s_win.reshape(len(batch), -1)
+        next_flat = next_s_win.reshape(len(slots), -1)
         a_next = self.target_actor(next_flat)
         if c.lstm:
             next_a_win = np.concatenate([a_win[:, 1:, :], a_next[:, None, :]], axis=1)
@@ -321,10 +321,10 @@ class DDPGAgent:
     def train_step(self):
         """One sampled update of critic and actor plus target soft updates."""
         c = self.config
-        batch = self.buffer.sample(c.batch_size, self.rng)
-        n = len(batch)
-        windows = self.buffer.assemble_window(np.asarray(batch.slots), c.window)
-        y = self.compute_targets(batch, windows)
+        slots = self.buffer.sample(c.batch_size, self.rng)
+        n = len(slots)
+        windows = self.buffer.assemble_window(slots, c.window)
+        y = self.compute_targets(slots, windows)
         s_win, a_win, _ = windows
         s_flat = s_win.reshape(n, -1)
         actions = a_win[:, -1, :]
@@ -335,8 +335,8 @@ class DDPGAgent:
         critic_loss = float(np.mean(td * td))
         if not math.isfinite(critic_loss):
             raise nn.NumericError(
-                "non-finite critic loss; minibatch serials "
-                f"{batch.serials}, targets {np.array2string(y, precision=3)}"
+                "non-finite critic loss; minibatch slots "
+                f"{slots.tolist()}, targets {np.array2string(y, precision=3)}"
             )
         grads, _ = self.critic.backward(cache, (2.0 / n) * (q - y))
         # per-sample grad_a Q at the stored actions, before the weights move
@@ -358,8 +358,7 @@ class DDPGAgent:
         nn.soft_update(self.critic.flat, self.target_critic.flat, c.tau)
 
         if c.buffer_kind == "per":
-            for slot, serial, delta, g2 in zip(batch.slots, batch.serials, td, grad_sq):
-                self.buffer.update_priority(slot, serial, float(delta), float(g2))
+            self.buffer.update_priority(slots, td, grad_sq)
         self.train_steps += 1
         return TrainMetrics(critic_loss, actor_objective, td, grad_sq)
 

@@ -44,17 +44,19 @@ def _check_seed(seed, name="seed"):
         raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
 
 
-def _check_seeds(seeds):
-    """Raise ValueError unless seeds is a non-empty list of distinct seeds:
-    a repeated seed would train the same run into the same directory."""
-    if not seeds:
-        raise ValueError("need at least one seed")
+def _check_distinct(values, noun, check=None):
+    """Raise ValueError unless values is a non-empty list of distinct items,
+    each passing check(item, name) if given: a repeated seed or variant
+    would train the same run into the same directory."""
+    if not values:
+        raise ValueError(f"need at least one {noun}")
     first = {}
-    for i, seed in enumerate(seeds):
-        _check_seed(seed, f"seeds[{i}]")
-        if seed in first:
-            raise ValueError(f"seeds[{i}] repeats seeds[{first[seed]}]")
-        first[seed] = i
+    for i, value in enumerate(values):
+        if check is not None:
+            check(value, f"{noun}s[{i}]")
+        if value in first:
+            raise ValueError(f"{noun}s[{i}] repeats {noun}s[{first[value]}]")
+        first[value] = i
 
 
 def write_json(path, data):
@@ -107,7 +109,7 @@ class ExperimentConfig(Config):
             raise ValueError(f"reference must be one of {REFERENCE_MODES}")
         if self.reference != "mot" and not self.racing_line_file:
             raise ValueError("rc / rc-lac reference modes require a racing-line file")
-        _check_seeds(self.seeds)
+        _check_distinct(self.seeds, "seed", _check_seed)
         super().validate(path)
 
     @property
@@ -458,6 +460,7 @@ def tournament(config, variants=None, phase2_track="technical", report_path=None
     before anything trains.
     """
     variants = variants if variants is not None else sorted(VARIANTS)
+    _check_distinct(variants, "variant")
     if phase2_track and not tracks.is_track(phase2_track):
         raise ValueError(f"tournament phase2_track must be one of {list(tracks.TRACK_NAMES)}, "
                          f"got {phase2_track!r}")
@@ -557,10 +560,9 @@ def generalization_eval(run_dir, track_names, laps=1):
         entries.append({"checkpoint": path, "episode": episode, "laps": lap_by_track})
 
     out_csv = os.path.join(run_dir, "generalization.csv")
-    with open(out_csv, "w") as fh:
-        fh.write(GENERALIZATION_HEADER + "\n")
-        for episode, name, lap, damage, fin in rows:
-            fh.write(f"{episode},{name},{_fmt(lap)},{_fmt(damage)},{fin}\n")
+    text = "".join(f"{episode},{name},{_fmt(lap)},{_fmt(damage)},{fin}\n"
+                   for episode, name, lap, damage, fin in rows)
+    write_atomic(out_csv, lambda fh: fh.write(GENERALIZATION_HEADER + "\n" + text))
 
     general = select_general_model(entries, training_track)
     report = {
@@ -599,7 +601,7 @@ def ablation_at(config, seeds=None, final_window=20):
     episodes under the config's output_dir/ablation_at.
     """
     seeds = list(seeds) if seeds is not None else list(config.seeds)
-    _check_seeds(seeds)
+    _check_distinct(seeds, "seed", _check_seed)
     out_dir = os.path.join(config.output_dir, "ablation_at")
     os.makedirs(out_dir, exist_ok=True)
 
@@ -629,10 +631,8 @@ def ablation_at(config, seeds=None, final_window=20):
     at_curve = moving_average(np.mean([r[:n] for r in returns[True]], axis=0), 5)
     plain_curve = moving_average(np.mean([r[:n] for r in returns[False]], axis=0), 5)
     curves_csv = os.path.join(out_dir, "curves.csv")
-    with open(curves_csv, "w") as fh:
-        fh.write("episode,at_smoothed,plain_smoothed\n")
-        for i in range(n):
-            fh.write(f"{i + 1},{_fmt(at_curve[i])},{_fmt(plain_curve[i])}\n")
+    text = "".join(f"{i + 1},{_fmt(at_curve[i])},{_fmt(plain_curve[i])}\n" for i in range(n))
+    write_atomic(curves_csv, lambda fh: fh.write("episode,at_smoothed,plain_smoothed\n" + text))
 
     report = AblationReport(
         per_seed=per_seed,

@@ -1,6 +1,9 @@
 """Transition storage and sampling: a uniform ring buffer of field arrays,
 prioritized replay with a sum tree, and batched window and n-step views.
 
+Each push also records its step links: the slots of the same episode's
+previous and next stored transitions, so the views gather along them.
+
 Minibatches are used unweighted: there is no importance-sampling correction.
 """
 
@@ -19,7 +22,10 @@ TERMINATION_CODES = {None: -1, **{kind: i for i, kind in enumerate(Termination)}
 CODE_TERMINATIONS = {v: k for k, v in TERMINATION_CODES.items()}
 
 # one array per Transition field, in its order; termination holds the codes
-FIELDS = ("state", "action", "reward", "next_state", "termination", "episode", "step", "serial")
+FIELDS = ("state", "action", "reward", "next_state", "termination", "episode", "step")
+# per slot, the slot of the same episode's previous and next stored
+# transition, or the slot itself where there is none
+LINKS = ("prev", "next")
 FIRST_ROWS = 1024  # the field arrays start this long and double up to capacity
 DEFAULT_CAPACITY = 100_000  # the uniform variants' buffer size
 
@@ -37,16 +43,6 @@ class Transition:
     termination: Termination | None
     episode: int
     step: int
-    serial: int = -1  # the buffer numbers its pushes; get() reports it
-
-
-@dataclass
-class SampleBatch:
-    slots: list
-    serials: list
-
-    def __len__(self):
-        return len(self.slots)
 
 
 @dataclass
@@ -70,67 +66,62 @@ class ReplayBuffer:
         self.capacity = int(capacity)
         self.state = self.action = self.next_state = np.zeros((0, 0))
         self.reward = np.zeros(0)
-        self.termination = self.episode = self.step = self.serial = np.zeros(0, dtype=np.int64)
+        self.termination = self.episode = self.step = np.zeros(0, dtype=np.int64)
+        self.prev = self.next = np.zeros(0, dtype=np.int64)
         self._write = 0
         self.size = 0
-        self._serial = 0
 
     def __len__(self):
         return self.size
 
     def push(self, transition):
+        """Store at the write slot, overwriting the oldest transition when full,
+        and link it to the previous push where that holds the same episode."""
         t = transition
-        row = (t.state, t.action, t.reward, t.next_state, TERMINATION_CODES[t.termination],
-               t.episode, t.step, self._serial)
         slot = self._write
+        last = (slot - 1) % self.capacity  # the previous push's slot
+        if self.size == self.capacity:
+            # the overwritten transition's successor now starts its stored run
+            after = self.next[slot]
+            self.prev[after] = after
+        linked = 0 < self.size and self.episode[last] == t.episode
+        row = (t.state, t.action, t.reward, t.next_state, TERMINATION_CODES[t.termination],
+               t.episode, t.step, last if linked else slot, slot)
         if slot == len(self.reward):
             self._grow(row)
-        for name, value in zip(FIELDS, row):
+        for name, value in zip(FIELDS + LINKS, row):
             getattr(self, name)[slot] = value
-        self._serial += 1
+        if linked:
+            self.next[last] = slot
         self._write = (slot + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
-        self._after_push(slot)
         return slot
 
     def _grow(self, row):
         # geometric growth: capacity-sized arrays up front would cost their
         # full size in memory for a buffer that never fills
         rows = min(self.capacity, max(FIRST_ROWS, 2 * self.size))
-        for name, value in zip(FIELDS, row):
+        for name, value in zip(FIELDS + LINKS, row):
             old = getattr(self, name)
             grown = np.empty((rows,) + np.shape(value), dtype=old.dtype)
             if self.size:
                 grown[:self.size] = old[:self.size]
             setattr(self, name, grown)
 
-    def _after_push(self, slot):
-        pass
-
     def get(self, slot):
-        state, action, reward, next_state, code, episode, step, serial = (
+        state, action, reward, next_state, code, episode, step = (
             getattr(self, name)[slot] for name in FIELDS)
         return Transition(state.copy(), action.copy(), float(reward), next_state.copy(),
-                          CODE_TERMINATIONS[int(code)], int(episode), int(step), int(serial))
+                          CODE_TERMINATIONS[int(code)], int(episode), int(step))
 
     def sample(self, batch_size, rng):
-        """i.i.d. uniform with replacement (a 1-item buffer yields N copies)."""
+        """Slot array, i.i.d. uniform with replacement (a 1-item buffer
+        yields N copies)."""
         if self.size == 0:
             raise NotReadyError("buffer is empty")
-        slots = rng.integers(0, self.size, size=batch_size)
-        return SampleBatch(slots=slots.tolist(), serials=self.serial[slots].tolist())
+        return rng.integers(0, self.size, size=batch_size)
 
     # --- trajectory views ---------------------------------------------------
-
-    def _neighbour(self, slots, offset):
-        """The slots `offset` (+1 or -1) pushes away where they hold the same
-        episode's adjacent transition, else the slots themselves; and where."""
-        other = (slots + offset) % self.capacity
-        seen = np.minimum(other, self.size - 1)  # slots past size were never written
-        linked = ((other < self.size)
-                  & (self.serial[seen] == self.serial[slots] + offset)
-                  & (self.episode[seen] == self.episode[slots]))
-        return np.where(linked, other, slots), linked
 
     def assemble_window(self, slots, window):
         """The last `window` (state, action) pairs ending at each slot.
@@ -143,7 +134,7 @@ class ReplayBuffer:
         """
         chain = [np.asarray(slots)]
         for _ in range(window - 1):
-            chain.append(self._neighbour(chain[-1], -1)[0])
+            chain.append(self.prev[chain[-1]])
         idx = np.stack(chain[::-1], axis=-1)
         states = self.state[idx]
         last = self.next_state[chain[0]][..., None, :]
@@ -164,8 +155,8 @@ class ReplayBuffer:
             steps += going
             if k == n - 1:
                 break
-            nxt, linked = self._neighbour(last, 1)
-            going &= linked & (self.termination[last] == TERMINATION_CODES[None])
+            nxt = self.next[last]
+            going &= (nxt != last) & (self.termination[last] == TERMINATION_CODES[None])
             last = np.where(going, nxt, last)
         return NStepView(reward_sum, steps, self.termination[last], last)
 
@@ -208,6 +199,16 @@ class SumTree:
             self.nodes[i] = self.nodes[2 * i] + self.nodes[2 * i + 1]
             i //= 2
 
+    def update_many(self, leaf_ids, values):
+        """update() for each (leaf, value) pair in order, a repeated leaf
+        keeping its last value; the levels above are recomputed once each."""
+        i = np.asarray(leaf_ids, dtype=np.int64) + self.leaves
+        for node, value in zip(i.tolist(), values):
+            self.nodes[node] = value
+        for _ in range(self.leaves.bit_length() - 1):
+            i //= 2  # a repeated parent gets the same sum twice
+            self.nodes[i] = self.nodes[2 * i] + self.nodes[2 * i + 1]
+
     def find(self, prefixes):
         """Leaf index whose cumulative-priority interval contains each prefix;
         all prefixes descend the tree together, level by level."""
@@ -242,13 +243,14 @@ class PrioritizedReplayBuffer(ReplayBuffer):
         self.config = config if config is not None else PERConfig()
         self.tree = SumTree(self.capacity)
         self.max_raw_priority = 1.0
-        self.stale_updates = 0
 
-    def _after_push(self, slot):
+    def push(self, transition):
+        slot = super().push(transition)
         self.tree.update(slot, self.max_raw_priority ** self.config.alpha)
+        return slot
 
     def sample(self, batch_size, rng):
-        """Stratified prioritized sample."""
+        """Slot array of a stratified prioritized sample."""
         if self.size == 0:
             raise NotReadyError("buffer is empty")
         total = self.tree.total
@@ -258,21 +260,17 @@ class PrioritizedReplayBuffer(ReplayBuffer):
         # one draw per segment, in segment order: the stream of one scalar
         # uniform call per segment
         prefixes = rng.uniform(k * segment, (k + 1) * segment)
-        slots = np.minimum(self.tree.find(prefixes), self.size - 1)
-        return SampleBatch(slots=slots.tolist(), serials=self.serial[slots].tolist())
+        return np.minimum(self.tree.find(prefixes), self.size - 1)
 
-    def update_priority(self, slot, serial, delta, grad_sq=0.0):
-        """Set the slot's priority from its TD error and actor-gradient norm.
-
-        Updates for transitions that were overwritten since sampling are
-        silently skipped (counted in stale_updates).
-        """
-        if slot >= self.size or self.serial[slot] != serial:
-            self.stale_updates += 1
-            return
-        raw = priority_from(delta, grad_sq, self.config)
-        self.max_raw_priority = max(self.max_raw_priority, raw)
-        self.tree.update(slot, raw ** self.config.alpha)
+    def update_priority(self, slots, deltas, grad_sq):
+        """Set each slot's priority from its TD error and actor-gradient norm,
+        in batch order: a repeated slot keeps its last value."""
+        raw = [priority_from(d, g, self.config)
+               for d, g in zip(np.asarray(deltas, dtype=np.float64).tolist(),
+                               np.asarray(grad_sq, dtype=np.float64).tolist())]
+        self.max_raw_priority = max([self.max_raw_priority, *raw])
+        # x ** alpha per Python float: np.power rounds differently
+        self.tree.update_many(slots, [p ** self.config.alpha for p in raw])
 
 
 def make_buffer(kind, capacity=DEFAULT_CAPACITY, per_config=None):
@@ -288,10 +286,11 @@ def make_buffer(kind, capacity=DEFAULT_CAPACITY, per_config=None):
 
 def save_buffer(buffer, path):
     """Snapshot the stored transitions oldest first (same container format as
-    checkpoints), each field but serial under its plural name."""
+    checkpoints), each field under its plural name; the links are rebuilt
+    by load_buffer's pushes."""
     oldest = (buffer._write - buffer.size) % buffer.capacity
     arrays = {f"{name}s": np.roll(getattr(buffer, name)[:buffer.size], -oldest, axis=0)
-              for name in FIELDS[:-1]}
+              for name in FIELDS}
     meta = {"kind": "replay-buffer", "capacity": buffer.capacity, "count": buffer.size}
     save_arrays(path, meta, arrays)
 
@@ -301,7 +300,7 @@ def load_buffer(path, buffer):
     meta, arrays = load_arrays(path)
     if meta.get("kind") != "replay-buffer":
         raise ValueError(f"{path} is not a replay-buffer snapshot")
-    rows = zip(*(arrays[f"{name}s"] for name in FIELDS[:-1]))
+    rows = zip(*(arrays[f"{name}s"] for name in FIELDS))
     for state, action, reward, next_state, code, episode, step in rows:
         buffer.push(Transition(state, action, reward, next_state,
                                CODE_TERMINATIONS[int(code)], episode, step))

@@ -22,6 +22,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .config import Config, ranged
+from .files import write_atomic
 from .geometry import RacingLine, wrap_angle
 from .nn import NumericError
 
@@ -463,10 +464,8 @@ class TelemetryLogger:
         )
 
     def write(self, path):
-        with open(path, "w") as fh:
-            fh.write(TELEMETRY_HEADER + "\n")
-            for row in self.rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        text = "".join(",".join(_fmt(v) for v in row) + "\n" for row in self.rows)
+        write_atomic(path, lambda fh: fh.write(TELEMETRY_HEADER + "\n" + text))
 
 
 def _fmt(v):

@@ -4,8 +4,10 @@ These deliberately avoid the library's own backward passes and data
 structures: gradients come from central finite differences on the forward
 pass alone, distributions are checked by brute-force counting, the
 geometry queries scan every segment or call numpy's own search and
-interpolation, and the learner's updates run array by array with one
-scalar TD target per view.
+interpolation, the learner's updates run array by array with one
+scalar TD target per view, replay views find a step's neighbours by the
+numbers of the pushes, and priorities go back into the sum tree one slot
+at a time.
 """
 
 import math
@@ -280,3 +282,56 @@ def scalar_per_sample(buffer, batch_size, rng):
         prefix = rng.uniform(k * segment, (k + 1) * segment)
         slots.append(min(scalar_find(buffer.tree, prefix), buffer.size - 1))
     return slots
+
+
+def serial_neighbour(buffer, serials, slots, offset):
+    """The slots `offset` (+1 or -1) pushes away where they hold the same
+    episode's adjacent transition, else the slots themselves; and where.
+    serials[slot] is the number of the push the slot holds."""
+    other = (slots + offset) % buffer.capacity
+    seen = np.minimum(other, buffer.size - 1)  # slots past size were never written
+    linked = ((other < buffer.size)
+              & (serials[seen] == serials[slots] + offset)
+              & (buffer.episode[seen] == buffer.episode[slots]))
+    return np.where(linked, other, slots), linked
+
+
+def serial_window(buffer, serials, slots, window):
+    """ReplayBuffer.assemble_window walking serial_neighbour."""
+    chain = [np.asarray(slots)]
+    for _ in range(window - 1):
+        chain.append(serial_neighbour(buffer, serials, chain[-1], -1)[0])
+    idx = np.stack(chain[::-1], axis=-1)
+    states = buffer.state[idx]
+    last = buffer.next_state[chain[0]][..., None, :]
+    return states, buffer.action[idx], np.concatenate([states[..., 1:, :], last], axis=-2)
+
+
+def serial_nstep(buffer, serials, slots, n, gamma):
+    """ReplayBuffer.assemble_nstep walking serial_neighbour, as
+    (reward_sum, steps, termination, slot)."""
+    last = np.asarray(slots)
+    reward_sum = np.zeros(last.shape)
+    steps = np.zeros(last.shape, dtype=np.int64)
+    going = np.ones(last.shape, dtype=bool)
+    for k in range(n):
+        reward_sum = np.where(going, reward_sum + (gamma ** k) * buffer.reward[last], reward_sum)
+        steps += going
+        if k == n - 1:
+            break
+        nxt, linked = serial_neighbour(buffer, serials, last, 1)
+        going &= linked & (buffer.termination[last] == -1)  # -1: the episode runs on
+        last = np.where(going, nxt, last)
+    return reward_sum, steps, buffer.termination[last], last
+
+
+def scalar_update_priorities(buffer, slots, deltas, grad_sq):
+    """PrioritizedReplayBuffer.update_priority one slot at a time: each raw
+    priority delta^2 + lam3 * grad_sq + epsilon raises the maximum, and its
+    ** alpha goes into the tree by SumTree.update, in batch order."""
+    cfg = buffer.config
+    for slot, delta, g2 in zip(slots, deltas, grad_sq):
+        delta, g2 = float(delta), float(g2)
+        raw = delta * delta + cfg.lam3 * g2 + cfg.epsilon
+        buffer.max_raw_priority = max(buffer.max_raw_priority, raw)
+        buffer.tree.update(int(slot), raw ** cfg.alpha)

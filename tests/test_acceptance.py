@@ -130,16 +130,6 @@ def _push_chain(agent, rewards, terminal=None):
         ))
 
 
-class _FixedBatch:
-    def __init__(self, buffer, slots):
-        self.slots = slots
-        self.serials = [buffer.get(s).serial for s in slots]
-        self.transitions = [buffer.get(s) for s in slots]
-
-    def __len__(self):
-        return len(self.slots)
-
-
 def test_criterion_2_target_equation_table():
     checked = 0
 
@@ -155,8 +145,7 @@ def test_criterion_2_target_equation_table():
     ]
     for r, term, expected in rows:
         _push_chain(agent, [r], terminal=term)
-    batch = _FixedBatch(agent.buffer, list(range(len(rows))))
-    y = agent.compute_targets(batch)
+    y = agent.compute_targets(list(range(len(rows))))
     for (r, term, expected), got in zip(rows, y):
         assert abs(got - expected) < 1e-12, (r, term, expected, got)
         checked += 1
@@ -164,34 +153,34 @@ def test_criterion_2_target_equation_table():
     # multi-step targets, Q' pinned to 4.0, gamma = 0.5
     ms2 = _pinned_q_agent("MS2", 4.0, gamma=0.5)
     _push_chain(ms2, [1.0, 1.0, 1.0])
-    got = ms2.compute_targets(_FixedBatch(ms2.buffer, [0]))[0]
+    got = ms2.compute_targets([0])[0]
     assert abs(got - 2.5) < 1e-12  # 1 + 0.5 + 0.25*4 (Eq. 4 hand value)
     checked += 1
 
     ms3 = _pinned_q_agent("MS3", 4.0, gamma=0.5)
     _push_chain(ms3, [1.0, 2.0, 3.0, 0.0])
-    got = ms3.compute_targets(_FixedBatch(ms3.buffer, [0]))[0]
+    got = ms3.compute_targets([0])[0]
     assert abs(got - (1.0 + 0.5 * 2.0 + 0.25 * 3.0 + 0.125 * 4.0)) < 1e-12
     checked += 1
 
     # n-step truncated by a premature terminal: bootstrap suppressed
     ms4 = _pinned_q_agent("MS4", 4.0, gamma=0.5)
     _push_chain(ms4, [1.0, 1.0], terminal=Termination.OUT_OF_TRACK)
-    got = ms4.compute_targets(_FixedBatch(ms4.buffer, [0]))[0]
+    got = ms4.compute_targets([0])[0]
     assert abs(got - 1.5) < 1e-12  # r0 + gamma*r1, no bootstrap
     checked += 1
 
     # n-step ending exactly on a max_steps terminal: gamma^m bootstrap kept
     ms2b = _pinned_q_agent("MS2", 4.0, gamma=0.5)
     _push_chain(ms2b, [1.0, 1.0], terminal=Termination.MAX_STEPS)
-    got = ms2b.compute_targets(_FixedBatch(ms2b.buffer, [0]))[0]
+    got = ms2b.compute_targets([0])[0]
     assert abs(got - 2.5) < 1e-12
     checked += 1
 
     # LSTM critic path with pinned head bias
     lstm = _pinned_q_agent("LSTM4", 3.0, gamma=0.9)
     _push_chain(lstm, [2.0, 1.0, 0.5, 0.25])
-    got = lstm.compute_targets(_FixedBatch(lstm.buffer, [2]))[0]
+    got = lstm.compute_targets([2])[0]
     assert abs(got - (0.5 + 0.9 * 3.0)) < 1e-12
     checked += 1
 
@@ -245,15 +234,14 @@ def test_criterion_4_per_distribution_and_tree():
     for i in range(16):
         buf.push(Transition(np.array([float(i)]), np.zeros(3), 0.0,
                             np.array([0.0]), None, 0, i))
-    for i, p in enumerate(raw):
-        # choose delta so the raw priority equals p exactly aside from epsilon
-        buf.update_priority(i, buf.get(i).serial, delta=math.sqrt(p), grad_sq=0.0)
+    # choose delta so the raw priority equals p exactly aside from epsilon
+    buf.update_priority(np.arange(16), np.sqrt(raw), np.zeros(16))
 
     expected = raw ** alpha / np.sum(raw ** alpha)
     rng = np.random.default_rng(99)
     draws = []
     for _ in range(1000):
-        draws.extend(buf.sample(100, rng).slots)
+        draws.extend(buf.sample(100, rng))
     freqs = empirical_frequencies(draws, 16)
     max_abs = float(np.max(np.abs(freqs - expected)))
     assert max_abs < 0.01

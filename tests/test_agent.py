@@ -19,7 +19,7 @@ from racerl.agent import (
     td_target,
 )
 from racerl.replay import TERMINATION_CODES as CODE
-from racerl.replay import SampleBatch, Transition
+from racerl.replay import Transition
 from racerl.simulator import Termination
 from oracles import (
     ArrayAdam,
@@ -251,14 +251,14 @@ def test_compute_targets_n1_is_the_one_step_rule():
     # y = r + gamma * Q'(s', mu'(s')) built from the stored transition
     agent = DDPGAgent(tiny_config("WIN1"), seed=2)
     fill_buffer(agent, 40, np.random.default_rng(0), terminal_every=10)
-    batch = SampleBatch(slots=list(range(40)), serials=list(range(40)))
+    slots = np.arange(40)
     want = []
-    for slot in batch.slots:
+    for slot in slots:
         t = agent.buffer.get(slot)
         s_next = t.next_state[None, :]
         q = agent.target_critic(s_next, agent.target_actor(s_next))[0]
         want.append(scalar_td_target(t.reward, 1, q, agent.config.gamma, t.termination))
-    npt.assert_allclose(agent.compute_targets(batch), want, rtol=1e-12)
+    npt.assert_allclose(agent.compute_targets(slots), want, rtol=1e-12)
 
 
 @pytest.mark.parametrize("variant, calls", [("WIN8", 1), ("MS4", 2)])
@@ -266,9 +266,9 @@ def test_train_step_gathers_each_window_once(variant, calls):
     # with nstep 1 the bootstrap windows end at the sampled slots themselves
     agent = DDPGAgent(tiny_config(variant), seed=1)
     fill_buffer(agent, 60, np.random.default_rng(0), terminal_every=12)
-    batch = agent.buffer.sample(4, np.random.default_rng(3))
-    windows = agent.buffer.assemble_window(np.asarray(batch.slots), agent.config.window)
-    npt.assert_array_equal(agent.compute_targets(batch, windows), agent.compute_targets(batch))
+    slots = agent.buffer.sample(4, np.random.default_rng(3))
+    windows = agent.buffer.assemble_window(slots, agent.config.window)
+    npt.assert_array_equal(agent.compute_targets(slots, windows), agent.compute_targets(slots))
     seen = []
     gather = agent.buffer.assemble_window
     agent.buffer.assemble_window = lambda *a: seen.append(a) or gather(*a)

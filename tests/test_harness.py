@@ -507,6 +507,13 @@ class Unserialisable:
         raise RuntimeError("cannot serialise")
 
 
+def _telemetry(*rows):
+    """A TelemetryLogger holding these rows; _fmt cannot format an Unserialisable."""
+    log = TelemetryLogger()
+    log.rows.extend(rows)
+    return log
+
+
 @pytest.mark.parametrize("name, write", [
     # the zip holds the meta block and "w" when pickling "bad" raises
     ("latest.npz", lambda path: nn.save_arrays(
@@ -515,6 +522,7 @@ class Unserialisable:
         SimpleNamespace(name="t", width=Unserialisable(),
                         centerline=SimpleNamespace(points=np.zeros((3, 2)))), path)),
     ("runinfo.json", lambda path: ex.write_json(path, {"a": [1.0] * 100, "z": Unserialisable()})),
+    ("telemetry.csv", lambda path: _telemetry((0,) * 14, (1, Unserialisable())).write(path)),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_a_write_that_fails_partway_leaves_the_previous_file(tmp_path, name, write):
     path = tmp_path / name
@@ -712,6 +720,8 @@ def test_tournament_tiny(tmp_path):
 @pytest.mark.parametrize("kw,message", [
     ({"variants": ["WIN1", "WIN9"]}, "config variant must be one of .*, got 'WIN9'"),
     ({"phase2_track": "nosuch"}, "tournament phase2_track must be one of .*, got 'nosuch'"),
+    ({"variants": ["WIN1", "WIN4", "WIN1"]}, re.escape("variants[2] repeats variants[0]")),
+    ({"variants": []}, "need at least one variant"),
 ])
 def test_tournament_checks_its_arguments_before_training(tmp_path, monkeypatch, kw, message):
     calls = []

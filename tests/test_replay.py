@@ -19,7 +19,14 @@ from racerl.replay import (
     save_buffer,
 )
 from racerl.simulator import Termination
-from oracles import empirical_frequencies, scalar_find, scalar_per_sample
+from oracles import (
+    empirical_frequencies,
+    scalar_find,
+    scalar_per_sample,
+    scalar_update_priorities,
+    serial_nstep,
+    serial_window,
+)
 
 
 def make_transition(i, episode=0, step=None, termination=None, reward=None):
@@ -65,9 +72,9 @@ def test_push_overwrites_oldest():
 def test_sample_single_item_repeats():
     buf = ReplayBuffer(8)
     buf.push(make_transition(7))
-    batch = buf.sample(4, np.random.default_rng(0))
-    assert len(batch) == 4
-    for slot in batch.slots:
+    slots = buf.sample(4, np.random.default_rng(0))
+    assert len(slots) == 4
+    for slot in slots:
         assert buf.get(slot).state[0] == 7.0
 
 
@@ -85,7 +92,7 @@ def test_sample_uniform_frequencies():
     rng = np.random.default_rng(123)
     draws = []
     for _ in range(1000):
-        draws.extend(buf.sample(100, rng).slots)
+        draws.extend(buf.sample(100, rng))
     freqs = empirical_frequencies(draws, 10)
     npt.assert_allclose(freqs, np.full(10, 0.1), atol=0.02)
 
@@ -94,9 +101,9 @@ def test_sample_same_seed_same_indices():
     buf = ReplayBuffer(16)
     for i in range(10):
         buf.push(make_transition(i))
-    s1 = buf.sample(6, np.random.default_rng(99)).slots
-    s2 = buf.sample(6, np.random.default_rng(99)).slots
-    assert s1 == s2
+    s1 = buf.sample(6, np.random.default_rng(99))
+    s2 = buf.sample(6, np.random.default_rng(99))
+    assert s1.tolist() == s2.tolist()
 
 
 # --- sum tree -------------------------------------------------------------------
@@ -147,23 +154,10 @@ def test_update_priority_repairs_root():
     buf = PrioritizedReplayBuffer(16, PERConfig(alpha=1.0))
     for i in range(8):
         buf.push(make_transition(i))
-    for i in range(8):
-        buf.update_priority(i, buf.get(i).serial, delta=float(i), grad_sq=1.0)
+    buf.update_priority(np.arange(8), np.arange(8.0), np.ones(8))
     leaves = [buf.tree.get(i) for i in range(8)]
     assert buf.tree.total == pytest.approx(sum(leaves), abs=1e-9)
     assert buf.tree.consistency_error() < 1e-9
-
-
-def test_update_priority_stale_index_skipped():
-    buf = PrioritizedReplayBuffer(4)
-    for i in range(4):
-        buf.push(make_transition(i))
-    serial = buf.get(0).serial
-    buf.push(make_transition(99))  # overwrites slot 0
-    before = buf.tree.get(0)
-    buf.update_priority(0, serial, delta=100.0, grad_sq=0.0)
-    assert buf.stale_updates == 1
-    assert buf.tree.get(0) == before
 
 
 # --- prioritized sampling ---------------------------------------------------------
@@ -178,13 +172,13 @@ def test_per_sample_matches_the_scalar_oracle():
         buf = PrioritizedReplayBuffer(capacity, PERConfig(alpha=float(rng.uniform(0.0, 1.0))))
         for i in range(int(rng.integers(1, capacity + 1))):
             buf.push(make_transition(i))
-        for slot in range(buf.size):
-            if rng.random() < 0.7:
-                buf.update_priority(slot, buf.get(slot).serial, delta=float(rng.normal(0.0, 3.0)),
-                                    grad_sq=float(rng.exponential()))
+        written = [(slot, rng.normal(0.0, 3.0), rng.exponential())
+                   for slot in range(buf.size) if rng.random() < 0.7]
+        if written:
+            buf.update_priority(*zip(*written))
         n = int(rng.integers(1, 64))
         batched, scalar = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
-        assert buf.sample(n, batched).slots == scalar_per_sample(buf, n, scalar)
+        assert buf.sample(n, batched).tolist() == scalar_per_sample(buf, n, scalar)
         assert batched.bit_generator.state == scalar.bit_generator.state
         # past the total, a prefix stops at the last leaf with mass
         prefixes = rng.uniform(0.0, 1.2 * buf.tree.total, size=16)
@@ -195,12 +189,11 @@ def test_per_distribution_two_items():
     buf = PrioritizedReplayBuffer(4, PERConfig(alpha=1.0, epsilon=1e-12))
     buf.push(make_transition(0))
     buf.push(make_transition(1))
-    buf.update_priority(0, buf.get(0).serial, delta=1.0, grad_sq=0.0)   # p = 1
-    buf.update_priority(1, buf.get(1).serial, delta=np.sqrt(3.0), grad_sq=0.0)  # p = 3
+    buf.update_priority([0, 1], [1.0, np.sqrt(3.0)], [0.0, 0.0])  # p = 1 and 3
     rng = np.random.default_rng(5)
     draws = []
     for _ in range(1000):
-        draws.extend(buf.sample(100, rng).slots)
+        draws.extend(buf.sample(100, rng))
     freqs = empirical_frequencies(draws, 2)
     npt.assert_allclose(freqs, [0.25, 0.75], atol=0.01)
 
@@ -209,11 +202,11 @@ def test_per_equal_priorities_uniform():
     buf = PrioritizedReplayBuffer(8, PERConfig(alpha=1.0))
     for i in range(8):
         buf.push(make_transition(i))
-        buf.update_priority(i, buf.get(i).serial, delta=2.0, grad_sq=0.0)
+        buf.update_priority([i], [2.0], [0.0])
     rng = np.random.default_rng(11)
     draws = []
     for _ in range(500):
-        draws.extend(buf.sample(80, rng).slots)
+        draws.extend(buf.sample(80, rng))
     freqs = empirical_frequencies(draws, 8)
     npt.assert_allclose(freqs, np.full(8, 1.0 / 8.0), atol=0.02)
 
@@ -223,12 +216,11 @@ def test_per_alpha_zero_uniform_regardless():
     deltas = [0.1, 5.0, 0.1, 20.0]
     for i in range(4):
         buf.push(make_transition(i))
-    for i, d in enumerate(deltas):
-        buf.update_priority(i, buf.get(i).serial, delta=d, grad_sq=0.0)
+    buf.update_priority(np.arange(4), deltas, np.zeros(4))
     rng = np.random.default_rng(17)
     draws = []
     for _ in range(500):
-        draws.extend(buf.sample(80, rng).slots)
+        draws.extend(buf.sample(80, rng))
     freqs = empirical_frequencies(draws, 4)
     npt.assert_allclose(freqs, np.full(4, 0.25), atol=0.02)
 
@@ -236,7 +228,7 @@ def test_per_alpha_zero_uniform_regardless():
 def test_per_new_transition_gets_max_priority():
     buf = PrioritizedReplayBuffer(8, PERConfig(alpha=1.0))
     buf.push(make_transition(0))
-    buf.update_priority(0, buf.get(0).serial, delta=3.0, grad_sq=0.0)  # raw 9.001
+    buf.update_priority([0], [3.0], [0.0])  # raw 9.001
     buf.push(make_transition(1))
     assert buf.tree.get(1) == pytest.approx(buf.max_raw_priority)
     assert buf.tree.get(1) >= buf.tree.get(0)
@@ -379,32 +371,49 @@ def test_buffer_snapshot_roundtrip(tmp_path):
 # --- batched views against a per-transition walk ------------------------------------
 
 
-def _walk(by_serial, t, offset):
-    """The same episode's transition `offset` pushes from t, if still stored."""
-    other = by_serial.get(t.serial + offset)
-    return other if other is not None and other.episode == t.episode else None
+def _walk(stored, i, offset):
+    """The number of the push `offset` pushes from push i, if it is still
+    stored and holds the same episode."""
+    j = i + offset
+    return j if j in stored and stored[j].episode == stored[i].episode else None
 
 
-def _reference_window(by_serial, t, window):
-    chain = [t]
+def _reference_window(stored, i, window):
+    chain = [i]
     while len(chain) < window:
-        prev = _walk(by_serial, chain[0], -1)
+        prev = _walk(stored, chain[0], -1)
         if prev is None:
             break
         chain.insert(0, prev)
-    states = [chain[0].state] * (window - len(chain)) + [c.state for c in chain]
-    actions = [chain[0].action] * (window - len(chain)) + [c.action for c in chain]
-    return np.stack(states), np.stack(actions), np.stack(states[1:] + [t.next_state])
+    ts = [stored[j] for j in chain]
+    states = [ts[0].state] * (window - len(ts)) + [t.state for t in ts]
+    actions = [ts[0].action] * (window - len(ts)) + [t.action for t in ts]
+    return np.stack(states), np.stack(actions), np.stack(states[1:] + [stored[i].next_state])
 
 
-def _reference_nstep(by_serial, t, n, gamma):
+def _reference_nstep(stored, i, n, gamma):
     reward_sum = 0.0
     for k in range(n):
+        t = stored[i]
         reward_sum += (gamma ** k) * t.reward
-        nxt = _walk(by_serial, t, 1)
+        nxt = _walk(stored, i, 1)
         if t.termination is not None or k == n - 1 or nxt is None:
             return reward_sum, t.next_state, k + 1, TERMINATION_CODES[t.termination]
-        t = nxt
+        i = nxt
+
+
+def _random_trajectory(rng, pushes):
+    """Random transitions to push. Episodes also get cut without a terminal,
+    and a terminal must end an n-step view even where the episode number
+    runs on."""
+    episode, step = 0, 0
+    for _ in range(pushes):
+        end = list(Termination)[rng.integers(len(Termination))] if rng.random() < 0.2 else None
+        yield Transition(rng.normal(size=3), rng.uniform(size=3), float(rng.normal()),
+                         rng.normal(size=3), end, episode, step)
+        step += 1
+        if rng.random() < (0.7 if end is not None else 0.05):
+            episode, step = episode + 1, 0
 
 
 @pytest.mark.parametrize("capacity,pushes", [
@@ -417,35 +426,67 @@ def test_batched_views_match_per_transition_walk(capacity, pushes, monkeypatch):
     monkeypatch.setattr(replay, "FIRST_ROWS", 4)
     rng = np.random.default_rng(capacity + pushes)
     buf = ReplayBuffer(capacity)
-    episode, step = 0, 0
-    for i in range(pushes):
-        end = list(Termination)[rng.integers(len(Termination))] if rng.random() < 0.2 else None
-        buf.push(Transition(rng.normal(size=3), rng.uniform(size=3), float(rng.normal()),
-                            rng.normal(size=3), end, episode, step))
-        step += 1
-        # episodes also get cut without a terminal, and a terminal must end an
-        # n-step view even where the episode number runs on
-        if rng.random() < (0.7 if end is not None else 0.05):
-            episode, step = episode + 1, 0
-    stored = [buf.get(i) for i in range(len(buf))]
-    by_serial = {t.serial: t for t in stored}
+    log = list(_random_trajectory(rng, pushes))
+    for t in log:
+        buf.push(t)
+    # push i sits in slot i % capacity until a later push overwrites it
+    stored = {i: log[i] for i in range(max(0, pushes - capacity), pushes)}
+    number = {i % capacity: i for i in stored}
     slots = np.concatenate([np.arange(len(buf)), rng.integers(0, len(buf), size=9)])
     for window in (1, 3, 8):
         batched = buf.assemble_window(slots, window)
         for row, slot in enumerate(slots):
-            expected = _reference_window(by_serial, stored[slot], window)
+            expected = _reference_window(stored, number[slot], window)
             for got, single, want in zip(batched, buf.assemble_window(int(slot), window), expected):
                 npt.assert_array_equal(got[row], want)
                 npt.assert_array_equal(single, want)
     for n, gamma in ((1, 0.9), (4, 0.9), (6, 0.5)):
         view = buf.assemble_nstep(slots, n, gamma)
         for row, slot in enumerate(slots):
-            reward_sum, boot, steps, code = _reference_nstep(by_serial, stored[slot], n, gamma)
+            reward_sum, boot, steps, code = _reference_nstep(stored, number[slot], n, gamma)
             single = buf.assemble_nstep(int(slot), n, gamma)
             for v, i in ((view, row), (single, ...)):
                 assert v.reward_sum[i] == reward_sum  # same order of additions: bit equal
                 npt.assert_array_equal(buf.next_state[v.slot[i]], boot)
                 assert (v.steps[i], v.termination[i]) == (steps, code)
+
+
+def test_links_and_batched_write_back_match_the_serial_oracles(monkeypatch):
+    # the step links kept at push give the views of the neighbour walk by
+    # push numbers, and one batched write-back leaves the tree and the
+    # maximum of a scalar SumTree.update per slot, bit for bit
+    monkeypatch.setattr(replay, "FIRST_ROWS", 4)
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        capacity = 1 if seed % 8 == 0 else int(rng.integers(2, 60))
+        config = PERConfig(alpha=float(rng.uniform(0.0, 1.0)), lam3=float(rng.uniform(0.0, 1.0)))
+        buf, oracle = PrioritizedReplayBuffer(capacity, config), PrioritizedReplayBuffer(capacity, config)
+        pushes = int(rng.integers(1, 4 * capacity + 3))
+        for t in _random_trajectory(rng, pushes):
+            buf.push(t)
+            oracle.push(t)
+            if rng.random() < 0.3:
+                slots = rng.integers(0, len(buf), size=int(rng.integers(1, 33)))
+                slots = np.append(slots, slots[0])  # a repeated slot keeps its last value
+                deltas, grad_sq = rng.normal(0.0, 3.0, len(slots)), rng.exponential(size=len(slots))
+                buf.update_priority(slots, deltas, grad_sq)
+                scalar_update_priorities(oracle, slots, deltas, grad_sq)
+                assert np.array_equal(buf.tree.nodes, oracle.tree.nodes)
+                assert buf.max_raw_priority == oracle.max_raw_priority
+        # the number of the push each slot holds: push i sits in slot i % capacity
+        kept = np.arange(max(0, pushes - capacity), pushes)
+        serials = np.empty(len(kept), dtype=np.int64)
+        serials[kept % capacity] = kept
+        slots = np.concatenate([np.arange(len(buf)), rng.integers(0, len(buf), size=9)])
+        for window in (1, 3, 8):
+            for got, want in zip(buf.assemble_window(slots, window),
+                                 serial_window(buf, serials, slots, window)):
+                assert np.array_equal(got, want)
+        for n in (1, 2, 4, 7):
+            view = buf.assemble_nstep(slots, n, 0.9)
+            want = serial_nstep(buf, serials, slots, n, 0.9)
+            for got, w in zip((view.reward_sum, view.steps, view.termination, view.slot), want):
+                assert np.array_equal(got, w)
 
 
 def test_buffer_memory_follows_contents_not_capacity():
