@@ -5,7 +5,7 @@ is a sequence of (delta, alpha) points, where delta is arc length along the
 track axis and alpha the lateral fraction of the width measured from the
 right border. The geometry is immutable after construction. What changes
 are memos: each polyline builds Python-float tables of its segments at
-its first query, and caches, per 4 m grid cell, which segments can hold
+its first query, and caches, per 2 m grid cell, which segments can hold
 the nearest point of a query in that cell. Both are pure functions of
 the fixed points, so instances stay safe to share: ``tracks.get_track``
 builds each bundled track once per process and hands every caller the
@@ -48,7 +48,7 @@ LAC_OFFSETS = (20.0, 40.0, 60.0, 80.0)
 
 _CURVATURE_SPACING = 5.0  # meters between the three circumscribed-circle samples
 
-_CELL = 4.0  # m, side of a projection cell
+_CELL = 2.0  # m, side of a projection cell
 # dist(c) + 2h plus a margin far above the rounding error of the distances
 _CELL_REACH = _CELL * math.sqrt(2.0) + 1e-3
 _CHUNK = 16  # border segments per bounding circle

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import Config, ranged
 from .files import write_atomic
-from .geometry import RacingLine, wrap_angle
+from .geometry import RacingLine, TrackFrame, wrap_angle
 from .nn import NumericError
 
 GRAVITY = 9.81
@@ -327,36 +327,75 @@ class RacingEnv:
                                 self.lac_enabled, self.params, self.axis_frame)
 
     def step(self, action):
-        """Advance one 200 ms agent step. Returns a StepResult."""
+        """Advance one 200 ms agent step. Returns a StepResult.
+
+        The substeps run on floats in locals and write the state once; only
+        the last builds a TrackFrame, as only axis_frame and the tracker read it."""
         if self.termination is not None:
             raise RuntimeError("episode is over; call reset()")
         if isinstance(action, Action):
             raw = action
         else:
-            raw = Action.from_array(np.asarray(action, dtype=np.float64))
+            a = np.asarray(action, dtype=np.float64)
+            if a.shape != (3,):
+                raise ValueError(f"action array must have shape (3,), got {a.shape}")
+            raw = Action.from_array(a)
         if not all(math.isfinite(v) for v in (raw.steer, raw.throttle, raw.brake)):
             raise NumericError("non-finite action")
         act = raw.clamped()
 
+        p = self.params
         settings = self.settings
+        s = self.state
+        centerline = self.track.centerline
+        half_width = self.track.width / 2.0
         h = settings.dt / settings.substeps
+        wheelbase, drag, mass, top_speed = p.wheelbase, p.drag_coeff, p.mass, p.top_speed
+        # constant within the step
+        tan_steer = math.tan(act.steer * p.max_steer)
+        drive = p.engine_force * act.throttle
+        brake_on = p.brake_force * act.brake
+        x, y = s.position.tolist()
+        heading, vx = s.heading, s.vx
         damage_increment = 0.0
-        x, y = self.state.position.tolist()
         for _ in range(settings.substeps):
-            x, y, dmg, track_frame = self._substep(act, h, x, y)
-            damage_increment += dmg
-        self.state.position = np.array([x, y])
-        self.state.damage += damage_increment
+            omega = vx * tan_steer / wheelbase
+            cap = p.lateral_accel_cap(vx)
+            if vx > 1e-6 and abs(vx * omega) > cap:
+                omega = math.copysign(cap / vx, omega)  # understeer: grip-capped yaw
+            vy = omega * wheelbase / 2.0
+            brake = brake_on if vx > 0.0 else 0.0
+            force = drive - brake - drag * vx * vx
+            vx = min(max(vx + (force / mass) * h, 0.0), top_speed)
+
+            heading = wrap_angle(heading + omega * h)
+            cos_h, sin_h = math.cos(heading), math.sin(heading)
+            wx = vx * cos_h - vy * sin_h
+            wy = vx * sin_h + vy * cos_h
+            x += wx * h
+            y += wy * h
+            self.time += h
+
+            delta, lateral, tangent = centerline.project((x, y))
+            track_pos = lateral / half_width
+            if abs(track_pos) >= 1.0:
+                s.heading, s.vx, s.vy = heading, vx, vy
+                frame = TrackFrame(track_pos, wrap_angle(heading - tangent), delta)
+                damage_increment += self._wall_contact((wx, wy), frame)
+                vx, vy = s.vx, s.vy
+            self._advance_progress(delta, h)
+        s.position = np.array([x, y])
+        s.heading, s.vx, s.vy, s.yaw_rate = heading, vx, vy, omega
+        s.damage += damage_increment
         # the wall response changes only the velocity, so the last substep's
         # frame is still the frame of the current pose
-        self.axis_frame = track_frame
+        self.axis_frame = TrackFrame(track_pos, wrap_angle(heading - tangent), delta)
         obs = self.observe()
         reward = progress_reward(
             obs.vx, obs.angle, obs.track_pos, damage_increment,
             damage_weight=settings.damage_weight, literal_sin=settings.literal_sin,
         )
-        self.termination = self.tracker.update(
-            track_frame.track_pos, track_frame.theta, self.state.vx)
+        self.termination = self.tracker.update(track_pos, self.axis_frame.theta, vx)
         penalty = terminal_reward(self.termination)
         if penalty is not None:
             reward = penalty
@@ -365,40 +404,6 @@ class RacingEnv:
                           damage_increment=damage_increment)
 
     # --- dynamics ---------------------------------------------------------
-
-    def _substep(self, act, h, x, y):
-        """One 20 ms integration step from position (x, y).
-
-        Returns (x, y, damage, frame); the caller stores the position in
-        the state.
-        """
-        p = self.params
-        s = self.state
-
-        steer_angle = act.steer * p.max_steer
-        omega = s.vx * math.tan(steer_angle) / p.wheelbase
-        cap = p.lateral_accel_cap(s.vx)
-        if s.vx > 1e-6 and abs(s.vx * omega) > cap:
-            omega = math.copysign(cap / s.vx, omega)  # understeer: grip-capped yaw
-        s.yaw_rate = omega
-        s.vy = omega * p.wheelbase / 2.0
-
-        brake = p.brake_force * act.brake if s.vx > 0.0 else 0.0
-        force = p.engine_force * act.throttle - brake - p.drag_coeff * s.vx * s.vx
-        s.vx = min(max(s.vx + (force / p.mass) * h, 0.0), p.top_speed)
-
-        s.heading = wrap_angle(s.heading + omega * h)
-        cos_h, sin_h = math.cos(s.heading), math.sin(s.heading)
-        wx = s.vx * cos_h - s.vy * sin_h
-        wy = s.vx * sin_h + s.vy * cos_h
-        x += wx * h
-        y += wy * h
-        self.time += h
-
-        frame = self.track.frame((x, y), s.heading)
-        damage = self._wall_contact((wx, wy), frame)
-        self._advance_progress(frame.delta, h)
-        return x, y, damage, frame
 
     def _wall_contact(self, world_v, frame):
         """Damage + velocity response when the car is at or beyond a border.

@@ -6,17 +6,30 @@ pass alone, distributions are checked by brute-force counting, the
 geometry queries scan every segment or call numpy's own search and
 interpolation, the learner's updates run array by array with one
 scalar TD target per view, replay views find a step's neighbours by the
-numbers of the pushes, and priorities go back into the sum tree one slot
-at a time.
+numbers of the pushes, priorities go back into the sum tree one slot
+at a time, and the env step runs one method call per substep, each on
+the car state and with a track frame of its own.
 """
 
 import math
 
 import numpy as np
 
-from racerl.geometry import RANGEFINDER_ANGLES, RANGEFINDER_COUNT, RANGEFINDER_MAX, Polyline
+from racerl.geometry import (
+    RANGEFINDER_ANGLES,
+    RANGEFINDER_COUNT,
+    RANGEFINDER_MAX,
+    Polyline,
+    wrap_angle,
+)
 from racerl.nn import NumericError, ShapeError
-from racerl.simulator import PREMATURE_TERMINATIONS
+from racerl.simulator import (
+    PREMATURE_TERMINATIONS,
+    Action,
+    StepResult,
+    progress_reward,
+    terminal_reward,
+)
 
 
 def finite_difference_grad(f, x, h=1e-5):
@@ -179,6 +192,70 @@ def wall_contact(env, world_v, frame):
     s.vx = max(new_world_v[0] * cos_h + new_world_v[1] * sin_h, 0.0)
     s.vy = -new_world_v[0] * sin_h + new_world_v[1] * cos_h
     return damage
+
+
+def substep_step(env, action):
+    """RacingEnv.step with one substep_dynamics call per substep, each
+    writing the car state and projecting through Track.frame."""
+    if env.termination is not None:
+        raise RuntimeError("episode is over; call reset()")
+    if isinstance(action, Action):
+        raw = action
+    else:
+        raw = Action.from_array(np.asarray(action, dtype=np.float64))
+    if not all(math.isfinite(v) for v in (raw.steer, raw.throttle, raw.brake)):
+        raise NumericError("non-finite action")
+    act = raw.clamped()
+    settings = env.settings
+    h = settings.dt / settings.substeps
+    damage_increment = 0.0
+    x, y = env.state.position.tolist()
+    for _ in range(settings.substeps):
+        x, y, dmg, frame = substep_dynamics(env, act, h, x, y)
+        damage_increment += dmg
+    env.state.position = np.array([x, y])
+    env.state.damage += damage_increment
+    env.axis_frame = frame
+    obs = env.observe()
+    reward = progress_reward(
+        obs.vx, obs.angle, obs.track_pos, damage_increment,
+        damage_weight=settings.damage_weight, literal_sin=settings.literal_sin,
+    )
+    env.termination = env.tracker.update(frame.track_pos, frame.theta, env.state.vx)
+    penalty = terminal_reward(env.termination)
+    if penalty is not None:
+        reward = penalty
+    env.episode_return += reward
+    return StepResult(observation=obs, reward=reward, termination=env.termination,
+                      damage_increment=damage_increment)
+
+
+def substep_dynamics(env, act, h, x, y):
+    """One 20 ms integration step from (x, y) on env.state: returns
+    (x, y, damage, frame)."""
+    p = env.params
+    s = env.state
+    steer_angle = act.steer * p.max_steer
+    omega = s.vx * math.tan(steer_angle) / p.wheelbase
+    cap = p.lateral_accel_cap(s.vx)
+    if s.vx > 1e-6 and abs(s.vx * omega) > cap:
+        omega = math.copysign(cap / s.vx, omega)
+    s.yaw_rate = omega
+    s.vy = omega * p.wheelbase / 2.0
+    brake = p.brake_force * act.brake if s.vx > 0.0 else 0.0
+    force = p.engine_force * act.throttle - brake - p.drag_coeff * s.vx * s.vx
+    s.vx = min(max(s.vx + (force / p.mass) * h, 0.0), p.top_speed)
+    s.heading = wrap_angle(s.heading + omega * h)
+    cos_h, sin_h = math.cos(s.heading), math.sin(s.heading)
+    wx = s.vx * cos_h - s.vy * sin_h
+    wy = s.vx * sin_h + s.vy * cos_h
+    x += wx * h
+    y += wy * h
+    env.time += h
+    frame = env.track.frame((x, y), s.heading)
+    damage = env._wall_contact((wx, wy), frame)
+    env._advance_progress(frame.delta, h)
+    return x, y, damage, frame
 
 
 def brute_rangefinders(track, position, heading):

@@ -151,9 +151,10 @@ def index_poses(track, rng, n=150):
         s = rng.uniform(0.0, track.length)
         side = rng.choice([-1.0, 1.0]) * rng.uniform(0.85, 1.02) * track.width / 2.0
         poses.append(track.centerline.point_at(s) + side * track.centerline.normal_at(s))
+    cell = geometry._CELL
     for p in poses[n:]:
-        poses.append(np.round(p / 4.0) * 4.0)
-        poses.append(np.array([math.floor(p[0] / 4.0) * 4.0, p[1]]))
+        poses.append(np.round(p / cell) * cell)
+        poses.append(np.array([math.floor(p[0] / cell) * cell, p[1]]))
     if track.name == "oval":
         poses += [np.array([250.0, 160.0]), np.array([0.0, 160.0])]
     return poses

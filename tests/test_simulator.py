@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -22,7 +23,7 @@ from racerl.simulator import (
     progress_reward,
     terminal_reward,
 )
-from oracles import brute_project, brute_rangefinders, wall_contact
+from oracles import brute_project, brute_rangefinders, substep_step, wall_contact
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +238,18 @@ def test_step_rejects_non_finite_action(oval):
         env.step(Action(steer=float("nan")))
 
 
+@pytest.mark.parametrize("action", [
+    [0.1, 0.5, 0.0, 9.0], [0.1, 0.5], [[0.1, 0.5, 0.0]], 0.5, [],
+], ids=["four", "two", "row", "scalar", "empty"])
+def test_step_rejects_a_malformed_action_array(oval, action):
+    env = make_env(oval)
+    shape = np.shape(action)
+    with pytest.raises(ValueError, match=rf"shape \(3,\), got {re.escape(str(shape))}"):
+        env.step(action)
+    assert env.time == 0.0 and env.tracker.steps == 0
+    env.step(np.array([0.1, 0.5, 0.0]))  # a (3,) array still steps
+
+
 def test_yaw_rate_matches_bicycle_formula(oval):
     env = make_env(oval)
     env.reset()
@@ -361,13 +374,32 @@ def wall_trace(name, episodes=100):
         steer = rng.uniform(-1.0, 1.0)
         while True:
             res = env.step(Action(steer=steer, throttle=rng.uniform(0.0, 1.0)))
-            s = env.state
             contacts += res.damage_increment > 0.0
-            trace.append((s.position.tolist(), s.heading, s.vx, s.vy, s.damage,
-                          res.observation.vector().tolist()))
+            trace.append(step_record(env, res))
             if res.termination:
                 break
     return trace, contacts
+
+
+def step_record(env, res):
+    """Everything a step leaves behind: the car state, the env's clock, lap
+    progress and axis frame, and the step result."""
+    s = env.state
+    return (s.position.tolist(), s.heading, s.vx, s.vy, s.yaw_rate, s.damage,
+            env.time, env.lap_progress, list(env.lap_times), env.axis_frame,
+            res.observation.vector().tolist(), res.reward, res.termination,
+            res.damage_increment)
+
+
+def bot_trace(track, reference, lac_enabled):
+    """step_record of every step of a 450-step bot drive."""
+    env = make_env(track, reference=reference, lac_enabled=lac_enabled, max_steps=450)
+    bot = BaselineBot(track)
+    trace = []
+    while not env.done:
+        trace.append(step_record(env, env.step(bot.act(env.state, env.axis_frame))))
+    assert env.lap_times
+    return trace
 
 
 @pytest.mark.parametrize("name", tracks.TRACK_NAMES)
@@ -378,6 +410,23 @@ def test_wall_contact_equals_the_numpy_dot_oracle(name, monkeypatch):
     assert contacts >= 90
     monkeypatch.setattr(RacingEnv, "_wall_contact", wall_contact)
     assert wall_trace(name) == (fast, contacts)
+
+
+@pytest.mark.parametrize("name", tracks.TRACK_NAMES)
+def test_step_equals_the_per_substep_oracle(name, monkeypatch):
+    """RacingEnv.step against the oracle that runs each substep on the car
+    state and builds every substep's track frame: bot laps on the track
+    axis and on a recorded line with LAC, and random wall hits."""
+    track = tracks.get_track(name)
+    recorded = record_reference_line(track)
+
+    def traces():
+        return (bot_trace(track, None, False), bot_trace(track, recorded, True),
+                wall_trace(name))
+
+    fast = traces()
+    monkeypatch.setattr(RacingEnv, "step", substep_step)
+    assert traces() == fast
 
 
 # --- laps ----------------------------------------------------------------------
