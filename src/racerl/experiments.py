@@ -10,9 +10,11 @@ metrics files.
 from __future__ import annotations
 
 import dataclasses
+import glob
 import json
 import math
 import os
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -28,12 +30,12 @@ from .agent import (
 )
 from .bot import record_reference_line
 from .config import Config, from_dict, ranged
-from .files import write_atomic
+from .files import write_text
 from .geometry import RacingLine, load_racing_line, save_racing_line
 from .nn import NumericError
 from .plotting import moving_average, read_csv_columns
 from .replay import Transition
-from .simulator import CarParams, EnvSettings, RacingEnv, _fmt
+from .simulator import CarParams, EnvSettings, RacingEnv, csv_row
 
 REFERENCE_MODES = ("mot", "rc", "rc-lac")
 
@@ -61,8 +63,7 @@ def _check_distinct(values, noun, check=None):
 
 def write_json(path, data):
     """Write data as indented JSON with sorted keys and a final newline, atomically."""
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    write_atomic(path, lambda fh: fh.write(text))
+    write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass
@@ -71,7 +72,6 @@ class TrainSettings(Config, tree="train"):
     eval_every: int = ranged("at least 1", 10)
     checkpoint_every: int = ranged("at least 1", 50)
     warmup_steps: int = ranged("non-negative", 1000)
-    train_every: int = ranged("at least 1", 1)
     updates_per_step: int = ranged("at least 1", 1)  # gradient steps per environment step
     spread_starts: bool = False        # deterministic per-episode start positions
     # stop once an eval lap completes with 0 damage and, when success_lap_time
@@ -237,128 +237,134 @@ METRICS_HEADER = "episode,steps,return,critic_loss_mean,actor_obj_mean,epsilon_p
 EVAL_HEADER = "episode,return,steps,laps,best_lap_time,damage,termination"
 
 
-@dataclass
-class TrainRunResult:
-    run_dir: str
-    episodes_run: int
-    failed: bool
-    success_episode: int | None
-    checkpoints: list
-
-
 def run_dir_for(config, seed):
     tag = f"{config.variant}_{config.track}_{config.reference}"
     return os.path.join(config.output_dir, tag, f"seed{seed}")
 
 
-def train_run(config, seed, run_dir=None):
-    """One full training run: exploration-annealed episodes, periodic
-    deterministic evaluation, checkpointing, and CSV metrics."""
-    config.validate()
-    _check_seed(seed)
-    run_dir = run_dir if run_dir is not None else run_dir_for(config, seed)
-    # everything that can fail on the config is built before anything is written
-    track = tracks.get_track(config.track)
-    reference = build_reference(config, track)
-    env = make_env(config, track=track, reference=reference)
-    eval_env = make_env(config, track=track, reference=reference)
-    agent = make_agent(config, seed)
-    window = ObservationWindow(agent.config.window, agent.config.obs_dim)
-    t = config.train
+# the files of an earlier run in the same directory that a run might not rewrite
+EARLIER_RUN_FILES = ("FAILED", "best.npz", "latest.npz", "generalization.csv",
+                     "generalization.json", os.path.join("checkpoints", "ckpt_*.npz"))
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-    ckpt_dir = os.path.join(run_dir, "checkpoints")
-    os.makedirs(ckpt_dir, exist_ok=True)
-    config.save(os.path.join(run_dir, "config.json"))
-    write_json(os.path.join(run_dir, "runinfo.json"),
-               {"version": f"racerl-{__version__}", "seed": seed, "variant": config.variant,
-                "track": config.track, "reference": config.reference})
 
-    checkpoints = []
-    failed = False
-    success_episode = None
-    best_score = None
-    global_step = 0
+class Run:
+    """One training run: exploration-annealed episodes, periodic deterministic
+    evaluation, checkpointing and CSV metrics. It owns the env pair, the agent,
+    the observation window, the open CSV files and every progress fact, and
+    builds everything that can fail on the config before it writes a file."""
 
-    metrics_fh = open(os.path.join(run_dir, "metrics.csv"), "w")
-    metrics_fh.write(METRICS_HEADER + "\n")
-    eval_fh = open(os.path.join(run_dir, "eval.csv"), "w")
-    eval_fh.write(EVAL_HEADER + "\n")
+    def __init__(self, config, seed, run_dir=None):
+        config.validate()
+        _check_seed(seed)
+        self.config, self.seed = config, seed
+        self.run_dir = run_dir if run_dir is not None else run_dir_for(config, seed)
+        self.track = tracks.get_track(config.track)
+        reference = build_reference(config, self.track)
+        self.env = make_env(config, track=self.track, reference=reference)
+        self.eval_env = make_env(config, track=self.track, reference=reference)
+        self.agent = make_agent(config, seed)
+        self.window = ObservationWindow(self.agent.config.window, self.agent.config.obs_dim)
+        self.episodes_run = 0
+        self.failed = False
+        self.success_episode = None
+        self.best_score = (-1,)  # below every eval's score
+        self.checkpoints = []
 
-    def eval_now(episode):
-        nonlocal best_score, success_episode
-        res = run_eval_episode(agent, eval_env, laps=1)
-        eval_fh.write(",".join(_fmt(v) for v in (
-            episode, res.return_, res.steps, len(res.lap_times),
-            res.best_lap_time, res.damage, res.termination)) + "\n")
-        eval_fh.flush()
+        os.makedirs(os.path.join(self.run_dir, "checkpoints"), exist_ok=True)
+        for pattern in EARLIER_RUN_FILES:
+            for path in glob.glob(os.path.join(glob.escape(self.run_dir), pattern)):
+                os.remove(path)
+        config.save(os.path.join(self.run_dir, "config.json"))
+        write_json(os.path.join(self.run_dir, "runinfo.json"),
+                   {"version": f"racerl-{__version__}", "seed": seed, "variant": config.variant,
+                    "track": config.track, "reference": config.reference})
+        # line-buffered: each row is on disk once written, for readers mid-run
+        self.metrics_fh = open(os.path.join(self.run_dir, "metrics.csv"), "w", buffering=1)
+        self.metrics_fh.write(METRICS_HEADER + "\n")
+        self.eval_fh = open(os.path.join(self.run_dir, "eval.csv"), "w", buffering=1)
+        self.eval_fh.write(EVAL_HEADER + "\n")
+
+    @property
+    def done(self):
+        t = self.config.train
+        return (self.failed or self.episodes_run >= t.episodes
+                or (t.stop_on_success and self.success_episode is not None))
+
+    def episode(self):
+        """Train one episode, then run the eval and checkpoint that are due.
+        A non-finite update writes FAILED and ends the episode and the run."""
+        env, agent, window, t = self.env, self.agent, self.window, self.config.train
+        episode = self.episodes_run + 1
+        if t.spread_starts:
+            # low-discrepancy start positions (single-corner-style drills)
+            env.start_delta = (episode * GOLDEN % 1.0) * self.track.length
+        vec = env.reset().vector()
+        window.reset(vec)
+        agent.explorer.reset_noise()
+        losses, objs = [], []
+        while not (env.done or self.failed):
+            action = agent.act_explore(window.array())
+            result = env.step(action)
+            next_vec = result.observation.vector()
+            agent.buffer.push(Transition(
+                state=vec, action=action, reward=result.reward, next_state=next_vec,
+                termination=result.termination, episode=episode, step=env.tracker.steps - 1))
+            window.push(next_vec)
+            vec = next_vec
+            # explorer.steps counts env steps: act_explore runs once a step, evals call act
+            if agent.explorer.steps > t.warmup_steps:
+                try:
+                    for _ in range(t.updates_per_step):
+                        m = agent.train_step()
+                        losses.append(m.critic_loss)
+                        objs.append(m.actor_objective)
+                except NumericError as err:
+                    write_text(os.path.join(self.run_dir, "FAILED"), f"episode {episode}: {err}\n")
+                    self.failed = True
+        self.episodes_run = episode
+        self.metrics_fh.write(csv_row((
+            episode, env.tracker.steps, env.episode_return,
+            float(np.mean(losses)) if losses else 0.0,
+            float(np.mean(objs)) if objs else 0.0,
+            agent.explorer.eps_prime, len(env.lap_times), env.state.damage)))
+        if self.failed:
+            return
+        if episode % t.eval_every == 0:
+            self.evaluate(episode)
+        if episode % t.checkpoint_every == 0:
+            path = os.path.join(self.run_dir, "checkpoints", f"ckpt_{episode:06d}.npz")
+            agent.save(path)
+            self.checkpoints.append(path)
+
+    def evaluate(self, episode):
+        """Race one deterministic lap into eval.csv. A better score rewrites
+        best.npz, and the first zero-damage lap under success_lap_time (any
+        lap when it is None) sets success_episode."""
+        res = run_eval_episode(self.agent, self.eval_env, laps=1)
+        self.eval_fh.write(csv_row((episode, res.return_, res.steps, len(res.lap_times),
+                                    res.best_lap_time, res.damage, res.termination)))
         score = (1, -res.best_lap_time) if res.finished else (0, res.return_)
-        if best_score is None or score > best_score:
-            best_score = score
-            agent.save(os.path.join(run_dir, "best.npz"))
-        if res.finished and res.damage == 0.0 and success_episode is None:
-            target = t.success_lap_time
-            if target is None or res.best_lap_time < target:
-                success_episode = episode
+        if score > self.best_score:
+            self.best_score = score
+            self.agent.save(os.path.join(self.run_dir, "best.npz"))
+        target = self.config.train.success_lap_time
+        if (res.finished and res.damage == 0.0 and self.success_episode is None
+                and (target is None or res.best_lap_time < target)):
+            self.success_episode = episode
 
-    episodes_run = 0
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    try:
-        for episode in range(1, t.episodes + 1):
-            if t.spread_starts:
-                # low-discrepancy start positions (single-corner-style drills)
-                env.start_delta = (episode * golden % 1.0) * track.length
-            obs = env.reset()
-            vec = obs.vector()
-            window.reset(vec)
-            agent.explorer.reset_noise()
-            losses = []
-            objs = []
-            while not env.done:
-                action = agent.act_explore(window.array())
-                result = env.step(action)
-                next_vec = result.observation.vector()
-                agent.buffer.push(Transition(
-                    state=vec, action=action, reward=result.reward,
-                    next_state=next_vec, termination=result.termination,
-                    episode=episode, step=env.tracker.steps - 1,
-                ))
-                window.push(next_vec)
-                vec = next_vec
-                global_step += 1
-                if global_step > t.warmup_steps and global_step % t.train_every == 0:
-                    try:
-                        for _ in range(t.updates_per_step):
-                            m = agent.train_step()
-                            losses.append(m.critic_loss)
-                            objs.append(m.actor_objective)
-                    except NumericError as err:
-                        with open(os.path.join(run_dir, "FAILED"), "w") as fh:
-                            fh.write(f"episode {episode}: {err}\n")
-                        failed = True
-                        break
-            episodes_run = episode
-            metrics_fh.write(",".join(_fmt(v) for v in (
-                episode, env.tracker.steps, env.episode_return,
-                float(np.mean(losses)) if losses else 0.0,
-                float(np.mean(objs)) if objs else 0.0,
-                agent.explorer.eps_prime, len(env.lap_times), env.state.damage)) + "\n")
-            metrics_fh.flush()
-            if failed:
-                break
-            if episode % t.eval_every == 0:
-                eval_now(episode)
-            if episode % t.checkpoint_every == 0:
-                path = os.path.join(ckpt_dir, f"ckpt_{episode:06d}.npz")
-                agent.save(path)
-                checkpoints.append(path)
-            if t.stop_on_success and success_episode is not None:
-                break
-    finally:
-        metrics_fh.close()
-        eval_fh.close()
+    def close(self):
+        self.metrics_fh.close()
+        self.eval_fh.close()
 
-    agent.save(os.path.join(run_dir, "latest.npz"))
-    return TrainRunResult(run_dir, episodes_run, failed, success_episode, checkpoints)
+
+def train_run(config, seed, run_dir=None):
+    """Train one run to its end and save its latest.npz; returns the Run."""
+    with closing(Run(config, seed, run_dir)) as run:
+        while not run.done:
+            run.episode()
+    run.agent.save(os.path.join(run.run_dir, "latest.npz"))
+    return run
 
 
 # --- leaderboard -----------------------------------------------------------------
@@ -440,14 +446,27 @@ class TournamentReport:
     run_dirs: list
 
 
-def summarize_run(config, seed, run_dir):
-    """Race a finished run's best checkpoint for 3 laps on its own track."""
-    ckpt = os.path.join(run_dir, "best.npz")
-    if not os.path.exists(ckpt):
-        ckpt = os.path.join(run_dir, "latest.npz")
+def summarize_run(run):
+    """Race a finished run's best checkpoint (its final agent when no eval
+    saved one) for 3 laps on its own track."""
+    config = run.config
+    best = os.path.join(run.run_dir, "best.npz")
+    agent = best if os.path.exists(best) else run.agent
     line_file = config.racing_line_file if config.reference != "mot" else None
-    res = evaluate(ckpt, config.track, racing_line_file=line_file, config=config)[0]
-    return ModelSummary(config.variant, seed, res.best_lap_time, res.damage)
+    res = evaluate(agent, config.track, racing_line_file=line_file, config=config)[0]
+    return ModelSummary(config.variant, run.seed, res.best_lap_time, res.damage)
+
+
+def _train_and_rank(labelled_configs, seeds, run_dirs):
+    """Train each (config, label) pair on every seed, summarize each run
+    under its label, and rank them; appends every run directory to run_dirs."""
+    summaries = []
+    for cfg, label in labelled_configs:
+        for seed in seeds:
+            run = train_run(cfg, seed)
+            run_dirs.append(run.run_dir)
+            summaries.append(dataclasses.replace(summarize_run(run), variant=label))
+    return build_leaderboard(summaries)
 
 
 def tournament(config, variants=None, phase2_track="technical", report_path=None):
@@ -464,15 +483,9 @@ def tournament(config, variants=None, phase2_track="technical", report_path=None
     if phase2_track and not tracks.is_track(phase2_track):
         raise ValueError(f"tournament phase2_track must be one of {list(tracks.TRACK_NAMES)}, "
                          f"got {phase2_track!r}")
-    configs = [dataclasses.replace(config, variant=variant) for variant in variants]
     run_dirs = []
-    summaries = []
-    for cfg in configs:
-        for seed in config.seeds:
-            result = train_run(cfg, seed)
-            run_dirs.append(result.run_dir)
-            summaries.append(summarize_run(cfg, seed, result.run_dir))
-    phase1 = build_leaderboard(summaries)
+    phase1 = _train_and_rank([(dataclasses.replace(config, variant=variant), variant)
+                           for variant in variants], config.seeds, run_dirs)
     winners = select_family_winners(phase1)
 
     phase2 = None
@@ -480,20 +493,12 @@ def tournament(config, variants=None, phase2_track="technical", report_path=None
         track2 = tracks.get_track(phase2_track)
         line_file = os.path.join(config.output_dir, f"{track2.name}_line.json")
         save_racing_line(record_reference_line(track2, params=config.car), line_file)
-        phase2_summaries = []
-        for variant in winners.values():
-            for reference in ("mot", "rc"):
-                cfg = dataclasses.replace(
-                    config, variant=variant, track=phase2_track, reference=reference,
-                    racing_line_file=line_file if reference != "mot" else None,
-                )
-                for seed in config.seeds:
-                    result = train_run(cfg, seed)
-                    run_dirs.append(result.run_dir)
-                    s = summarize_run(cfg, seed, result.run_dir)
-                    s.variant = f"{variant}-{reference}"
-                    phase2_summaries.append(s)
-        phase2 = build_leaderboard(phase2_summaries)
+        phase2 = _train_and_rank([
+            (dataclasses.replace(config, variant=variant, track=phase2_track, reference=reference,
+                                 racing_line_file=line_file if reference != "mot" else None),
+             f"{variant}-{reference}")
+            for variant in winners.values() for reference in ("mot", "rc")
+        ], config.seeds, run_dirs)
 
     report = TournamentReport(phase1, winners, phase2, run_dirs)
     if report_path:
@@ -534,9 +539,7 @@ def generalization_eval(run_dir, track_names, laps=1):
     config = ExperimentConfig.from_file(os.path.join(run_dir, "config.json"))
     training_track = config.track
     ckpt_dir = os.path.join(run_dir, "checkpoints")
-    paths = sorted(
-        os.path.join(ckpt_dir, f) for f in os.listdir(ckpt_dir) if f.endswith(".npz")
-    ) if os.path.isdir(ckpt_dir) else []
+    paths = sorted(glob.glob(os.path.join(glob.escape(ckpt_dir), "*.npz")))
     if not paths:
         raise FileNotFoundError(f"no checkpoints under {run_dir}")
 
@@ -546,8 +549,7 @@ def generalization_eval(run_dir, track_names, laps=1):
         envs.append((name, make_env(config, track=track,
                                     reference=RacingLine.middle_of_track(track),
                                     max_steps=eval_step_cap(track, laps, config.env.dt))))
-    entries = []
-    rows = []
+    entries, rows = [], []
     for path in paths:
         episode = int(os.path.basename(path).split("_")[1].split(".")[0])
         agent = DDPGAgent.load(path)
@@ -555,24 +557,17 @@ def generalization_eval(run_dir, track_names, laps=1):
         for name, env in envs:
             res = run_eval_episode(agent, env, laps=laps)
             lap_by_track[name] = res.best_lap_time
-            rows.append((episode, name, res.best_lap_time, res.damage,
-                         int(res.finished)))
+            rows.append((episode, name, res.best_lap_time, res.damage, int(res.finished)))
         entries.append({"checkpoint": path, "episode": episode, "laps": lap_by_track})
 
     out_csv = os.path.join(run_dir, "generalization.csv")
-    text = "".join(f"{episode},{name},{_fmt(lap)},{_fmt(damage)},{fin}\n"
-                   for episode, name, lap, damage, fin in rows)
-    write_atomic(out_csv, lambda fh: fh.write(GENERALIZATION_HEADER + "\n" + text))
+    write_text(out_csv, GENERALIZATION_HEADER + "\n" + "".join(map(csv_row, rows)))
 
     general = select_general_model(entries, training_track)
     report = {
         "training_track": training_track,
         "tracks": list(track_names),
-        "general_model": None if general is None else {
-            "checkpoint": general["checkpoint"],
-            "episode": general["episode"],
-            "laps": general["laps"],
-        },
+        "general_model": general,
         "series_csv": out_csv,
         "note": None if general is not None else
         "no checkpoint finished every track; no general model exists",
@@ -602,6 +597,7 @@ def ablation_at(config, seeds=None, final_window=20):
     """
     seeds = list(seeds) if seeds is not None else list(config.seeds)
     _check_distinct(seeds, "seed", _check_seed)
+    config.validate()
     out_dir = os.path.join(config.output_dir, "ablation_at")
     os.makedirs(out_dir, exist_ok=True)
 
@@ -612,9 +608,7 @@ def ablation_at(config, seeds=None, final_window=20):
         for adopted in (True, False):
             arm = "at" if adopted else "plain"
             cfg = dataclasses.replace(
-                config,
-                agent=dataclasses.replace(config.agent, adopted_target=adopted),
-            )
+                config, agent=dataclasses.replace(config.agent, adopted_target=adopted))
             result = train_run(cfg, seed, run_dir=os.path.join(out_dir, arm, f"seed{seed}"))
             cols = read_csv_columns(os.path.join(result.run_dir, "metrics.csv"))
             rets = np.asarray([float(v) for v in cols["return"]])
@@ -631,14 +625,10 @@ def ablation_at(config, seeds=None, final_window=20):
     at_curve = moving_average(np.mean([r[:n] for r in returns[True]], axis=0), 5)
     plain_curve = moving_average(np.mean([r[:n] for r in returns[False]], axis=0), 5)
     curves_csv = os.path.join(out_dir, "curves.csv")
-    text = "".join(f"{i + 1},{_fmt(at_curve[i])},{_fmt(plain_curve[i])}\n" for i in range(n))
-    write_atomic(curves_csv, lambda fh: fh.write("episode,at_smoothed,plain_smoothed\n" + text))
+    text = "".join(csv_row((i + 1, at_curve[i], plain_curve[i])) for i in range(n))
+    write_text(curves_csv, "episode,at_smoothed,plain_smoothed\n" + text)
 
-    report = AblationReport(
-        per_seed=per_seed,
-        at_wins=sum(1 for r in per_seed if r["at_wins"]),
-        seeds=len(seeds),
-        curves_csv=curves_csv,
-    )
+    report = AblationReport(per_seed=per_seed, at_wins=sum(r["at_wins"] for r in per_seed),
+                            seeds=len(seeds), curves_csv=curves_csv)
     write_json(os.path.join(out_dir, "report.json"), asdict(report))
     return report

@@ -21,3 +21,8 @@ def write_atomic(path, write, binary=False):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_text(path, text):
+    """Write text to path atomically."""
+    write_atomic(path, lambda fh: fh.write(text))

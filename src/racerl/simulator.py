@@ -22,7 +22,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .config import Config, ranged
-from .files import write_atomic
+from .files import write_text
 from .geometry import RacingLine, TrackFrame, wrap_angle
 from .nn import NumericError
 
@@ -469,8 +469,7 @@ class TelemetryLogger:
         )
 
     def write(self, path):
-        text = "".join(",".join(_fmt(v) for v in row) + "\n" for row in self.rows)
-        write_atomic(path, lambda fh: fh.write(TELEMETRY_HEADER + "\n" + text))
+        write_text(path, TELEMETRY_HEADER + "\n" + "".join(map(csv_row, self.rows)))
 
 
 def _fmt(v):
@@ -482,3 +481,8 @@ def _fmt(v):
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return repr(float(v))
+
+
+def csv_row(values):
+    """One CSV line of _fmt fields."""
+    return ",".join(_fmt(v) for v in values) + "\n"

@@ -14,7 +14,7 @@ import pytest
 
 from racerl import experiments as ex
 from racerl import nn, plotting, tracks
-from racerl.agent import AgentConfig
+from racerl.agent import AgentConfig, DDPGAgent
 from racerl.bot import BaselineBot, bot_lap_time, drive_bot, record_reference_line
 from racerl.cli import build_parser
 from racerl.cli import main as cli_main
@@ -270,6 +270,7 @@ def test_config_load_rejects_non_finite_or_negative_values(text, field):
      "exploration.steer.sigma must be non-negative, got -1"),
     ('{"exploration": {"brake": {"mu": Infinity}}}', "exploration.brake.mu must be finite"),
     ('{"train": {"warmup_steps": -5}}', "train.warmup_steps must be non-negative, got -5"),
+    ('{"train": {"train_every": 1}}', "unknown config key 'train.train_every'"),
     ('{"train": {"success_lap_time": -1}}',
      "train.success_lap_time must be None or finite and positive, got -1"),
     ('{"train": {"success_lap_time": NaN}}',
@@ -308,6 +309,10 @@ def test_agent_settings_and_seeds_set_in_code_fail_before_writing(tmp_path, monk
         with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, "
                                                        f"got {seed!r}")):
             ex.train_run(tiny_config(tmp_path), seed)
+    cfg = tiny_config(tmp_path)
+    cfg.train.episodes = 0
+    with pytest.raises(ValueError, match=re.escape("train.episodes must be at least 1")):
+        ex.ablation_at(cfg, seeds=[0])
     monkeypatch.chdir(tmp_path)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
         cli_main(["train", "--seed", "-1"])
@@ -497,6 +502,112 @@ def test_train_run_builds_one_env_to_train_and_one_to_race(tmp_path, monkeypatch
     assert len(calls) == 2
     evals = Path(os.path.join(result.run_dir, "eval.csv")).read_text().splitlines()[1:]
     assert len(evals) == 4 // eval_every
+
+
+def test_a_run_into_an_earlier_runs_directory_keeps_none_of_its_run_files(tmp_path,
+                                                                          monkeypatch):
+    cfg = tiny_config(tmp_path)
+    cfg.train.episodes = 4
+    cfg.train.eval_every = 2
+    cfg.train.checkpoint_every = 2
+    first = ex.train_run(cfg, 0)
+    run_dir = Path(first.run_dir)
+    # as a failed run and a generalization would leave them, and a file of the user's
+    for name in ("FAILED", "generalization.csv", "generalization.json", "training.svg"):
+        (run_dir / name).write_text("first run\n")
+    assert {"best.npz", "latest.npz"} <= set(os.listdir(run_dir))
+    assert sorted(os.listdir(run_dir / "checkpoints")) == ["ckpt_000002.npz", "ckpt_000004.npz"]
+    cfg.train.episodes = 1  # no eval and no checkpoint are due
+    second = ex.train_run(cfg, 0)
+    assert second.run_dir == first.run_dir
+    assert sorted(os.listdir(run_dir)) == ["checkpoints", "config.json", "eval.csv", "latest.npz",
+                                           "metrics.csv", "runinfo.json", "training.svg"]
+    assert os.listdir(run_dir / "checkpoints") == []
+    assert (run_dir / "training.svg").read_text() == "first run\n"
+    assert (second.failed, second.episodes_run, second.checkpoints) == (False, 1, [])
+    raced = []
+    monkeypatch.setattr(ex, "evaluate", lambda ckpt, *a, **kw: raced.append(ckpt) or
+                        [ex.EpisodeResult([], None, 0.0, "out_of_track", 0.0, 1)])
+    ex.summarize_run(second)
+    assert raced == [second.agent]  # not the first run's best.npz
+
+
+def test_a_numeric_failure_writes_failed_and_ends_the_run(tmp_path, monkeypatch, capsys):
+    # episodes of 5 steps, updates from the 4th step on: the 8th update is on the first
+    # step of episode 3, which it ends
+    cfg = tiny_config(tmp_path)
+    cfg.train.episodes = 6
+    cfg.train.warmup_steps = 3
+    cfg.env.max_steps = 5
+    calls = []
+    train_step = DDPGAgent.train_step
+
+    def failing_train_step(agent):
+        calls.append(1)
+        if len(calls) == 8:
+            raise nn.NumericError("non-finite critic loss")
+        return train_step(agent)
+
+    monkeypatch.setattr(DDPGAgent, "train_step", failing_train_step)
+    run = ex.train_run(cfg, 0)
+    assert (run.failed, run.episodes_run) == (True, 3)
+    run_dir = Path(run.run_dir)
+    assert (run_dir / "FAILED").read_text() == "episode 3: non-finite critic loss\n"
+    metrics = (run_dir / "metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in metrics] == [["1", "5"], ["2", "5"], ["3", "1"]]
+    evals = (run_dir / "eval.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in evals] == ["1", "2"]
+    assert sorted(os.listdir(run_dir / "checkpoints")) == ["ckpt_000001.npz", "ckpt_000002.npz"]
+    assert run.checkpoints == [str(run_dir / "checkpoints" / f) for f in
+                               ("ckpt_000001.npz", "ckpt_000002.npz")]
+    assert DDPGAgent.load(str(run_dir / "latest.npz")).config.variant == "WIN1"
+    calls.clear()
+    config_file = tmp_path / "config.json"
+    cfg.save(config_file)
+    cli_main(["train", "--config", str(config_file)])
+    assert "seed 0: 3 episodes [FAILED]" in capsys.readouterr().out
+
+
+def _eval_result(lap=None, damage=0.0, return_=0.0):
+    return ex.EpisodeResult(lap_times=[] if lap is None else [lap], best_lap_time=lap,
+                            damage=damage, termination="out_of_track" if lap is None else "none",
+                            return_=return_, steps=5)
+
+
+@pytest.mark.parametrize("stop_on_success", [False, True])
+def test_evals_keep_the_best_score_and_the_first_clean_lap_under_the_target(
+        tmp_path, monkeypatch, stop_on_success):
+    script = [
+        _eval_result(return_=5.0),            # 1: the first score: best
+        _eval_result(return_=3.0),            # 2: a lower DNF return
+        _eval_result(lap=40.0),               # 3: any lap beats a DNF: best; over the target
+        _eval_result(lap=33.0, damage=10.0),  # 4: best; under the target, but damaged
+        _eval_result(lap=35.0),               # 5: clean, but not under the 35 s target
+        _eval_result(lap=34.0),               # 6: not best, but clean and under: success
+        _eval_result(lap=32.0),               # 7: best; the success stays at episode 6
+        _eval_result(lap=36.0),               # 8
+    ]
+    races = iter(script)
+    monkeypatch.setattr(ex, "run_eval_episode", lambda agent, env, laps: next(races))
+    saved = []
+    save = DDPGAgent.save
+    monkeypatch.setattr(DDPGAgent, "save", lambda agent, path:
+                        saved.append(os.path.basename(path)) or save(agent, path))
+    cfg = tiny_config(tmp_path)
+    cfg.train.episodes = 8
+    cfg.train.checkpoint_every = 100
+    cfg.train.warmup_steps = 1000
+    cfg.env.max_steps = 5
+    cfg.train.success_lap_time = 35.0
+    cfg.train.stop_on_success = stop_on_success
+    run = ex.train_run(cfg, 0)
+    assert run.success_episode == 6
+    assert run.episodes_run == (6 if stop_on_success else 8)
+    best_at = [1, 3, 4] + ([] if stop_on_success else [7])
+    assert saved == ["best.npz"] * len(best_at) + ["latest.npz"]
+    evals = Path(os.path.join(run.run_dir, "eval.csv")).read_text().splitlines()[1:]
+    laps = ["", "", "40.0", "33.0", "35.0", "34.0", "32.0", "36.0"]
+    assert [row.split(",")[4] for row in evals] == laps[:run.episodes_run]
 
 
 # --- file writes ---------------------------------------------------------------------------
