@@ -23,7 +23,7 @@ from .replay import (
     PERConfig,
     make_buffer,
 )
-from .simulator import PREMATURE_TERMINATIONS, observation_dim
+from .simulator import PREMATURE_TERMINATIONS, clamp_action, observation_dim
 
 
 @dataclass(frozen=True)
@@ -118,19 +118,14 @@ class Explorer:
     def explore(self, action):
         """Noisy version of a deterministic [steer, throttle, brake] action."""
         eps = self.eps_prime
-        a = np.array([
-            action[0] + eps * self.ou_steer.step(self.rng),
-            action[1] + eps * self.ou_throttle.step(self.rng),
-            action[2] + eps * self.ou_brake.step(self.rng),
-        ])
+        steer = action[0] + eps * self.ou_steer.step(self.rng)
+        throttle = action[1] + eps * self.ou_throttle.step(self.rng)
+        brake = action[2] + eps * self.ou_brake.step(self.rng)
         if self.rng.random() < self.config.burst_prob:
-            a[2] = action[2] + eps * self.ou_burst.step(self.rng)
-            a[1] = a[1] * (1.0 - eps)
+            brake = action[2] + eps * self.ou_burst.step(self.rng)
+            throttle = throttle * (1.0 - eps)
         self.steps += 1
-        a[0] = min(max(a[0], -1.0), 1.0)
-        a[1] = min(max(a[1], 0.0), 1.0)
-        a[2] = min(max(a[2], 0.0), 1.0)
-        return a
+        return np.array(clamp_action(steer, throttle, brake))
 
 
 # whether an ending is premature, by termination code + 1 (code -1: none)
@@ -269,16 +264,13 @@ class DDPGAgent:
 
     def _flatten_window(self, window_obs):
         w = np.asarray(window_obs, dtype=np.float64)
-        if w.ndim == 1:
-            w = w[None, :]
-        if w.shape != (self.config.window, self.config.obs_dim):
-            raise nn.ShapeError(
-                f"expected window ({self.config.window}, {self.config.obs_dim}), got {w.shape}"
-            )
+        want = (self.config.window, self.config.obs_dim)
+        if w.shape != want:
+            raise nn.ShapeError(f"expected window {want}, got {w.shape}")
         return w.reshape(1, -1)
 
     def act(self, window_obs):
-        """Deterministic policy action for a window of observations."""
+        """Deterministic policy action for a (window, obs_dim) array of observations."""
         return self.actor(self._flatten_window(window_obs))[0]
 
     def act_explore(self, window_obs):
@@ -406,19 +398,15 @@ class ObservationWindow:
     replay-side window assembly.
     """
 
-    def __init__(self, window, obs_dim):
+    def __init__(self, window):
         self.window = window
-        self.obs_dim = obs_dim
         self._buf = None
 
     def reset(self, obs):
         self._buf = np.tile(np.asarray(obs, dtype=np.float64), (self.window, 1))
 
     def push(self, obs):
-        if self._buf is None:
-            self.reset(obs)
-            return
-        self._buf = np.vstack([self._buf[1:], np.asarray(obs, dtype=np.float64)])
+        self._buf = np.vstack([self.array()[1:], np.asarray(obs, dtype=np.float64)])
 
     def array(self):
         if self._buf is None:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .geometry import RacingLine, max_speed, wrap_angle
-from .simulator import Action, CarParams, EnvSettings, RacingEnv
+from .simulator import CarParams, EnvSettings, RacingEnv, clamp_action
 
 SPEED_LOOKAHEAD = (0.0, 20.0, 40.0, 60.0, 80.0)
 LOOKAHEAD_GAIN = 0.45  # pure-pursuit look-ahead, m per m/s, clamped to [8, 26] m
@@ -46,7 +46,7 @@ class BaselineBot:
         return v * self.speed_scale
 
     def act(self, state, axis_frame):
-        """Action for the current kinematic car state.
+        """Clamped (steer, throttle, brake) for the current kinematic car state.
 
         axis_frame is the state's frame on the track axis
         (RacingEnv.axis_frame); the bot's line is the axis, so it needs no
@@ -62,12 +62,8 @@ class BaselineBot:
         bearing = wrap_angle(math.atan2(vec[1], vec[0]) - state.heading)
         curvature_cmd = 2.0 * math.sin(bearing) / max(dist, 1e-6)
         steer_angle = math.atan(curvature_cmd * p.wheelbase)
-        steer = min(max(steer_angle / p.max_steer, -1.0), 1.0)
-
         err = self.target_speed(frame.delta, state.vx) - state.vx
-        throttle = min(max(PEDAL_GAIN * err, 0.0), 1.0)
-        brake = min(max(-PEDAL_GAIN * (err + 0.5), 0.0), 1.0)
-        return Action(steer=steer, throttle=throttle, brake=brake)
+        return clamp_action(steer_angle / p.max_steer, PEDAL_GAIN * err, -PEDAL_GAIN * (err + 0.5))
 
 
 def drive_bot(env, bot, max_steps=None, logger=None, stop_after_laps=None):

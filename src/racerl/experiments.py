@@ -10,10 +10,10 @@ metrics files.
 from __future__ import annotations
 
 import dataclasses
-import glob
 import json
 import math
 import os
+import re
 from contextlib import closing
 from dataclasses import asdict, dataclass, field
 
@@ -188,7 +188,7 @@ def run_eval_episode(agent, env, laps=3):
     if laps < 1:
         raise ValueError(f"laps must be at least 1, got {laps}")
     obs = env.reset()
-    window = ObservationWindow(agent.config.window, agent.config.obs_dim)
+    window = ObservationWindow(agent.config.window)
     window.reset(obs.vector())
     while len(env.lap_times) < laps and not env.done:
         result = env.step(agent.act(window.array()))
@@ -242,10 +242,18 @@ def run_dir_for(config, seed):
     return os.path.join(config.output_dir, tag, f"seed{seed}")
 
 
-# the files of an earlier run in the same directory that a run might not rewrite
+# an earlier run's files in the same directory that a run might not rewrite, and its checkpoints
 EARLIER_RUN_FILES = ("FAILED", "best.npz", "latest.npz", "generalization.csv",
-                     "generalization.json", os.path.join("checkpoints", "ckpt_*.npz"))
+                     "generalization.json")
+CHECKPOINT = "ckpt_{:06d}.npz"  # under checkpoints/, named by episode; see list_checkpoints
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def list_checkpoints(run_dir):
+    """(episode, path) of each checkpoints/ckpt_<digits>.npz of a run, by episode."""
+    ckpt_dir = os.path.join(run_dir, "checkpoints")
+    found = [re.fullmatch(r"ckpt_(\d+)\.npz", name) for name in os.listdir(ckpt_dir)]
+    return sorted((int(m[1]), os.path.join(ckpt_dir, m[0])) for m in found if m)
 
 
 class Run:
@@ -264,7 +272,7 @@ class Run:
         self.env = make_env(config, track=self.track, reference=reference)
         self.eval_env = make_env(config, track=self.track, reference=reference)
         self.agent = make_agent(config, seed)
-        self.window = ObservationWindow(self.agent.config.window, self.agent.config.obs_dim)
+        self.window = ObservationWindow(self.agent.config.window)
         self.episodes_run = 0
         self.failed = False
         self.success_episode = None
@@ -272,8 +280,9 @@ class Run:
         self.checkpoints = []
 
         os.makedirs(os.path.join(self.run_dir, "checkpoints"), exist_ok=True)
-        for pattern in EARLIER_RUN_FILES:
-            for path in glob.glob(os.path.join(glob.escape(self.run_dir), pattern)):
+        stale = [os.path.join(self.run_dir, name) for name in EARLIER_RUN_FILES]
+        for path in stale + [path for _, path in list_checkpoints(self.run_dir)]:
+            if os.path.exists(path):
                 os.remove(path)
         config.save(os.path.join(self.run_dir, "config.json"))
         write_json(os.path.join(self.run_dir, "runinfo.json"),
@@ -333,7 +342,7 @@ class Run:
         if episode % t.eval_every == 0:
             self.evaluate(episode)
         if episode % t.checkpoint_every == 0:
-            path = os.path.join(self.run_dir, "checkpoints", f"ckpt_{episode:06d}.npz")
+            path = os.path.join(self.run_dir, "checkpoints", CHECKPOINT.format(episode))
             agent.save(path)
             self.checkpoints.append(path)
 
@@ -538,9 +547,8 @@ def generalization_eval(run_dir, track_names, laps=1):
     """
     config = ExperimentConfig.from_file(os.path.join(run_dir, "config.json"))
     training_track = config.track
-    ckpt_dir = os.path.join(run_dir, "checkpoints")
-    paths = sorted(glob.glob(os.path.join(glob.escape(ckpt_dir), "*.npz")))
-    if not paths:
+    checkpoints = list_checkpoints(run_dir)
+    if not checkpoints:
         raise FileNotFoundError(f"no checkpoints under {run_dir}")
 
     envs = []
@@ -550,8 +558,7 @@ def generalization_eval(run_dir, track_names, laps=1):
                                     reference=RacingLine.middle_of_track(track),
                                     max_steps=eval_step_cap(track, laps, config.env.dt))))
     entries, rows = [], []
-    for path in paths:
-        episode = int(os.path.basename(path).split("_")[1].split(".")[0])
+    for episode, path in checkpoints:
         agent = DDPGAgent.load(path)
         lap_by_track = {}
         for name, env in envs:

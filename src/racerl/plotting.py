@@ -10,6 +10,8 @@ import csv
 
 import numpy as np
 
+from .files import write_text
+
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -87,8 +89,7 @@ def render_line_plot(series, path, title="", xlabel="", ylabel="",
         parts.append(f'<text x="{width - margin + 4}" y="{margin + 14 * k + 10}" '
                      f'font-size="11" fill="{color}">{label}</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_text(path, "\n".join(parts) + "\n")
     return path
 
 

@@ -109,22 +109,9 @@ class EnvSettings(Config, tree="env"):
     slow_grace: int = ranged("non-negative", 100)
 
 
-@dataclass
-class Action:
-    steer: float = 0.0      # [-1, 1]
-    throttle: float = 0.0   # [0, 1]
-    brake: float = 0.0      # [0, 1]
-
-    def clamped(self):
-        return Action(
-            steer=min(max(self.steer, -1.0), 1.0),
-            throttle=min(max(self.throttle, 0.0), 1.0),
-            brake=min(max(self.brake, 0.0), 1.0),
-        )
-
-    @classmethod
-    def from_array(cls, a):
-        return cls(float(a[0]), float(a[1]), float(a[2]))
+def clamp_action(steer, throttle, brake):
+    """Steer to [-1, 1], pedals to [0, 1]; min/max keep a -0.0 that np.clip zeroes."""
+    return min(max(steer, -1.0), 1.0), min(max(throttle, 0.0), 1.0), min(max(brake, 0.0), 1.0)
 
 
 @dataclass
@@ -327,22 +314,19 @@ class RacingEnv:
                                 self.lac_enabled, self.params, self.axis_frame)
 
     def step(self, action):
-        """Advance one 200 ms agent step. Returns a StepResult.
+        """Advance one 200 ms agent step on (steer, throttle, brake); returns a StepResult.
 
         The substeps run on floats in locals and write the state once; only
         the last builds a TrackFrame, as only axis_frame and the tracker read it."""
         if self.termination is not None:
             raise RuntimeError("episode is over; call reset()")
-        if isinstance(action, Action):
-            raw = action
-        else:
-            a = np.asarray(action, dtype=np.float64)
-            if a.shape != (3,):
-                raise ValueError(f"action array must have shape (3,), got {a.shape}")
-            raw = Action.from_array(a)
-        if not all(math.isfinite(v) for v in (raw.steer, raw.throttle, raw.brake)):
+        a = np.asarray(action, dtype=np.float64)
+        if a.shape != (3,):
+            raise ValueError(f"action must have shape (3,), got {a.shape}")
+        raw = a.tolist()
+        if not all(math.isfinite(v) for v in raw):
             raise NumericError("non-finite action")
-        act = raw.clamped()
+        steer, throttle, brake = clamp_action(*raw)
 
         p = self.params
         settings = self.settings
@@ -352,9 +336,9 @@ class RacingEnv:
         h = settings.dt / settings.substeps
         wheelbase, drag, mass, top_speed = p.wheelbase, p.drag_coeff, p.mass, p.top_speed
         # constant within the step
-        tan_steer = math.tan(act.steer * p.max_steer)
-        drive = p.engine_force * act.throttle
-        brake_on = p.brake_force * act.brake
+        tan_steer = math.tan(steer * p.max_steer)
+        drive = p.engine_force * throttle
+        brake_on = p.brake_force * brake
         x, y = s.position.tolist()
         heading, vx = s.heading, s.vx
         damage_increment = 0.0
@@ -364,8 +348,8 @@ class RacingEnv:
             if vx > 1e-6 and abs(vx * omega) > cap:
                 omega = math.copysign(cap / vx, omega)  # understeer: grip-capped yaw
             vy = omega * wheelbase / 2.0
-            brake = brake_on if vx > 0.0 else 0.0
-            force = drive - brake - drag * vx * vx
+            braking = brake_on if vx > 0.0 else 0.0
+            force = drive - braking - drag * vx * vx
             vx = min(max(vx + (force / mass) * h, 0.0), top_speed)
 
             heading = wrap_angle(heading + omega * h)
@@ -463,9 +447,8 @@ class TelemetryLogger:
     def record(self, step, env, action, result):
         s = env.state
         self.rows.append(
-            (step, env.time, s.position[0], s.position[1], s.heading, s.vx, s.vy,
-             action.steer, action.throttle, action.brake, result.reward,
-             result.observation.track_pos, result.observation.angle, s.damage)
+            (step, env.time, s.position[0], s.position[1], s.heading, s.vx, s.vy, *action,
+             result.reward, result.observation.track_pos, result.observation.angle, s.damage)
         )
 
     def write(self, path):

@@ -25,7 +25,6 @@ from racerl.geometry import (
 from racerl.nn import NumericError, ShapeError
 from racerl.simulator import (
     PREMATURE_TERMINATIONS,
-    Action,
     StepResult,
     progress_reward,
     terminal_reward,
@@ -199,13 +198,10 @@ def substep_step(env, action):
     writing the car state and projecting through Track.frame."""
     if env.termination is not None:
         raise RuntimeError("episode is over; call reset()")
-    if isinstance(action, Action):
-        raw = action
-    else:
-        raw = Action.from_array(np.asarray(action, dtype=np.float64))
-    if not all(math.isfinite(v) for v in (raw.steer, raw.throttle, raw.brake)):
+    steer, throttle, brake = (float(v) for v in action)
+    if not all(math.isfinite(v) for v in (steer, throttle, brake)):
         raise NumericError("non-finite action")
-    act = raw.clamped()
+    act = (min(max(steer, -1.0), 1.0), min(max(throttle, 0.0), 1.0), min(max(brake, 0.0), 1.0))
     settings = env.settings
     h = settings.dt / settings.substeps
     damage_increment = 0.0
@@ -231,19 +227,20 @@ def substep_step(env, action):
 
 
 def substep_dynamics(env, act, h, x, y):
-    """One 20 ms integration step from (x, y) on env.state: returns
-    (x, y, damage, frame)."""
+    """One 20 ms integration step of act = (steer, throttle, brake) from
+    (x, y) on env.state: returns (x, y, damage, frame)."""
     p = env.params
     s = env.state
-    steer_angle = act.steer * p.max_steer
+    steer, throttle, brake = act
+    steer_angle = steer * p.max_steer
     omega = s.vx * math.tan(steer_angle) / p.wheelbase
     cap = p.lateral_accel_cap(s.vx)
     if s.vx > 1e-6 and abs(s.vx * omega) > cap:
         omega = math.copysign(cap / s.vx, omega)
     s.yaw_rate = omega
     s.vy = omega * p.wheelbase / 2.0
-    brake = p.brake_force * act.brake if s.vx > 0.0 else 0.0
-    force = p.engine_force * act.throttle - brake - p.drag_coeff * s.vx * s.vx
+    braking = p.brake_force * brake if s.vx > 0.0 else 0.0
+    force = p.engine_force * throttle - braking - p.drag_coeff * s.vx * s.vx
     s.vx = min(max(s.vx + (force / p.mass) * h, 0.0), p.top_speed)
     s.heading = wrap_angle(s.heading + omega * h)
     cos_h, sin_h = math.cos(s.heading), math.sin(s.heading)

@@ -97,9 +97,11 @@ def test_act_hand_set_single_layer():
 
 
 def test_act_rejects_malformed_window():
-    agent = DDPGAgent(tiny_config("WIN4"), seed=0)
-    with pytest.raises(nn.ShapeError):
-        agent.act(np.zeros((2, agent.config.obs_dim)))
+    # a window is always a (window, obs_dim) array, even a window of 1
+    for variant, rows in (("WIN4", (2,)), ("WIN4", ()), ("WIN1", ())):
+        agent = DDPGAgent(tiny_config(variant), seed=0)
+        with pytest.raises(nn.ShapeError, match=r"expected window \(\d, \d+\), got"):
+            agent.act(np.zeros(rows + (agent.config.obs_dim,)))
 
 
 # --- exploration ----------------------------------------------------------------
@@ -588,7 +590,9 @@ def test_lstm_train_step_runs_and_learns_shape():
 
 
 def test_observation_window_padding_and_roll():
-    w = ObservationWindow(3, 2)
+    w = ObservationWindow(3)
+    with pytest.raises(RuntimeError, match=r"call reset\(\) first"):
+        w.push(np.array([1.0, 1.0]))
     w.reset(np.array([1.0, 1.0]))
     npt.assert_array_equal(w.array(), np.ones((3, 2)))
     w.push(np.array([2.0, 2.0]))

@@ -1,9 +1,11 @@
+import ast
 import dataclasses
 import json
 import math
 import os
 import re
 import shlex
+import shutil
 import typing
 from pathlib import Path
 from types import SimpleNamespace
@@ -47,8 +49,8 @@ def test_bot_on_straight_accelerates(oval):
     bot = BaselineBot(oval)
     state = CarState(position=oval.centerline.point_at(30.0).copy(), heading=0.0, vx=10.0)
     action = bot.act(state, oval.frame(state.position, state.heading))
-    assert action.throttle > 0.0
-    assert action.brake == 0.0
+    assert action[1] > 0.0
+    assert action[2] == 0.0
 
 
 def test_bot_brakes_above_corner_speed():
@@ -58,8 +60,8 @@ def test_bot_brakes_above_corner_speed():
     # place the car just before the first hairpin (straight ends at delta=200)
     state = CarState(position=track.centerline.point_at(150.0).copy(), heading=0.0, vx=40.0)
     action = bot.act(state, track.frame(state.position, state.heading))
-    assert action.brake > 0.0
-    assert action.throttle == 0.0
+    assert action[2] > 0.0
+    assert action[1] == 0.0
 
 
 def test_bot_laps_oval_zero_damage(oval):
@@ -132,9 +134,7 @@ def test_record_line_failure_is_error(monkeypatch):
     act = BaselineBot.act
 
     def no_steer(self, state, axis_frame=None):
-        a = act(self, state, axis_frame)
-        a.steer = 0.0
-        return a
+        return (0.0, *act(self, state, axis_frame)[1:])
 
     monkeypatch.setattr(BaselineBot, "act", no_steer)
     with pytest.raises(RuntimeError, match=r"technical \(out_of_track\); track unusable"):
@@ -650,6 +650,30 @@ def test_a_train_run_leaves_no_temporary_file(tmp_path):
     assert left == []
 
 
+# the only files src/ opens for writing outside files.py: a run's two line-buffered
+# row streams, written row by row on purpose
+ROW_STREAMS = {("experiments.py", f"open(os.path.join(self.run_dir, '{name}'), 'w', buffering=1)")
+               for name in ("metrics.csv", "eval.csv")}
+
+
+def test_src_writes_files_only_through_files_py_or_the_row_streams():
+    src = Path(ex.__file__).parent
+    bare = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "files.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            reads = isinstance(mode, ast.Constant) and not set(mode.value) & set("wax+")
+            if not reads and (path.name, ast.unparse(node)) not in ROW_STREAMS:
+                bare.append(f"{path.name}:{node.lineno}")
+    assert bare == []
+
+
 # --- evaluation ---------------------------------------------------------------------------
 
 
@@ -792,6 +816,18 @@ def test_generalization_eval_pipeline(tmp_path):
     # a 2-episode model will not finish: explicit no-general-model report
     if report["general_model"] is None:
         assert "no checkpoint finished" in report["note"]
+
+
+def test_generalization_eval_races_only_the_runs_checkpoints(tmp_path):
+    cfg = tiny_config(tmp_path)
+    run_dir = Path(ex.train_run(cfg, 0).run_dir)
+    clean = ex.generalization_eval(run_dir, ["oval"], laps=1)
+    clean_csv = (run_dir / "generalization.csv").read_bytes()
+    for stray in ("latest.npz", "ckpt_old.npz"):
+        shutil.copy(run_dir / "latest.npz", run_dir / "checkpoints" / stray)
+    assert ex.generalization_eval(run_dir, ["oval"], laps=1) == clean
+    assert (run_dir / "generalization.csv").read_bytes() == clean_csv
+    assert [e for e, _ in ex.list_checkpoints(run_dir)] == [1, 2]
 
 
 def test_generalization_eval_builds_each_track_once(tmp_path, monkeypatch):

@@ -10,7 +10,6 @@ from racerl.bot import BaselineBot, record_reference_line
 from racerl.geometry import Polyline, RacingLine, Track
 from racerl.nn import NumericError
 from racerl.simulator import (
-    Action,
     CarParams,
     CarState,
     EnvSettings,
@@ -203,7 +202,7 @@ def test_telemetry_against_racing_line_reference(oval):
 def test_step_stationary_zero_action(oval):
     env = make_env(oval)
     env.reset()
-    res = env.step(Action())
+    res = env.step((0.0, 0.0, 0.0))
     assert env.state.vx == 0.0
     assert res.reward == 0.0
     assert res.termination is None
@@ -215,7 +214,7 @@ def test_step_full_throttle_spins_up(oval):
     env.reset()
     last_vx = 0.0
     for _ in range(20):
-        res = env.step(Action(throttle=1.0))
+        res = env.step((0.0, 1.0, 0.0))
         assert env.state.vx > last_vx
         assert res.reward > 0.0
         last_vx = env.state.vx
@@ -225,7 +224,7 @@ def test_step_reaches_top_speed_cap(oval):
     env = make_env(oval)
     env.reset()
     for _ in range(120):
-        res = env.step(Action(throttle=1.0))
+        res = env.step((0.0, 1.0, 0.0))
         if res.termination:
             break
     assert env.state.vx <= env.params.top_speed + 1e-9
@@ -235,7 +234,7 @@ def test_step_rejects_non_finite_action(oval):
     env = make_env(oval)
     env.reset()
     with pytest.raises(NumericError):
-        env.step(Action(steer=float("nan")))
+        env.step((float("nan"), 0.0, 0.0))
 
 
 @pytest.mark.parametrize("action", [
@@ -259,7 +258,7 @@ def test_yaw_rate_matches_bicycle_formula(oval):
     # throttle balancing drag keeps vx nearly constant over the step
     throttle = p.drag_coeff * vx**2 / p.engine_force
     steer = 0.1
-    env.step(Action(steer=steer, throttle=throttle))
+    env.step((steer, throttle, 0.0))
     expected = vx * math.tan(steer * p.max_steer) / p.wheelbase
     assert env.state.yaw_rate == pytest.approx(expected, rel=0.01)
 
@@ -270,7 +269,7 @@ def test_zero_throttle_speed_non_increasing(oval):
     env.state.vx = 30.0
     prev = 30.0
     for _ in range(10):
-        env.step(Action())
+        env.step((0.0, 0.0, 0.0))
         assert env.state.vx <= prev + 1e-12
         prev = env.state.vx
 
@@ -284,7 +283,7 @@ def test_cornering_speed_capped_by_grip_formula(oval):
     env.reset()
     p = env.params
     for _ in range(120):
-        env.step(Action(steer=1.0, throttle=0.6))
+        env.step((1.0, 0.6, 0.0))
         if env.done:
             break
     vx = env.state.vx
@@ -295,7 +294,7 @@ def test_cornering_speed_capped_by_grip_formula(oval):
 
 
 def test_determinism_bit_identical_trajectories(oval):
-    actions = [Action(steer=0.2 * math.sin(i / 7.0), throttle=0.7, brake=0.0) for i in range(50)]
+    actions = [(0.2 * math.sin(i / 7.0), 0.7, 0.0) for i in range(50)]
 
     def run():
         env = make_env(oval)
@@ -349,7 +348,7 @@ def test_damage_monotone_and_episode_ends_out_of_track(oval):
     total = 0.0
     term = None
     for _ in range(300):
-        res = env.step(Action(steer=1.0, throttle=1.0))
+        res = env.step((1.0, 1.0, 0.0))
         assert res.damage_increment >= 0.0
         total += res.damage_increment
         assert env.state.damage == pytest.approx(total)
@@ -373,12 +372,37 @@ def wall_trace(name, episodes=100):
         env.reset()
         steer = rng.uniform(-1.0, 1.0)
         while True:
-            res = env.step(Action(steer=steer, throttle=rng.uniform(0.0, 1.0)))
+            res = env.step((steer, rng.uniform(0.0, 1.0), 0.0))
             contacts += res.damage_increment > 0.0
             trace.append(step_record(env, res))
             if res.termination:
                 break
     return trace, contacts
+
+
+def clamp_trace(name, episodes=20):
+    """step_record of random episodes whose actions are drawn from [-2, 2]
+    with some entries set to an exact bound or -0.0, passed in turn as a
+    tuple, a list and an array; the signs of the yaw rate and vy show a
+    -0.0 steer, which == on the trace cannot."""
+    track = tracks.get_track(name)
+    env = make_env(track, max_steps=40, start_speed=20.0)
+    rng = np.random.default_rng(1)
+    forms = (lambda a: tuple(a.tolist()), lambda a: a.tolist(), np.copy)
+    trace, negative_zero_steers = [], 0
+    for _ in range(episodes):
+        env.start_delta = rng.uniform(0.0, track.length)
+        env.reset()
+        while not env.done:
+            a = rng.uniform(-2.0, 2.0, 3)
+            special = rng.random(3) < 0.3
+            a[special] = rng.choice([-1.0, 0.0, 1.0, -0.0], special.sum())
+            negative_zero_steers += a[0] == 0.0 and math.copysign(1.0, a[0]) < 0.0
+            res = env.step(forms[env.tracker.steps % 3](a))
+            s = env.state
+            trace.append((step_record(env, res), math.copysign(1.0, s.yaw_rate),
+                          math.copysign(1.0, s.vy)))
+    return trace, negative_zero_steers
 
 
 def step_record(env, res):
@@ -416,15 +440,17 @@ def test_wall_contact_equals_the_numpy_dot_oracle(name, monkeypatch):
 def test_step_equals_the_per_substep_oracle(name, monkeypatch):
     """RacingEnv.step against the oracle that runs each substep on the car
     state and builds every substep's track frame: bot laps on the track
-    axis and on a recorded line with LAC, and random wall hits."""
+    axis and on a recorded line with LAC, random wall hits, and actions
+    the clamp bounds."""
     track = tracks.get_track(name)
     recorded = record_reference_line(track)
 
     def traces():
         return (bot_trace(track, None, False), bot_trace(track, recorded, True),
-                wall_trace(name))
+                wall_trace(name), clamp_trace(name))
 
     fast = traces()
+    assert fast[3][1] >= 10
     monkeypatch.setattr(RacingEnv, "step", substep_step)
     assert traces() == fast
 
@@ -437,7 +463,7 @@ def test_lap_accounting_straight_line_progress(oval):
     env.reset()
     progressed = 0.0
     for _ in range(25):
-        res = env.step(Action(throttle=1.0))
+        res = env.step((0.0, 1.0, 0.0))
         progressed = env.lap_progress
     assert progressed > 60.0  # moving forward along delta while spinning up
 
@@ -445,10 +471,10 @@ def test_lap_accounting_straight_line_progress(oval):
 def test_step_after_done_raises(oval):
     env = make_env(oval, max_steps=1)
     env.reset()
-    res = env.step(Action())
+    res = env.step((0.0, 0.0, 0.0))
     assert res.termination is Termination.MAX_STEPS
     with pytest.raises(RuntimeError):
-        env.step(Action())
+        env.step((0.0, 0.0, 0.0))
 
 
 def drive_and_tally(env, policy):
@@ -535,7 +561,7 @@ def test_telemetry_logger_format(tmp_path, oval):
     env.reset()
     log = simulator.TelemetryLogger()
     for i in range(3):
-        a = Action(throttle=0.5)
+        a = (0.0, 0.5, 0.0)
         res = env.step(a)
         log.record(i, env, a, res)
     path = tmp_path / "telemetry.csv"
