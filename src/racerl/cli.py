@@ -51,7 +51,7 @@ def cmd_tournament(args):
         print(f"  {row.variant:8s} bLT={blt:>8s} aLT={alt:>8s} finish_rate={row.finish_rate:.2f}")
     print(f"family winners: {report.winners}")
     if report.phase2:
-        print("phase 2 (technical track):")
+        print(f"phase 2 ({args.phase2_track} track):")
         for row in report.phase2:
             alt = f"{row.alt:.3f}" if row.alt is not None else "DNF"
             print(f"  {row.variant:14s} aLT={alt}")
@@ -101,7 +101,11 @@ def cmd_record_line(args):
 
 
 def cmd_plot(args):
-    out = plotting.plot_csv(args.csv, args.out)
+    try:
+        out = plotting.plot_csv(args.csv, args.out)
+    except plotting.EmptyDataError:
+        print(f"nothing to plot in {args.csv}", file=sys.stderr)
+        return 1
     print(f"wrote {out}")
     return 0
 

@@ -187,12 +187,12 @@ def run_eval_episode(agent, env, laps=3):
     termination, or the step cap."""
     if laps < 1:
         raise ValueError(f"laps must be at least 1, got {laps}")
-    obs = env.reset()
+    env.reset()
     window = ObservationWindow(agent.config.window)
-    window.reset(obs.vector())
+    window.reset(env.observe())
     while len(env.lap_times) < laps and not env.done:
-        result = env.step(agent.act(window.array()))
-        window.push(result.observation.vector())
+        env.step(agent.act(window.array()))
+        window.push(env.observe())
     lap_times = env.lap_times
     return EpisodeResult(
         lap_times=lap_times,
@@ -308,14 +308,15 @@ class Run:
         if t.spread_starts:
             # low-discrepancy start positions (single-corner-style drills)
             env.start_delta = (episode * GOLDEN % 1.0) * self.track.length
-        vec = env.reset().vector()
+        env.reset()
+        vec = env.observe()
         window.reset(vec)
         agent.explorer.reset_noise()
         losses, objs = [], []
         while not (env.done or self.failed):
             action = agent.act_explore(window.array())
             result = env.step(action)
-            next_vec = result.observation.vector()
+            next_vec = env.observe()
             agent.buffer.push(Transition(
                 state=vec, action=action, reward=result.reward, next_state=next_vec,
                 termination=result.termination, episode=episode, step=env.tracker.steps - 1))

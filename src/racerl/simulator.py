@@ -8,16 +8,16 @@ deterministic: identical action sequences give bit-identical trajectories.
 trackPos and theta in the telemetry are measured against a configurable
 reference (middle of the track, or a recorded racing line); the border
 collision, lap accounting, and the out-of-track / backwards termination
-always use the physical track axis.
+always use the physical track axis. Only RacingEnv.observe() builds the
+telemetry vector; the bot never calls it, so its steps cast no rays.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
 
 import numpy as np
 
@@ -133,45 +133,6 @@ RPM_SCALE = 10000.0
 LAC_SCALE = 0.1  # kappa values divided by this, i.e. multiplied by 10
 
 
-@dataclass(frozen=True)
-class Observation:
-    """The telemetry feature set, fixed ordering, raw physical units.
-
-    vector() applies the declared scaling constants. LAC is present only in
-    LAC-enabled configurations (vector length 33 vs 29). The rangefinders
-    are cast on the first read of track (or vector()) and cached: _cast_track
-    is a zero-argument callable over the pose the observation was built at.
-    """
-
-    angle: float
-    track_pos: float
-    vx: float
-    vy: float
-    vz: float
-    wheel_speeds: np.ndarray   # 4 values, rad/s
-    rpm: float
-    lac: np.ndarray | None = None
-    _cast_track: object = field(kw_only=True, repr=False, compare=False)
-
-    @cached_property
-    def track(self):
-        """19 rangefinder distances, m."""
-        return self._cast_track()
-
-    def vector(self):
-        parts = [
-            np.array([self.angle / ANGLE_SCALE]),
-            self.track / RANGE_SCALE,
-            np.array([self.track_pos]),
-            np.array([self.vx / SPEED_SCALE, self.vy / SPEED_SCALE, self.vz / SPEED_SCALE]),
-            self.wheel_speeds / WHEEL_SCALE,
-            np.array([self.rpm / RPM_SCALE]),
-        ]
-        if self.lac is not None:
-            parts.append(self.lac / LAC_SCALE)
-        return np.concatenate(parts)
-
-
 def observation_dim(lac_enabled):
     return 33 if lac_enabled else 29
 
@@ -186,33 +147,6 @@ def progress_reward(vx, theta, track_pos, damage_increment=0.0,
     """
     sin_term = math.sin(theta) if literal_sin else abs(math.sin(theta))
     return vx * (math.cos(theta) - sin_term - abs(track_pos)) - damage_weight * damage_increment
-
-
-def make_observation(state, track, reference, lac_enabled, params, axis_frame):
-    """Assemble the Table-style telemetry for a car state.
-
-    theta/trackPos come from the configured reference line; rangefinders
-    from the physical borders; wheel speeds are vx / wheel_radius with no
-    per-wheel slip; vz is always 0. axis_frame is the state's track-axis
-    frame. The rangefinders are cast on the first read of the observation's
-    track, from a copy of this call's pose.
-    """
-    if reference.world is track.centerline:
-        ref_frame = reference.frame_from_axis(axis_frame)
-    else:
-        ref_frame = reference.frame(state.position, state.heading)
-    return Observation(
-        angle=ref_frame.theta,
-        track_pos=ref_frame.track_pos,
-        vx=state.vx,
-        vy=state.vy,
-        vz=0.0,
-        wheel_speeds=np.full(4, state.vx / params.wheel_radius),
-        rpm=params.rpm(state.vx),
-        lac=reference.look_ahead_curvature(ref_frame.delta) if lac_enabled else None,
-        _cast_track=partial(track.rangefinders, tuple(state.position.tolist()),
-                            state.heading, axis_frame),
-    )
 
 
 class TerminationTracker:
@@ -257,7 +191,6 @@ class TerminationTracker:
 
 @dataclass
 class StepResult:
-    observation: Observation
     reward: float
     termination: Termination | None
     damage_increment: float
@@ -266,10 +199,11 @@ class StepResult:
 class RacingEnv:
     """Single-car environment over a track with a telemetry reference line.
 
-    It owns the current pose's track-axis frame (axis_frame) and lap
-    progress, and the episode record: lap_times, episode_return and
-    termination. reset() binds a new lap_times list; a list handed out
-    earlier keeps its laps."""
+    It owns the current pose's frames on the track axis (axis_frame) and on
+    the reference line (ref_frame), lap progress, and the episode record:
+    lap_times, episode_return and termination. reset() and step() return
+    no observation: an agent calls observe() after each. reset() binds a
+    new lap_times list; a list handed out earlier keeps its laps."""
 
     def __init__(self, track, reference=None, lac_enabled=False, params=None,
                  settings=None):
@@ -292,8 +226,9 @@ class RacingEnv:
         tangent = self.track.centerline.tangent_at(self.start_delta)
         self.state = CarState(position=p, heading=math.atan2(tangent[1], tangent[0]),
                               vx=self.settings.start_speed)
-        # the track-axis frame of the current pose, kept by step() too
+        # the current pose's frames, kept by step() too
         self.axis_frame = self.track.frame(p, self.state.heading)
+        self.ref_frame = self._reference_frame()
         self.tracker = TerminationTracker(self.settings)
         self.time = 0.0
         self.lap_progress = 0.0
@@ -302,16 +237,32 @@ class RacingEnv:
         self.lap_times = []
         self.episode_return = 0.0
         self.termination = None
-        return self.observe()
 
     @property
     def done(self):
         return self.termination is not None
 
     def observe(self):
-        """The current pose's observation, from axis_frame (reset and step set it)."""
-        return make_observation(self.state, self.track, self.reference,
-                                self.lac_enabled, self.params, self.axis_frame)
+        """The current pose's scaled telemetry vector, casting the rangefinders:
+        0 heading error, 1-19 rangefinders, 20 trackPos, 21-23 vx/vy/vz,
+        24-27 wheel speeds (vx / wheel_radius), 28 rpm, 29-32 LAC if enabled."""
+        s, ref = self.state, self.ref_frame
+        wheel = s.vx / self.params.wheel_radius / WHEEL_SCALE
+        parts = [
+            [ref.theta / ANGLE_SCALE],
+            self.track.rangefinders(s.position, s.heading, self.axis_frame) / RANGE_SCALE,
+            [ref.track_pos, s.vx / SPEED_SCALE, s.vy / SPEED_SCALE, 0.0,
+             wheel, wheel, wheel, wheel, self.params.rpm(s.vx) / RPM_SCALE],
+        ]
+        if self.lac_enabled:
+            parts.append(self.reference.look_ahead_curvature(ref.delta) / LAC_SCALE)
+        return np.concatenate(parts)
+
+    def _reference_frame(self):
+        """The current pose's frame on the reference line; a line on the axis reuses axis_frame."""
+        if self.reference.world is self.track.centerline:
+            return self.reference.frame_from_axis(self.axis_frame)
+        return self.reference.frame(self.state.position, self.state.heading)
 
     def step(self, action):
         """Advance one 200 ms agent step on (steer, throttle, brake); returns a StepResult.
@@ -374,9 +325,9 @@ class RacingEnv:
         # the wall response changes only the velocity, so the last substep's
         # frame is still the frame of the current pose
         self.axis_frame = TrackFrame(track_pos, wrap_angle(heading - tangent), delta)
-        obs = self.observe()
+        self.ref_frame = self._reference_frame()
         reward = progress_reward(
-            obs.vx, obs.angle, obs.track_pos, damage_increment,
+            vx, self.ref_frame.theta, self.ref_frame.track_pos, damage_increment,
             damage_weight=settings.damage_weight, literal_sin=settings.literal_sin,
         )
         self.termination = self.tracker.update(track_pos, self.axis_frame.theta, vx)
@@ -384,7 +335,7 @@ class RacingEnv:
         if penalty is not None:
             reward = penalty
         self.episode_return += reward
-        return StepResult(observation=obs, reward=reward, termination=self.termination,
+        return StepResult(reward=reward, termination=self.termination,
                           damage_increment=damage_increment)
 
     # --- dynamics ---------------------------------------------------------
@@ -448,7 +399,7 @@ class TelemetryLogger:
         s = env.state
         self.rows.append(
             (step, env.time, s.position[0], s.position[1], s.heading, s.vx, s.vy, *action,
-             result.reward, result.observation.track_pos, result.observation.angle, s.damage)
+             result.reward, env.ref_frame.track_pos, env.ref_frame.theta, s.damage)
         )
 
     def write(self, path):

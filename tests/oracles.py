@@ -7,8 +7,9 @@ geometry queries scan every segment or call numpy's own search and
 interpolation, the learner's updates run array by array with one
 scalar TD target per view, replay views find a step's neighbours by the
 numbers of the pushes, priorities go back into the sum tree one slot
-at a time, and the env step runs one method call per substep, each on
-the car state and with a track frame of its own.
+at a time, the env step runs one method call per substep, each on
+the car state and with a track frame of its own, and the telemetry
+vector is assembled field by field.
 """
 
 import math
@@ -24,7 +25,13 @@ from racerl.geometry import (
 )
 from racerl.nn import NumericError, ShapeError
 from racerl.simulator import (
+    ANGLE_SCALE,
+    LAC_SCALE,
     PREMATURE_TERMINATIONS,
+    RANGE_SCALE,
+    RPM_SCALE,
+    SPEED_SCALE,
+    WHEEL_SCALE,
     StepResult,
     progress_reward,
     terminal_reward,
@@ -212,9 +219,9 @@ def substep_step(env, action):
     env.state.position = np.array([x, y])
     env.state.damage += damage_increment
     env.axis_frame = frame
-    obs = env.observe()
+    env.ref_frame = env.reference.frame(env.state.position, env.state.heading)
     reward = progress_reward(
-        obs.vx, obs.angle, obs.track_pos, damage_increment,
+        env.state.vx, env.ref_frame.theta, env.ref_frame.track_pos, damage_increment,
         damage_weight=settings.damage_weight, literal_sin=settings.literal_sin,
     )
     env.termination = env.tracker.update(frame.track_pos, frame.theta, env.state.vx)
@@ -222,8 +229,27 @@ def substep_step(env, action):
     if penalty is not None:
         reward = penalty
     env.episode_return += reward
-    return StepResult(observation=obs, reward=reward, termination=env.termination,
+    return StepResult(reward=reward, termination=env.termination,
                       damage_increment=damage_increment)
+
+
+def observation_vector(env):
+    """RacingEnv.observe as the per-field telemetry record assembled it, with
+    the reference frame projected again and every ray cast against every
+    border segment."""
+    s, p, reference = env.state, env.params, env.reference
+    frame = reference.frame(s.position, s.heading)
+    parts = [
+        np.array([frame.theta / ANGLE_SCALE]),
+        brute_rangefinders(env.track, s.position, s.heading) / RANGE_SCALE,
+        np.array([frame.track_pos]),
+        np.array([s.vx / SPEED_SCALE, s.vy / SPEED_SCALE, 0.0 / SPEED_SCALE]),
+        np.full(4, s.vx / p.wheel_radius) / WHEEL_SCALE,
+        np.array([p.rpm(s.vx) / RPM_SCALE]),
+    ]
+    if env.lac_enabled:
+        parts.append(reference.look_ahead_curvature(frame.delta) / LAC_SCALE)
+    return np.concatenate(parts)
 
 
 def substep_dynamics(env, act, h, x, y):

@@ -974,6 +974,29 @@ def test_cli_record_line_and_plot(tmp_path, capsys, monkeypatch):
     assert os.path.exists(tmp_path / "m.svg")
 
 
+@pytest.mark.parametrize("name, text", [
+    ("eval.csv", ex.EVAL_HEADER + "\n"),
+    ("generalization.csv", ex.GENERALIZATION_HEADER + "\n10,oval,,3.5,0\n10,technical,,0.0,0\n"),
+], ids=["header_only", "all_dnf"])
+def test_cli_plot_reports_a_csv_with_nothing_to_plot(tmp_path, capsys, name, text):
+    csv = tmp_path / name
+    csv.write_text(text)
+    svg = tmp_path / "out.svg"
+    assert cli_main(["plot", str(csv), "-o", str(svg)]) == 1
+    assert capsys.readouterr().err == f"nothing to plot in {csv}\n"
+    assert not svg.exists()
+
+
+def test_cli_tournament_prints_the_phase2_track(monkeypatch, capsys):
+    row = ex.LeaderboardRow(variant="WIN1", blt=30.0, alt=31.0, avg_damage=0.0,
+                            finish_rate=1.0, models=1)
+    report = ex.TournamentReport([row], {"WIN": "WIN1"}, [row], [])
+    monkeypatch.setattr(ex, "tournament", lambda *args, **kwargs: report)
+    assert cli_main(["tournament", "--phase2-track", "fast_mixed"]) == 0
+    out = capsys.readouterr().out
+    assert "phase 2 (fast_mixed track):" in out and "technical" not in out
+
+
 def test_cli_baseline_prints_the_bot_lap(capsys):
     assert cli_main(["baseline", "--track", "oval"]) == 0
     best, stats = bot_lap_time(tracks.get_track("oval"), laps=3)

@@ -11,18 +11,21 @@ from racerl.geometry import Polyline, RacingLine, Track
 from racerl.nn import NumericError
 from racerl.simulator import (
     CarParams,
-    CarState,
     EnvSettings,
-    Observation,
     RacingEnv,
     Termination,
     TerminationTracker,
-    make_observation,
     observation_dim,
     progress_reward,
     terminal_reward,
 )
-from oracles import brute_project, brute_rangefinders, substep_step, wall_contact
+from oracles import (
+    brute_project,
+    brute_rangefinders,
+    observation_vector,
+    substep_step,
+    wall_contact,
+)
 
 
 @pytest.fixture(scope="module")
@@ -152,37 +155,35 @@ def test_env_settings_reject_out_of_range(name, value):
 
 def test_telemetry_on_reference_aligned(oval):
     env = make_env(oval)
-    obs = env.reset()
-    assert obs.angle == pytest.approx(0.0, abs=1e-9)
-    assert obs.track_pos == pytest.approx(0.0, abs=1e-9)
-    assert obs.vz == 0.0
+    env.reset()
+    obs = env.observe()
+    assert obs[0] == pytest.approx(0.0, abs=1e-9)   # heading error
+    assert obs[20] == pytest.approx(0.0, abs=1e-9)  # trackPos
+    assert obs[23] == 0.0                           # vz
 
 
 def test_telemetry_vector_lengths(oval):
     env = make_env(oval)
-    assert env.reset().vector().shape == (29,)
+    assert env.observe().shape == (29,)
     assert observation_dim(False) == 29
     env_lac = make_env(oval, lac_enabled=True)
-    assert env_lac.reset().vector().shape == (33,)
+    assert env_lac.observe().shape == (33,)
     assert observation_dim(True) == 33
-    assert env.reset().lac is None
 
 
 def test_telemetry_wheel_speeds_v_over_r(oval):
-    params = CarParams(wheel_radius=0.33)
-    state = CarState(position=oval.centerline.point_at(30.0).copy(), heading=0.0, vx=20.0)
-    line = RacingLine.middle_of_track(oval)
-    obs = make_observation(state, oval, line, False, params,
-                           oval.frame(state.position, state.heading))
-    npt.assert_allclose(obs.wheel_speeds, np.full(4, 20.0 / 0.33), rtol=1e-12)
-    assert obs.wheel_speeds[0] == pytest.approx(60.606, abs=1e-3)
+    env = RacingEnv(oval, params=CarParams(wheel_radius=0.33))
+    env.state.vx = 20.0
+    wheel_speeds = env.observe()[24:28] * simulator.WHEEL_SCALE
+    npt.assert_allclose(wheel_speeds, np.full(4, 20.0 / 0.33), rtol=1e-12)
+    assert wheel_speeds[0] == pytest.approx(60.606, abs=1e-3)
 
 
 def test_telemetry_rpm_map(oval):
     env = make_env(oval)
     env.state.vx = 25.0
-    obs = env.observe()
-    assert obs.rpm == env.params.rpm_idle + env.params.rpm_per_mps * 25.0
+    rpm = env.params.rpm_idle + env.params.rpm_per_mps * 25.0
+    assert env.observe()[28] == rpm / simulator.RPM_SCALE
 
 
 def test_telemetry_against_racing_line_reference(oval):
@@ -191,9 +192,10 @@ def test_telemetry_against_racing_line_reference(oval):
     delta = oval.centerline.vertex_arclength
     line = RacingLine(oval, delta, np.full(delta.size, 0.75))
     env = make_env(oval, reference=line)
-    obs = env.reset()
+    env.reset()
     # line is 0.25 * width = 3 m left of center; trackPos = -3 / (W/2) = -0.5
-    assert obs.track_pos == pytest.approx(-0.5, abs=1e-6)
+    assert env.ref_frame.track_pos == pytest.approx(-0.5, abs=1e-6)
+    assert env.observe()[20] == env.ref_frame.track_pos
 
 
 # --- dynamics ------------------------------------------------------------------
@@ -407,11 +409,11 @@ def clamp_trace(name, episodes=20):
 
 def step_record(env, res):
     """Everything a step leaves behind: the car state, the env's clock, lap
-    progress and axis frame, and the step result."""
+    progress and axis frame, the observation and the step result."""
     s = env.state
     return (s.position.tolist(), s.heading, s.vx, s.vy, s.yaw_rate, s.damage,
             env.time, env.lap_progress, list(env.lap_times), env.axis_frame,
-            res.observation.vector().tolist(), res.reward, res.termination,
+            env.observe().tolist(), res.reward, res.termination,
             res.damage_increment)
 
 
@@ -438,10 +440,10 @@ def test_wall_contact_equals_the_numpy_dot_oracle(name, monkeypatch):
 
 @pytest.mark.parametrize("name", tracks.TRACK_NAMES)
 def test_step_equals_the_per_substep_oracle(name, monkeypatch):
-    """RacingEnv.step against the oracle that runs each substep on the car
-    state and builds every substep's track frame: bot laps on the track
-    axis and on a recorded line with LAC, random wall hits, and actions
-    the clamp bounds."""
+    """RacingEnv.step and observe against the oracles that run each substep
+    on the car state, build every substep's track frame and assemble the
+    telemetry field by field: bot laps on the track axis and on a recorded
+    line with LAC, random wall hits, and actions the clamp bounds."""
     track = tracks.get_track(name)
     recorded = record_reference_line(track)
 
@@ -452,6 +454,7 @@ def test_step_equals_the_per_substep_oracle(name, monkeypatch):
     fast = traces()
     assert fast[3][1] >= 10
     monkeypatch.setattr(RacingEnv, "step", substep_step)
+    monkeypatch.setattr(RacingEnv, "observe", observation_vector)
     assert traces() == fast
 
 
@@ -518,9 +521,9 @@ def test_episode_record_equals_a_step_by_step_tally(name):
 @pytest.mark.parametrize("recorded", [False, True], ids=["mot", "recorded_line"])
 @pytest.mark.parametrize("name", tracks.TRACK_NAMES)
 def test_lazy_rangefinders_read_the_pose_of_their_step(name, recorded):
-    """Observation.track is cast on its first read. Read only after the env
-    has moved on, reset and had its state changed, it must still equal the
-    rangefinders of the pose its step (or reset) ended at, bit for bit."""
+    """reset() and step() cast no rays; observe() casts them when asked.
+    Asked after each step (or reset), it must read the rangefinders of the
+    pose that step ended at, bit for bit, the off-track zeros included."""
     track = tracks.get_track(name)
     reference = record_reference_line(track) if recorded else None
     env = make_env(track, reference=reference, lac_enabled=recorded, max_steps=300)
@@ -528,29 +531,24 @@ def test_lazy_rangefinders_read_the_pose_of_their_step(name, recorded):
     rng = np.random.default_rng(11)
     policies = [lambda: bot.act(env.state, env.axis_frame)]
     policies += [lambda: rng.uniform([-1.0, 0.0, 0.0], [1.0, 1.0, 0.2])] * 3
-    kept = []  # (observation, rangefinders cast when it was made)
 
-    def keep(observation):
+    def observe_and_cast():
         s = env.state
-        kept.append((observation, track.rangefinders(s.position.copy(), s.heading)))
+        eager = track.rangefinders(s.position, s.heading)
+        assert np.array_equal(env.observe()[1:20], eager / simulator.RANGE_SCALE)
+        return eager
 
-    kinds = []
+    ends = []  # (termination, the last step's rangefinders) of each episode
     for policy in policies:
-        keep(env.reset())
+        env.reset()
+        observe_and_cast()
         while not env.done:
             result = env.step(policy())
-            keep(result.observation)
-        kinds.append(result.termination)
-    keep(env.reset())
-    env.state.position += 5.0  # in place: the array the last reset's observation saw
-    env.state.heading += 1.0
+            last = observe_and_cast()
+        ends.append((result.termination, last))
     # the bot drives to the step cap; random actions leave the track (zeros)
-    assert kinds[0] is Termination.MAX_STEPS
-    assert all(kind is Termination.OUT_OF_TRACK for kind in kinds[1:])
-    assert not kept[-2][1].any()
-    for observation, eager in kept:
-        assert np.array_equal(observation.track, eager)
-        assert np.array_equal(observation.vector()[1:20], eager / simulator.RANGE_SCALE)
+    assert ends[0][0] is Termination.MAX_STEPS
+    assert all(kind is Termination.OUT_OF_TRACK and not last.any() for kind, last in ends[1:])
 
 
 # --- telemetry log -------------------------------------------------------------
@@ -593,7 +591,7 @@ def bot_lap_trace(name, own_reference=False):
         res = env.step(bot.act(env.state, env.axis_frame))
         s = env.state
         trace.append((s.position.tolist(), s.heading, s.vx, s.vy, s.damage,
-                      res.observation.vector().tolist()))
+                      env.observe().tolist()))
         assert res.termination is None
         if env.lap_times:
             return trace, env.lap_times[0]
