@@ -106,9 +106,11 @@ class ExperimentConfig(Config):
             raise ValueError(f"config track must be one of {list(tracks.TRACK_NAMES)}, "
                              f"got {self.track!r}")
         if self.reference not in REFERENCE_MODES:
-            raise ValueError(f"reference must be one of {REFERENCE_MODES}")
+            raise ValueError(f"config reference must be one of {REFERENCE_MODES}, "
+                             f"got {self.reference!r}")
         if self.reference != "mot" and not self.racing_line_file:
-            raise ValueError("rc / rc-lac reference modes require a racing-line file")
+            raise ValueError(f"config racing_line_file must name a racing-line file for "
+                             f"reference {self.reference!r}, got {self.racing_line_file!r}")
         _check_distinct(self.seeds, "seed", _check_seed)
         super().validate(path)
 

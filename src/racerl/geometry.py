@@ -51,6 +51,9 @@ _CURVATURE_SPACING = 5.0  # meters between the three circumscribed-circle sample
 _CELL = 2.0  # m, side of a projection cell
 # dist(c) + 2h plus a margin far above the rounding error of the distances
 _CELL_REACH = _CELL * math.sqrt(2.0) + 1e-3
+# a cell whose centre lies farther from the line is recomputed on each query,
+# not kept; a track with a half-width beyond it recomputes its far border cells
+_KEPT_CELL_REACH = 16.0  # m
 _CHUNK = 16  # border segments per bounding circle
 # the cull's margin: far above the rounding error of a ray parameter, even
 # for a ray that only just passes the parallel test
@@ -112,7 +115,7 @@ class Polyline:
         self._seg_dir = seg / seg_len[:, None]
         self.vertex_arclength = np.concatenate([[0.0], np.cumsum(seg_len)])[:-1]
         self.length = float(seg_len.sum())
-        self._cells = {}  # (i, j) -> the candidate rows of _segments
+        self._cells = {}  # (i, j) -> the candidate rows of _segments, near cells only
 
     # The scalar queries read Python floats: numpy's per-call overhead on a
     # handful of values costs more than the arithmetic. The tables are built
@@ -189,7 +192,7 @@ class Polyline:
             raise DomainError(f"cannot project the non-finite point {(px, py)}") from None
         cell = self._cells.get(key)
         if cell is None:
-            cell = self._cells[key] = self._cell_candidates(key)
+            cell = self._cell_candidates(key)
         # numpy's clip (-0.0 becomes 0.0) and argmin (the first minimum)
         best = math.inf
         for j, ax, ay, sx, sy, len2 in cell:
@@ -212,8 +215,11 @@ class Polyline:
         t = np.clip(np.einsum("ij,ij->i", c - self.points, self._seg) / self._seg_len2, 0.0, 1.0)
         d = c - (self.points + t[:, None] * self._seg)
         dist = np.hypot(d[:, 0], d[:, 1])
-        rows = self._segments
-        return tuple(rows[j] for j in np.nonzero(dist <= dist.min() + _CELL_REACH)[0].tolist())
+        rows, near = self._segments, dist.min()
+        cell = tuple(rows[j] for j in np.nonzero(dist <= near + _CELL_REACH)[0].tolist())
+        if near <= _KEPT_CELL_REACH:
+            self._cells[key] = cell
+        return cell
 
     def curvature_at(self, s, spacing=_CURVATURE_SPACING):
         """Signed curvature (1/m, positive left) at arc length s."""

@@ -233,7 +233,7 @@ class RacingEnv:
         self.time = 0.0
         self.lap_progress = 0.0
         self.lap_start_time = 0.0
-        self._prev_delta = self.start_delta
+        self._prev_delta = self.track.centerline.wrap(self.start_delta)
         self.lap_times = []
         self.episode_return = 0.0
         self.termination = None
@@ -267,8 +267,9 @@ class RacingEnv:
     def step(self, action):
         """Advance one 200 ms agent step on (steer, throttle, brake); returns a StepResult.
 
-        The substeps run on floats in locals and write the state once; only
-        the last builds a TrackFrame, as only axis_frame and the tracker read it."""
+        The substeps, wall response and lap count included, run on floats in
+        locals; the state, clock and lap progress are written once, after them.
+        Only the last substep builds a TrackFrame, for axis_frame and the tracker."""
         if self.termination is not None:
             raise RuntimeError("episode is over; call reset()")
         a = np.asarray(action, dtype=np.float64)
@@ -290,8 +291,11 @@ class RacingEnv:
         tan_steer = math.tan(steer * p.max_steer)
         drive = p.engine_force * throttle
         brake_on = p.brake_force * brake
+        length = self.track.length
+        half_length = length / 2.0
         x, y = s.position.tolist()
         heading, vx = s.heading, s.vx
+        t, progress, prev_delta = self.time, self.lap_progress, self._prev_delta
         damage_increment = 0.0
         for _ in range(settings.substeps):
             omega = vx * tan_steer / wheelbase
@@ -309,18 +313,28 @@ class RacingEnv:
             wy = vx * sin_h + vy * cos_h
             x += wx * h
             y += wy * h
-            self.time += h
+            t += h
 
             delta, lateral, tangent = centerline.project((x, y))
             track_pos = lateral / half_width
             if abs(track_pos) >= 1.0:
-                s.heading, s.vx, s.vy = heading, vx, vy
-                frame = TrackFrame(track_pos, wrap_angle(heading - tangent), delta)
-                damage_increment += self._wall_contact((wx, wy), frame)
-                vx, vy = s.vx, s.vy
-            self._advance_progress(delta, h)
-        s.position = np.array([x, y])
-        s.heading, s.vx, s.vy, s.yaw_rate = heading, vx, vy, omega
+                damage, vx, vy = self._wall_contact(wx, wy, vx, vy, heading, track_pos, delta)
+                damage_increment += damage
+
+            # signed progress along the axis; a lap ends within the substep
+            d = delta - prev_delta
+            if d > half_length:
+                d -= length
+            elif d < -half_length:
+                d += length
+            before, progress, prev_delta = progress, progress + d, delta
+            target = (len(self.lap_times) + 1) * length
+            if before < target <= progress:
+                crossing_time = t - h + (target - before) / (progress - before) * h
+                self.lap_times.append(crossing_time - self.lap_start_time)
+                self.lap_start_time = crossing_time
+        self.time, self.lap_progress, self._prev_delta = t, progress, prev_delta
+        s.position, s.heading, s.vx, s.vy, s.yaw_rate = np.array([x, y]), heading, vx, vy, omega
         s.damage += damage_increment
         # the wall response changes only the velocity, so the last substep's
         # frame is still the frame of the current pose
@@ -338,52 +352,24 @@ class RacingEnv:
         return StepResult(reward=reward, termination=self.termination,
                           damage_increment=damage_increment)
 
-    # --- dynamics ---------------------------------------------------------
+    def _wall_contact(self, wx, wy, vx, vy, heading, track_pos, delta):
+        """(damage, vx, vy) of a car at or beyond a border, as floats.
 
-    def _wall_contact(self, world_v, frame):
-        """Damage + velocity response when the car is at or beyond a border.
-
-        Contact applies damage proportional to the squared outward normal
-        speed and zeroes that component, so the car slides along the wall;
-        position is not clamped, and the step-level check then terminates
-        once |trackPos| exceeds 1.
-
-        world_v is the world velocity (vx, vy). The normal speed stays a numpy
-        dot: BLAS may fuse its multiply-add, which a float expression would not.
-        """
-        tp = frame.track_pos
-        if abs(tp) < 1.0:
-            return 0.0
-        s = self.state
-        world_v = np.asarray(world_v, dtype=np.float64)
-        n_out = math.copysign(1.0, tp) * self.track.centerline.normal_at(frame.delta)
+        Damage is proportional to the squared outward normal speed of the world
+        velocity (wx, wy), and that component is zeroed, so the car slides
+        along the wall; the position is not clamped, and the step ends once
+        |trackPos| exceeds 1. The normal speed stays a numpy dot: BLAS may fuse
+        its multiply-add, which a float expression would not."""
+        world_v = np.array([wx, wy])
+        n_out = math.copysign(1.0, track_pos) * self.track.centerline.normal_at(delta)
         v_n = float(world_v @ n_out)
         if v_n <= 0.0:
-            return 0.0
-        damage = self.settings.damage_coeff * v_n * v_n
+            return 0.0, vx, vy
         new_world_v = world_v - v_n * n_out
-        cos_h, sin_h = math.cos(s.heading), math.sin(s.heading)
-        s.vx = max(new_world_v[0] * cos_h + new_world_v[1] * sin_h, 0.0)
-        s.vy = -new_world_v[0] * sin_h + new_world_v[1] * cos_h
-        return damage
-
-    def _advance_progress(self, delta, h):
-        """Accumulate signed progress along the track axis; record lap crossings."""
-        d = delta - self._prev_delta
-        half = self.track.length / 2.0
-        if d > half:
-            d -= self.track.length
-        elif d < -half:
-            d += self.track.length
-        before = self.lap_progress
-        self.lap_progress += d
-        self._prev_delta = delta
-        target = (len(self.lap_times) + 1) * self.track.length
-        if before < target <= self.lap_progress:
-            frac = (target - before) / (self.lap_progress - before)
-            crossing_time = self.time - h + frac * h
-            self.lap_times.append(crossing_time - self.lap_start_time)
-            self.lap_start_time = crossing_time
+        cos_h, sin_h = math.cos(heading), math.sin(heading)
+        return (self.settings.damage_coeff * v_n * v_n,
+                float(max(new_world_v[0] * cos_h + new_world_v[1] * sin_h, 0.0)),
+                float(-new_world_v[0] * sin_h + new_world_v[1] * cos_h))
 
 
 TELEMETRY_HEADER = "step,t,x,y,heading,Vx,Vy,steer,throttle,brake,reward,trackPos,theta,damage"

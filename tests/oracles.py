@@ -7,12 +7,13 @@ geometry queries scan every segment or call numpy's own search and
 interpolation, the learner's updates run array by array with one
 scalar TD target per view, replay views find a step's neighbours by the
 numbers of the pushes, priorities go back into the sum tree one slot
-at a time, the env step runs one method call per substep, each on
-the car state and with a track frame of its own, and the telemetry
-vector is assembled field by field.
+at a time, the env step runs one oracle call per substep, each on
+the car state and with a track frame, wall response and lap count of
+its own, and the telemetry vector is assembled field by field.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from racerl.geometry import (
     RANGEFINDER_COUNT,
     RANGEFINDER_MAX,
     Polyline,
+    TrackFrame,
     wrap_angle,
 )
 from racerl.nn import NumericError, ShapeError
@@ -32,6 +34,7 @@ from racerl.simulator import (
     RPM_SCALE,
     SPEED_SCALE,
     WHEEL_SCALE,
+    CarState,
     StepResult,
     progress_reward,
     terminal_reward,
@@ -180,8 +183,9 @@ def numpy_interp(x, xp, fp):
 
 
 def wall_contact(env, world_v, frame):
-    """RacingEnv._wall_contact with the outward normal speed as a numpy dot,
-    which OpenBLAS may round as one fused multiply-add."""
+    """The wall response on the car state, as RacingEnv._wall_contact ran
+    before it took floats: the outward normal speed is a numpy dot, which
+    OpenBLAS may round as one fused multiply-add; returns the damage."""
     tp = frame.track_pos
     if abs(tp) < 1.0:
         return 0.0
@@ -198,6 +202,15 @@ def wall_contact(env, world_v, frame):
     s.vx = max(new_world_v[0] * cos_h + new_world_v[1] * sin_h, 0.0)
     s.vy = -new_world_v[0] * sin_h + new_world_v[1] * cos_h
     return damage
+
+
+def wall_contact_floats(env, wx, wy, vx, vy, heading, track_pos, delta):
+    """RacingEnv._wall_contact's signature over wall_contact, on a stand-in
+    car state: returns (damage, vx, vy)."""
+    car = CarState(position=None, heading=heading, vx=vx, vy=vy)
+    stand_in = SimpleNamespace(state=car, track=env.track, settings=env.settings)
+    damage = wall_contact(stand_in, (wx, wy), TrackFrame(track_pos, 0.0, delta))
+    return damage, car.vx, car.vy
 
 
 def substep_step(env, action):
@@ -276,9 +289,29 @@ def substep_dynamics(env, act, h, x, y):
     y += wy * h
     env.time += h
     frame = env.track.frame((x, y), s.heading)
-    damage = env._wall_contact((wx, wy), frame)
-    env._advance_progress(frame.delta, h)
+    damage = wall_contact(env, (wx, wy), frame)
+    advance_progress(env, frame.delta, h)
     return x, y, damage, frame
+
+
+def advance_progress(env, delta, h):
+    """The lap count as RacingEnv's per-substep method kept it: accumulate
+    signed progress along the track axis and record lap crossings."""
+    d = delta - env._prev_delta
+    half = env.track.length / 2.0
+    if d > half:
+        d -= env.track.length
+    elif d < -half:
+        d += env.track.length
+    before = env.lap_progress
+    env.lap_progress += d
+    env._prev_delta = delta
+    target = (len(env.lap_times) + 1) * env.track.length
+    if before < target <= env.lap_progress:
+        frac = (target - before) / (env.lap_progress - before)
+        crossing_time = env.time - h + frac * h
+        env.lap_times.append(crossing_time - env.lap_start_time)
+        env.lap_start_time = crossing_time
 
 
 def brute_rangefinders(track, position, heading):

@@ -176,6 +176,25 @@ def test_spatial_index_is_bit_exact_against_full_scan(track):
         track.centerline.project([math.nan, 0.0])
 
 
+def test_projection_keeps_only_the_cells_near_the_line():
+    # a fresh polyline's memo after a sweep out to 300 m, one query per 3 cells
+    line = Polyline(tracks.oval().centerline.points)
+    cell = geometry._CELL
+    lo, hi = line.points.min(axis=0) - 300.0, line.points.max(axis=0) + 300.0
+    for x in np.arange(lo[0], hi[0], 3 * cell):
+        for y in np.arange(lo[1], hi[1], 3 * cell):
+            line.project((x, y))
+    centres = (np.array(list(line._cells), dtype=np.float64) + 0.5) * cell
+    a, seg = line.points, np.roll(line.points, -1, axis=0) - line.points
+    ca = centres[:, None, :] - a
+    t = np.clip((ca * seg).sum(-1) / (seg * seg).sum(-1), 0.0, 1.0)
+    reach = np.hypot(*np.moveaxis(ca - t[..., None] * seg, -1, 0)).min(axis=1).max()
+    assert geometry._KEPT_CELL_REACH - cell < reach <= geometry._KEPT_CELL_REACH
+    far = hi - 1.0
+    assert line.project(far) == line.project(far) == brute_project(line, far)
+    assert (math.floor(far[0] / cell), math.floor(far[1] / cell)) not in line._cells
+
+
 def test_wrap_angle_range():
     for a in (-7.0, -math.pi, 0.0, 3.0, math.pi, 9.42):
         w = wrap_angle(a)

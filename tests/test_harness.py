@@ -16,7 +16,7 @@ import pytest
 
 from racerl import experiments as ex
 from racerl import nn, plotting, tracks
-from racerl.agent import AgentConfig, DDPGAgent
+from racerl.agent import VARIANTS, AgentConfig, DDPGAgent
 from racerl.bot import BaselineBot, bot_lap_time, drive_bot, record_reference_line
 from racerl.cli import build_parser
 from racerl.cli import main as cli_main
@@ -378,6 +378,16 @@ def test_config_rc_requires_line_file():
         ex.ExperimentConfig(seeds=[])
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"reference": "xyz"}, "config reference must be one of ('mot', 'rc', 'rc-lac'), got 'xyz'"),
+    ({"reference": "rc-lac"},
+     "config racing_line_file must name a racing-line file for reference 'rc-lac', got None"),
+])
+def test_reference_errors_name_the_field_and_the_value(doc, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        from_dict(ex.ExperimentConfig, doc)
+
+
 @pytest.mark.parametrize("kwargs,message", [
     ({"alpha": math.nan}, "per.alpha must be non-negative, got nan"),
     ({"lam3": math.nan}, "per.lam3 must be non-negative, got nan"),
@@ -459,6 +469,27 @@ def test_train_one_episode_metrics_row(tmp_path):
     lines = Path(os.path.join(result.run_dir, "metrics.csv")).read_text().splitlines()
     assert lines[0] == ex.METRICS_HEADER
     assert len(lines) == 2  # header + exactly one row
+
+
+@pytest.mark.parametrize("variant", ["WIN4", "LSTM8", "WIN1"])
+def test_the_window_the_agent_acts_on_is_the_replay_window(tmp_path, monkeypatch, variant):
+    """ObservationWindow and ReplayBuffer.assemble_window each pad an episode's
+    start with its first observation: the window act_explore is given at each
+    step must be the replay's window of the transition that step pushes."""
+    seen = []
+    act_explore = DDPGAgent.act_explore
+
+    def recording(agent, window_obs):
+        seen.append(window_obs.copy())
+        return act_explore(agent, window_obs)
+
+    monkeypatch.setattr(DDPGAgent, "act_explore", recording)
+    buffer = ex.train_run(tiny_config(tmp_path, variant=variant), 0).agent.buffer
+    window = VARIANTS[variant].window
+    assert buffer.size == len(seen) and len(set(buffer.episode[:buffer.size])) == 2
+    for slot, acted_on in enumerate(seen):
+        assert acted_on.shape == (window, buffer.state.shape[1])
+        assert np.array_equal(buffer.assemble_window(slot, window)[0], acted_on)
 
 
 def test_train_determinism_byte_identical(tmp_path):
@@ -672,6 +703,22 @@ def test_src_writes_files_only_through_files_py_or_the_row_streams():
             if not reads and (path.name, ast.unparse(node)) not in ROW_STREAMS:
                 bare.append(f"{path.name}:{node.lineno}")
     assert bare == []
+
+
+def test_src_modules_use_every_module_level_import():
+    # the unused-import check a linter would make: every name a module-level
+    # import binds is read somewhere in its module
+    unused = []
+    for path in sorted(Path(ex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in read]
+    assert unused == []
 
 
 # --- evaluation ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import numpy.testing as npt
 import pytest
 
 from racerl import simulator, tracks
-from racerl.bot import BaselineBot, record_reference_line
-from racerl.geometry import Polyline, RacingLine, Track
+from racerl.bot import BaselineBot, drive_bot, record_reference_line
+from racerl.geometry import Polyline, RacingLine, Track, wrap_angle
 from racerl.nn import NumericError
 from racerl.simulator import (
     CarParams,
@@ -24,7 +24,7 @@ from oracles import (
     brute_rangefinders,
     observation_vector,
     substep_step,
-    wall_contact,
+    wall_contact_floats,
 )
 
 
@@ -320,28 +320,22 @@ def test_determinism_bit_identical_trajectories(oval):
 def test_damage_grazing_contact_zero():
     # sliding exactly along the wall: no outward normal speed, no damage
     env = make_env(tracks.get_track("oval"))
-    env.reset()
-    s = env.state
     n = env.track.centerline.normal_at(30.0)  # mid straight, normal is exactly (0, 1)
-    world_v = np.array([10.0, 0.0])
-    assert abs(world_v @ n) < 1e-12
-    # put the car exactly on the left border
-    s.position = env.track.centerline.point_at(30.0) + n * (env.track.width / 2.0)
-    f = env.track.frame(s.position, s.heading)
-    assert env._wall_contact(world_v, f) == 0.0
+    assert n.tolist() == [-0.0, 1.0]
+    # the car exactly on the left border, heading along the straight at 10 m/s
+    assert env._wall_contact(10.0, 0.0, 10.0, 0.0, 0.0, 1.0, 30.0) == (0.0, 10.0, 0.0)
 
 
 def test_damage_normal_impact_formula():
     env = make_env(tracks.get_track("oval"), damage_coeff=1.0)
-    env.reset()
-    s = env.state
     n = env.track.centerline.normal_at(30.0)
-    s.position = env.track.centerline.point_at(30.0) + n * (env.track.width / 2.0 + 0.01)
-    f = env.track.frame(s.position, s.heading)
-    world_v = 10.0 * n  # straight into the wall at 10 m/s
-    assert env._wall_contact(world_v, f) == pytest.approx(100.0, rel=1e-12)
-    # velocity normal component zeroed: the car now slides along the wall
-    assert s.vx == pytest.approx(0.0, abs=1e-12)
+    heading = math.atan2(n[1], n[0])  # straight into the wall at 10 m/s
+    wx, wy = (10.0 * n).tolist()
+    damage, vx, vy = env._wall_contact(wx, wy, 10.0, 0.0, heading, 1.001, 30.0)
+    assert damage == pytest.approx(100.0, rel=1e-12)
+    # the normal component is zeroed: the car now slides along the wall
+    assert vx == pytest.approx(0.0, abs=1e-12) and vy == pytest.approx(0.0, abs=1e-12)
+    assert type(damage) is type(vx) is type(vy) is float
 
 
 def test_damage_monotone_and_episode_ends_out_of_track(oval):
@@ -360,6 +354,8 @@ def test_damage_monotone_and_episode_ends_out_of_track(oval):
     assert term is Termination.OUT_OF_TRACK
     assert res.reward == -1.0
     assert total > 0.0
+    # the wall response hands back Python floats, not numpy scalars
+    assert type(env.state.vx) is float and type(env.state.vy) is float
 
 
 def wall_trace(name, episodes=100):
@@ -434,7 +430,7 @@ def test_wall_contact_equals_the_numpy_dot_oracle(name, monkeypatch):
     # differently from OpenBLAS's fused multiply-add and changes this trace
     fast, contacts = wall_trace(name)
     assert contacts >= 90
-    monkeypatch.setattr(RacingEnv, "_wall_contact", wall_contact)
+    monkeypatch.setattr(RacingEnv, "_wall_contact", wall_contact_floats)
     assert wall_trace(name) == (fast, contacts)
 
 
@@ -516,6 +512,34 @@ def test_episode_record_equals_a_step_by_step_tally(name):
     # the bot laps until the step cap; random actions leave the track (-1)
     assert kinds[0][0] is Termination.MAX_STEPS and kinds[0][1] >= 1
     assert all(kind is Termination.OUT_OF_TRACK for kind, _ in kinds[1:])
+
+
+@pytest.mark.parametrize("laps", [3.3, -1.7])
+def test_a_start_off_the_lap_counts_laps_as_its_wrapped_start(oval, laps):
+    """start_delta may take any finite value: the car starts at the wrapped
+    point, and the lap count must start there too."""
+    env = make_env(oval, max_steps=450)
+    bot = BaselineBot(oval)
+
+    def lap_times(start_delta):
+        env.start_delta = start_delta
+        return drive_bot(env, bot)["laps"]
+
+    start = laps * oval.length
+    wrapped = lap_times(oval.centerline.wrap(start))
+    assert len(wrapped) >= 2
+    assert lap_times(start) == wrapped
+
+
+def test_backwards_over_the_start_line_is_negative_progress(oval):
+    # 20 m/s backwards from 5 m past the line: the axis position jumps from
+    # about 0 to about a lap, which the lap count must read as -5 m, not +lap
+    env = make_env(oval, start_delta=5.0, start_speed=20.0)
+    env.state.heading = wrap_angle(env.state.heading + math.pi)
+    while not env.done:
+        env.step((0.0, 1.0, 0.0))
+    assert env.termination is Termination.BACKWARDS
+    assert -oval.length / 2.0 < env.lap_progress < -5.0 and env.lap_times == []
 
 
 @pytest.mark.parametrize("recorded", [False, True], ids=["mot", "recorded_line"])
