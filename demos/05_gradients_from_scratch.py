@@ -9,10 +9,11 @@ from racerl import nn
 
 rng = np.random.default_rng(3)
 
-# a small critic and the gradient of Q wrt its action input
+# a small critic and the gradient of Q wrt its action input; the critic
+# reads (batch, w, features) windows, here one window of one step
 critic = nn.build_critic(state_dim=8, hidden=16, rng=rng)
-s = rng.normal(size=(1, 8))
-a = np.array([[0.1, 0.7, 0.0]])
+s = rng.normal(size=(1, 1, 8))
+a = np.array([[[0.1, 0.7, 0.0]]])
 q, cache = critic.forward(s, a)
 _, ga = critic.backward(cache, np.ones(1))
 print(f"Q(s,a) = {q[0]:+.4f}, grad_a Q = {np.array2string(ga[0], precision=4)}")
@@ -22,8 +23,8 @@ h = 1e-5
 numeric = np.zeros(3)
 for i in range(3):
     ap, am = a.copy(), a.copy()
-    ap[0, i] += h
-    am[0, i] -= h
+    ap[0, -1, i] += h
+    am[0, -1, i] -= h
     numeric[i] = (critic(s, ap)[0] - critic(s, am)[0]) / (2 * h)
 print(f"finite differences:    {np.array2string(numeric, precision=4)}")
 

@@ -291,24 +291,10 @@ class DDPGAgent:
         if windows is None or c.nstep != 1:
             windows = self.buffer.assemble_window(view.slot, c.window)
         _, a_win, next_s_win = windows
-        next_flat = next_s_win.reshape(len(slots), -1)
-        a_next = self.target_actor(next_flat)
-        if c.lstm:
-            next_a_win = np.concatenate([a_win[:, 1:, :], a_next[:, None, :]], axis=1)
-            q_next = self.target_critic(next_s_win, next_a_win)
-        else:
-            q_next = self.target_critic(next_flat, a_next)
+        a_next = self.target_actor(next_s_win)
+        q_next = self.target_critic(next_s_win, np.concatenate([a_win[:, 1:], a_next[:, None]], axis=1))
         return td_target(view.reward_sum, view.steps, q_next, c.gamma, view.termination,
                          c.adopted_target)
-
-    def _critic_eval(self, s_win, a_win, actions):
-        """Forward pass of the critic on stored windows + a chosen current action."""
-        if self.config.lstm:
-            full_a = np.concatenate([a_win[:, :-1, :], actions[:, None, :]], axis=1)
-            q, cache = self.critic.forward(s_win, full_a)
-        else:
-            q, cache = self.critic.forward(s_win.reshape(len(actions), -1), actions)
-        return q, cache
 
     def train_step(self):
         """One sampled update of critic and actor plus target soft updates."""
@@ -318,11 +304,9 @@ class DDPGAgent:
         windows = self.buffer.assemble_window(slots, c.window)
         y = self.compute_targets(slots, windows)
         s_win, a_win, _ = windows
-        s_flat = s_win.reshape(n, -1)
-        actions = a_win[:, -1, :]
 
         # critic regression toward the targets
-        q, cache = self._critic_eval(s_win, a_win, actions)
+        q, cache = self.critic.forward(s_win, a_win)
         td = y - q
         critic_loss = float(np.mean(td * td))
         if not math.isfinite(critic_loss):
@@ -339,8 +323,9 @@ class DDPGAgent:
         self.critic_opt.step(self.critic.flat, grads)
 
         # actor ascent along grad_a Q evaluated at a = mu(s)
-        a_pred, actor_cache = self.actor.forward(s_flat)
-        q_pred, cache_pred = self._critic_eval(s_win, a_win, a_pred)
+        a_pred, actor_cache = self.actor.forward(s_win)
+        q_pred, cache_pred = self.critic.forward(
+            s_win, np.concatenate([a_win[:, :-1], a_pred[:, None]], axis=1))
         actor_objective = float(np.mean(q_pred))
         ga = self.critic.action_grad(cache_pred, np.full(n, 1.0 / n))
         actor_grads, _ = self.actor.backward(actor_cache, -ga)

@@ -46,19 +46,26 @@ def _check_seed(seed, name="seed"):
         raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
 
 
-def _check_distinct(values, noun, check=None):
-    """Raise ValueError unless values is a non-empty list of distinct items,
-    each passing check(item, name) if given: a repeated seed or variant
-    would train the same run into the same directory."""
+def _check_track(track, name):
+    """Raise ValueError unless get_track knows track."""
+    if not tracks.is_track(track):
+        raise ValueError(f"{name} must be one of {list(tracks.TRACK_NAMES)}, got {track!r}")
+
+
+def _check_distinct(values, noun, check=None, key=None):
+    """Raise ValueError unless values is a non-empty list of items distinct by
+    key(item) (the item if no key), each passing check(item, name) if given:
+    a repeated seed, variant or track would run the same work twice."""
     if not values:
         raise ValueError(f"need at least one {noun}")
     first = {}
     for i, value in enumerate(values):
         if check is not None:
             check(value, f"{noun}s[{i}]")
-        if value in first:
-            raise ValueError(f"{noun}s[{i}] repeats {noun}s[{first[value]}]")
-        first[value] = i
+        k = value if key is None else key(value)
+        if k in first:
+            raise ValueError(f"{noun}s[{i}] repeats {noun}s[{first[k]}]")
+        first[k] = i
 
 
 def write_json(path, data):
@@ -102,9 +109,7 @@ class ExperimentConfig(Config):
         if self.variant not in VARIANTS:
             raise ValueError(f"config variant must be one of {sorted(VARIANTS)}, "
                              f"got {self.variant!r}")
-        if not tracks.is_track(self.track):
-            raise ValueError(f"config track must be one of {list(tracks.TRACK_NAMES)}, "
-                             f"got {self.track!r}")
+        _check_track(self.track, "config track")
         if self.reference not in REFERENCE_MODES:
             raise ValueError(f"config reference must be one of {REFERENCE_MODES}, "
                              f"got {self.reference!r}")
@@ -492,9 +497,8 @@ def tournament(config, variants=None, phase2_track="technical", report_path=None
     """
     variants = variants if variants is not None else sorted(VARIANTS)
     _check_distinct(variants, "variant")
-    if phase2_track and not tracks.is_track(phase2_track):
-        raise ValueError(f"tournament phase2_track must be one of {list(tracks.TRACK_NAMES)}, "
-                         f"got {phase2_track!r}")
+    if phase2_track:
+        _check_track(phase2_track, "tournament phase2_track")
     run_dirs = []
     phase1 = _train_and_rank([(dataclasses.replace(config, variant=variant), variant)
                            for variant in variants], config.seeds, run_dirs)
@@ -548,6 +552,7 @@ def generalization_eval(run_dir, track_names, laps=1):
     general model, selected per the best-on-training-but-finishes-everywhere
     rule, to generalization.json, both in the run directory.
     """
+    _check_distinct(track_names, "track", _check_track, key=tracks.canonical_name)
     config = ExperimentConfig.from_file(os.path.join(run_dir, "config.json"))
     training_track = config.track
     checkpoints = list_checkpoints(run_dir)

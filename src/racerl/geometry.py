@@ -45,6 +45,7 @@ RANGEFINDER_MAX = 200.0
 # rays span -90 deg (index 0, right of the car) to +90 deg (index 18) in 10 deg steps
 RANGEFINDER_ANGLES = np.deg2rad(np.linspace(-90.0, 90.0, RANGEFINDER_COUNT))
 LAC_OFFSETS = (20.0, 40.0, 60.0, 80.0)
+CLOSURE_TOLERANCE = 1e-6  # m, absolute: a loop's last point this near its first closes it
 
 _CURVATURE_SPACING = 5.0  # meters between the three circumscribed-circle samples
 
@@ -101,7 +102,7 @@ class Polyline:
         if not np.isfinite(pts).all():
             raise GeometryError("polyline points must be finite")
         # drop an explicitly repeated closing point
-        if np.allclose(pts[0], pts[-1]):
+        if math.hypot(*(pts[-1] - pts[0])) <= CLOSURE_TOLERANCE:
             pts = pts[:-1]
         seg = np.roll(pts, -1, axis=0) - pts
         seg_len = np.hypot(seg[:, 0], seg[:, 1])

@@ -1,7 +1,8 @@
 """Minimal differentiable numeric core: dense nets, an LSTM cell, Adam, soft updates.
 
-Everything is float64 numpy with hand-written backward passes. Inputs are
-batched 2D arrays (batch, features); single samples go through as (1, k).
+Everything is float64 numpy with hand-written backward passes. Layers take
+batched 2D arrays (batch, features); the actor and the critics take the
+(batch, w, features) windows that ReplayBuffer.assemble_window returns.
 Gradients are exact analytic derivatives and are checked against central
 finite differences in the test suite.
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .files import write_atomic
 
-ACTIVATIONS = ("relu", "tanh", "sigmoid", "linear")
+ACTIVATIONS = ("relu", "linear")
 
 
 class ShapeError(ValueError):
@@ -40,23 +41,15 @@ class NumericError(ArithmeticError):
 def _activate(z, kind):
     if kind == "relu":
         return np.maximum(z, 0.0)
-    if kind == "tanh":
-        return np.tanh(z)
-    if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
     if kind == "linear":
         return z
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _activate_grad(z, y, kind):
-    # derivative wrt pre-activation, using whichever of z / y=f(z) is cheaper
+def _activate_grad(z, kind):
+    """Derivative wrt the pre-activation z."""
     if kind == "relu":
         return (z > 0.0).astype(z.dtype)
-    if kind == "tanh":
-        return 1.0 - y * y
-    if kind == "sigmoid":
-        return y * (1.0 - y)
     if kind == "linear":
         return np.ones_like(z)
     raise ValueError(f"unknown activation {kind!r}")
@@ -118,11 +111,11 @@ class Dense:
 
     def pre_activation_grad(self, cache, gy):
         """Gradient wrt z = x @ weight.T + bias, from the output's gradient gy."""
-        _, z, y = cache
+        z = cache[1]
         gy = np.asarray(gy, dtype=np.float64)
         if gy.shape != z.shape:
             raise ShapeError(f"output gradient shape {gy.shape} != {z.shape}")
-        return gy * _activate_grad(z, y, self.activation)
+        return gy * _activate_grad(z, self.activation)
 
     @staticmethod
     def param_grads(x, gz):
@@ -342,12 +335,16 @@ class Network:
         clone._own_parameters(*dict.fromkeys(layer for layer, _ in clone._slots))
         return clone
 
+    def __call__(self, *inputs):
+        return self.forward(*inputs)[0]
+
 
 class Actor(Network):
     """Deterministic policy network.
 
     Trunk -> 3 linear units squashed per head: tanh for steering in [-1, 1],
-    sigmoid for throttle and brake in [0, 1].
+    sigmoid for throttle and brake in [0, 1]. Each input row is flattened,
+    so a (batch, w, obs) window batch reads as (batch, w * obs).
     """
 
     def __init__(self, trunk):
@@ -361,7 +358,7 @@ class Actor(Network):
         return self.trunk.in_dim
 
     def forward(self, x):
-        z, caches = self.trunk.forward(x)
+        z, caches = self.trunk.forward(np.reshape(x, (len(x), -1)))
         a = np.column_stack([np.tanh(z[:, 0]), sigmoid(z[:, 1]), sigmoid(z[:, 2])])
         return a, (caches, z, a)
 
@@ -375,12 +372,10 @@ class Actor(Network):
         gz[:, 2] = ga[:, 2] * a[:, 2] * (1.0 - a[:, 2])
         return self.trunk.backward(caches, gz)
 
-    def __call__(self, x):
-        return self.forward(x)[0]
-
 
 class Critic(Network):
-    """Feed-forward Q network: state through one layer, action joins after it."""
+    """Feed-forward Q network on a window: the states, flattened as the actor
+    reads them, through one layer; the window's last action joins after it."""
 
     def __init__(self, state_layer, tail):
         if tail.out_dim != 1:
@@ -396,16 +391,18 @@ class Critic(Network):
     def state_dim(self):
         return self.state_layer.in_dim
 
-    def forward(self, s, a):
-        h, cache_s = self.state_layer.forward(s)
-        if a.ndim != 2 or a.shape[1] != self.action_dim:
-            raise ShapeError(f"critic expects actions (batch, {self.action_dim}), got {a.shape}")
-        u = np.concatenate([h, a], axis=1)
+    def forward(self, s_win, a_win):
+        """s_win (batch, w, obs), a_win (batch, w, 3) -> q (batch,)."""
+        if a_win.ndim != 3 or a_win.shape[2] != self.action_dim:
+            raise ShapeError(f"critic expects actions (batch, w, {self.action_dim}), got {a_win.shape}")
+        h, cache_s = self.state_layer.forward(np.reshape(s_win, (len(s_win), -1)))
+        u = np.concatenate([h, a_win[:, -1]], axis=1)
         q, caches_t = self.tail.forward(u)
         return q[:, 0], (cache_s, caches_t)
 
     def backward(self, cache, gq):
-        """gq is (batch,). Returns (grads, ga); the state's gradient is not formed."""
+        """gq is (batch,). Returns (grads, ga), ga (batch, 3) for the last
+        action; the state's gradient is not formed."""
         cache_s, caches_t = cache
         gt, gu = self.tail.backward(caches_t, gq[:, None])
         embed_dim = self.state_layer.out_dim
@@ -416,9 +413,6 @@ class Critic(Network):
         """The ga of ``backward``: the tail's backward alone."""
         _, caches_t = cache
         return self.tail.backward(caches_t, gq[:, None])[1][:, self.state_layer.out_dim:]
-
-    def __call__(self, s, a):
-        return self.forward(s, a)[0]
 
 
 class LstmCritic(Network):
@@ -461,8 +455,8 @@ class LstmCritic(Network):
         return q[:, 0], (embed_cache, step_caches, cache_h)
 
     def backward(self, cache, gq):
-        """Returns (grads, ga_win); grads ordered like parameters(). The
-        states' gradients are not formed."""
+        """Returns (grads, ga_win), ga_win (batch, w, 3); grads ordered like
+        parameters(). The states' gradients are not formed."""
         embed_cache, step_caches, cache_h = cache
         ghead, gh = self.head.backward(cache_h, gq[:, None])
         cell_grads, gxs = lstm_unroll_backward(self.cell, step_caches, gh)
@@ -494,9 +488,6 @@ class LstmCritic(Network):
         gh = self.head.pre_activation_grad(cache_h, gq[:, None]) @ self.head.weight
         gz, _ = self.cell.pre_activation_grad(step_caches[-1], gh, np.zeros_like(gh))
         return (gz @ self.cell.wx)[:, self.state_layer.out_dim:]
-
-    def __call__(self, s_win, a_win):
-        return self.forward(s_win, a_win)[0]
 
 
 # ---------------------------------------------------------------------------

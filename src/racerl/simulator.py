@@ -76,8 +76,12 @@ class CarParams(Config, tree="car"):
     def validate(self, path=None):
         super().validate(path)
         # declared top speed must be reachable: engine force >= drag there
-        if self.engine_force < self.drag_coeff * self.top_speed**2 - 1e-9:
-            raise ValueError("engine force cannot sustain the declared top speed")
+        need = self.drag_coeff * self.top_speed**2
+        if self.engine_force < need - 1e-9:
+            p = self.tree if path is None else path
+            raise ValueError(f"{p}.engine_force {self.engine_force} N cannot sustain {p}.top_speed "
+                             f"{self.top_speed} m/s against {p}.drag_coeff {self.drag_coeff}: "
+                             f"that needs at least {need:g} N")
 
     def downforce(self, vx):
         return self.downforce_coeff * vx * vx
@@ -212,7 +216,8 @@ class RacingEnv:
         self.lac_enabled = lac_enabled
         self.params = params if params is not None else CarParams()
         if track.width <= self.params.width:
-            raise ValueError("track narrower than the car")
+            raise ValueError(f"track {track.name!r} is {track.width} m wide, not wider than "
+                             f"car.width {self.params.width} m")
         # never written: the envs of one experiment share it, so a per-episode
         # start position goes into start_delta instead
         self.settings = settings if settings is not None else EnvSettings()

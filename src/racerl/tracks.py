@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .geometry import GeometryError, Track
+from .geometry import CLOSURE_TOLERANCE, GeometryError, Track
 
 
 def _left_normal(heading):
@@ -53,7 +53,7 @@ def build_centerline(segments, step=2.0):
         else:
             raise ValueError(f"unknown segment kind {kind!r}")
     gap = np.linalg.norm(pts[-1] - pts[0])
-    if gap > 1e-6:
+    if gap > CLOSURE_TOLERANCE:
         raise GeometryError(f"segment list does not close the loop (gap {gap:.3g} m)")
     return np.asarray(pts[:-1])
 
@@ -105,13 +105,14 @@ _BUILDERS = {"oval": oval, "fast_mixed": fast_mixed, "technical": technical}
 TRACK_NAMES = tuple(_BUILDERS)
 
 
-def _key(name):
+def canonical_name(name):
+    """The bundled track's name that get_track reads name as."""
     return name.lower().replace("-", "_")
 
 
 def is_track(name):
     """Whether get_track knows name."""
-    return _key(name) in _BUILDERS
+    return canonical_name(name) in _BUILDERS
 
 
 def get_track(name):
@@ -123,7 +124,7 @@ def get_track(name):
     """
     if not is_track(name):
         raise KeyError(f"unknown track {name!r}; available: {', '.join(TRACK_NAMES)}")
-    return _built(_key(name))
+    return _built(canonical_name(name))
 
 
 @functools.cache

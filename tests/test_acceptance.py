@@ -77,7 +77,7 @@ def test_criterion_1_gradient_correctness():
         g = rng.normal(size=2)
 
         def fb(critic=critic, s=s, a=a, g=g):
-            q, cache = critic.forward(s, a)
+            q, cache = critic.forward(s, a[:, None, :])
             grads, _ = critic.backward(cache, g)
             return float(np.sum(g * q)), grads
 
@@ -203,7 +203,7 @@ def test_criterion_3_at_rule_identity():
     agent = DDPGAgent(AgentConfig(variant="WIN1", hidden=8), seed=1)
     obs = agent.config.obs_dim
     s_next = rng.normal(size=(1, obs))
-    q_boot = float(agent.target_critic(s_next, agent.target_actor(s_next))[0])
+    q_boot = float(agent.target_critic(s_next, agent.target_actor(s_next)[:, None, :])[0])
     gamma = agent.config.gamma
 
     # at r = 0 the identity holds bit for bit

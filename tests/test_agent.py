@@ -258,7 +258,7 @@ def test_compute_targets_n1_is_the_one_step_rule():
     for slot in slots:
         t = agent.buffer.get(slot)
         s_next = t.next_state[None, :]
-        q = agent.target_critic(s_next, agent.target_actor(s_next))[0]
+        q = agent.target_critic(s_next, agent.target_actor(s_next)[:, None, :])[0]
         want.append(scalar_td_target(t.reward, 1, q, agent.config.gamma, t.termination))
     npt.assert_allclose(agent.compute_targets(slots), want, rtol=1e-12)
 
@@ -300,10 +300,10 @@ def test_train_step_action_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
     s = rng.normal(size=(3, agent.config.obs_dim))
     a = rng.uniform(size=(3, 3))
-    q, cache = agent.critic.forward(s, a)
+    q, cache = agent.critic.forward(s, a[:, None, :])
     _, ga = agent.critic.backward(cache, np.ones(3))
     numeric = finite_difference_grad(
-        lambda arr: float(np.sum(agent.critic(s, arr))), a.copy()
+        lambda arr: float(np.sum(agent.critic(s, arr[:, None, :]))), a.copy()
     )
     assert max_relative_error(ga, numeric) < 1e-4
 

@@ -76,6 +76,18 @@ def test_curvature_duplicate_points_error():
         Polyline([[0, 0], [1, 0], [1, 0], [0, 1]])
 
 
+@pytest.mark.parametrize("center", [0.0, 5e3, 2e5, 5e5])
+def test_polyline_keeps_a_last_vertex_far_from_the_first(center):
+    # 314 points 2 m apart on r = 100, far from the origin as in projected
+    # map coordinates: no point repeats, so none is dropped
+    pts = circle_points(100.0, 314, center=(center, center))
+    line = Polyline(pts)
+    assert len(line.points) == 314
+    assert line.length == pytest.approx(2 * 314 * 100.0 * math.sin(math.pi / 314), rel=1e-9)
+    # a first point repeated at the end is a closing point, and goes
+    assert len(Polyline(np.vstack([pts, pts[:1]])).points) == 314
+
+
 # --- max_speed ---------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import ast
+import collections
 import dataclasses
 import json
 import math
@@ -388,6 +389,19 @@ def test_reference_errors_name_the_field_and_the_value(doc, message):
         from_dict(ex.ExperimentConfig, doc)
 
 
+@pytest.mark.parametrize("car,message", [
+    ({"engine_force": 5000.0}, "car.engine_force 5000.0 N cannot sustain car.top_speed 50.0 m/s "
+     "against car.drag_coeff 2.8: that needs at least 7000 N"),
+    ({"top_speed": 60.0}, "car.engine_force 7000.0 N cannot sustain car.top_speed 60.0 m/s "
+     "against car.drag_coeff 2.8: that needs at least 10080 N"),
+])
+def test_car_top_speed_error_names_the_fields_and_the_values(car, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        from_dict(ex.ExperimentConfig, {"car": car})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CarParams(**car)
+
+
 @pytest.mark.parametrize("kwargs,message", [
     ({"alpha": math.nan}, "per.alpha must be non-negative, got nan"),
     ({"lam3": math.nan}, "per.lam3 must be non-negative, got nan"),
@@ -721,6 +735,23 @@ def test_src_modules_use_every_module_level_import():
     assert unused == []
 
 
+def test_src_modules_define_no_dead_name():
+    # every module-level function and class is named somewhere besides its
+    # definition: in src/, tests/, demos/ or perfbench/
+    src = Path(ex.__file__).parent
+    root = src.parent.parent
+    words = collections.Counter()
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in (root / folder).rglob("*.py"):
+            words.update(re.findall(r"\w+", path.read_text()))
+    dead = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and words[node.name] < 2:
+                dead.append(f"{path.name}:{node.lineno} {node.name}")
+    assert dead == []
+
+
 # --- evaluation ---------------------------------------------------------------------------
 
 
@@ -875,6 +906,18 @@ def test_generalization_eval_races_only_the_runs_checkpoints(tmp_path):
     assert ex.generalization_eval(run_dir, ["oval"], laps=1) == clean
     assert (run_dir / "generalization.csv").read_bytes() == clean_csv
     assert [e for e, _ in ex.list_checkpoints(run_dir)] == [1, 2]
+
+
+def test_generalization_eval_rejects_a_repeated_or_unknown_track(tmp_path):
+    run_dir = Path(ex.train_run(tiny_config(tmp_path), 0).run_dir)
+    for names, message in [
+        (["oval", "oval", "technical"], r"tracks\[1\] repeats tracks\[0\]"),
+        (["technical", "oval", "OVAL"], r"tracks\[2\] repeats tracks\[1\]"),
+        (["oval", "nosuch"], r"tracks\[1\] must be one of \['oval', .*\], got 'nosuch'"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ex.generalization_eval(run_dir, names, laps=1)
+    assert not list(run_dir.glob("generalization*"))
 
 
 def test_generalization_eval_builds_each_track_once(tmp_path, monkeypatch):

@@ -63,10 +63,17 @@ def test_backward_scalar_product_rule():
     assert gb[0] == 1.0
 
 
+@pytest.mark.parametrize("kind", ["tanh", "sigmoid", "softplus"])
+def test_dense_layers_are_relu_or_linear(kind):
+    # the actor squashes its own heads; no layer the builders make needs more
+    with pytest.raises(ValueError, match=f"unknown activation '{kind}'"):
+        nn.Dense(np.ones((2, 3)), np.zeros(2), kind)
+
+
 def test_backward_zero_gradient():
     net = nn.Mlp(
         [
-            nn.Dense(np.random.default_rng(1).normal(size=(4, 3)), np.zeros(4), "tanh"),
+            nn.Dense(np.random.default_rng(1).normal(size=(4, 3)), np.zeros(4), "relu"),
             nn.Dense(np.random.default_rng(2).normal(size=(2, 4)), np.zeros(2), "linear"),
         ]
     )
@@ -82,7 +89,7 @@ def test_backward_finite_difference_small_net():
     net = nn.Mlp(
         [
             nn.Dense(rng.normal(size=(5, 4)), rng.normal(size=5), "relu"),
-            nn.Dense(rng.normal(size=(3, 5)), rng.normal(size=3), "tanh"),
+            nn.Dense(rng.normal(size=(3, 5)), rng.normal(size=3), "linear"),
             nn.Dense(rng.normal(size=(2, 3)), rng.normal(size=2), "linear"),
         ]
     )
@@ -277,17 +284,17 @@ def test_critic_gradcheck_including_action_input():
     g_out = rng.normal(size=4)
 
     def loss_fn():
-        q, cache = critic.forward(s, a)
+        q, cache = critic.forward(s, a[:, None, :])
         loss = float(np.sum(g_out * q))
         grads, _ = critic.backward(cache, g_out)
         return loss, grads
 
     assert check_network_gradients(critic.parameters(), loss_fn) < 1e-4
 
-    _, cache = critic.forward(s, a)
+    _, cache = critic.forward(s, a[:, None, :])
     _, ga = critic.backward(cache, g_out)
     numeric = finite_difference_grad(
-        lambda arr: float(np.sum(g_out * critic(s, arr))), a.copy()
+        lambda arr: float(np.sum(g_out * critic(s, arr[:, None, :]))), a.copy()
     )
     assert max_relative_error(ga, numeric) < 1e-4
 
@@ -321,13 +328,32 @@ def test_critic_action_grad_matches_finite_differences():
     s = rng.normal(size=(4, 7))
     a = rng.normal(size=(4, 3))
     g_out = rng.normal(size=4)
-    _, cache = critic.forward(s, a)
+    _, cache = critic.forward(s, a[:, None, :])
     ga = critic.action_grad(cache, g_out)
     assert np.array_equal(ga, critic.backward(cache, g_out)[1])
     numeric = finite_difference_grad(
-        lambda arr: float(np.sum(g_out * critic(s, arr))), a.copy()
+        lambda arr: float(np.sum(g_out * critic(s, arr[:, None, :]))), a.copy()
     )
     assert max_relative_error(ga, numeric) < 1e-4
+
+
+@pytest.mark.parametrize("window", [1, 4, 8])
+def test_networks_read_a_window_as_its_flattened_states_and_last_action(window):
+    # the feed-forward critic and the actor take assemble_window's
+    # (batch, w, .) arrays: the states flattened per row, the last action
+    rng = np.random.default_rng(31 + window)
+    n, obs = 5, 6
+    critic = nn.build_critic(window * obs, hidden=7, rng=rng)
+    actor = nn.build_actor(window * obs, hidden=(5, 4), rng=rng)
+    s_win = rng.normal(size=(n, window, obs))
+    a_win = rng.uniform(size=(n, window, 3))
+    q = critic(s_win, a_win)
+    assert q.shape == (n,)
+    assert np.array_equal(q, critic(s_win.reshape(n, 1, -1), a_win[:, -1:]))
+    other = rng.uniform(size=a_win.shape)
+    other[:, -1] = a_win[:, -1]
+    assert np.array_equal(q, critic(s_win, other))
+    assert np.array_equal(actor(s_win), actor(s_win.reshape(n, -1)))
 
 
 def test_lstm_critic_action_grad_matches_finite_differences():

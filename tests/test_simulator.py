@@ -150,6 +150,12 @@ def test_env_settings_reject_out_of_range(name, value):
         EnvSettings(**{name: value})
 
 
+def test_a_car_wider_than_the_track_is_refused_by_name():
+    with pytest.raises(ValueError, match=re.escape(
+            "track 'technical' is 10.0 m wide, not wider than car.width 12.0 m")):
+        RacingEnv(tracks.get_track("technical"), params=CarParams(width=12.0))
+
+
 # --- telemetry -----------------------------------------------------------------
 
 
