@@ -28,9 +28,14 @@ def versions():
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
 
-def _file(path):
+def _file(path, workdir=None):
+    """Digest of a file's bytes, with workdir (where a report embeds the
+    paths it wrote) replaced by a fixed token."""
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        data = fh.read()
+    if workdir is not None:
+        data = data.replace(workdir.encode(), b"<workdir>")
+    return hashlib.sha256(data).hexdigest()
 
 
 def _arrays(path):
@@ -64,8 +69,15 @@ def compute_digests(workdir):
     - an rc-lac WIN1 run of the same size on technical, against the
       recorded line, with spread starts so that its episodes see the
       line's corners;
-    - generalization.csv of the oval WIN1 run over every track;
+    - generalization.csv and generalization.json of the oval WIN1 run over
+      every track, and the arrays of its first checkpoint;
+    - a one-seed tournament of WIN4 and PER40k of the same size with phase 2
+      on technical: its report and each run's best.npz arrays;
+    - a one-seed AT ablation of the same size: its report.json and curves.csv;
     - the bot's lap time and its recorded line on every track.
+
+    The reports embed the paths they wrote, so their digests read workdir
+    as a fixed token.
     """
     from racerl import experiments as ex
     from racerl import tracks
@@ -95,6 +107,10 @@ def compute_digests(workdir):
             ex.generalization_eval(run_dir, tracks.TRACK_NAMES)
             out["oval/WIN1/generalization.csv"] = _file(
                 os.path.join(run_dir, "generalization.csv"))
+            out["oval/WIN1/generalization.json"] = _file(
+                os.path.join(run_dir, "generalization.json"), workdir)
+            out["oval/WIN1/checkpoints/ckpt_000003.npz"] = _arrays(
+                os.path.join(run_dir, "checkpoints", "ckpt_000003.npz"))
 
     line_file = os.path.join(workdir, "technical_line.json")
     save_racing_line(lines["technical"], line_file)
@@ -102,6 +118,19 @@ def compute_digests(workdir):
                                  racing_line_file=line_file,
                                  train=dataclasses.replace(base.train, spread_starts=True))
     _run(rc_lac, "technical/rc-lac/WIN1", workdir, out)
+
+    t_dir = os.path.join(workdir, "tournament")
+    report = ex.tournament(dataclasses.replace(base, output_dir=t_dir), variants=["WIN4", "PER40k"],
+                           phase2_track="technical", report_path=os.path.join(t_dir, "report.json"))
+    out["tournament/report.json"] = _file(os.path.join(t_dir, "report.json"), workdir)
+    for run_dir in report.run_dirs:
+        tag = os.path.relpath(run_dir, workdir)
+        out[f"{tag}/best.npz"] = _arrays(os.path.join(run_dir, "best.npz"))
+
+    ex.ablation_at(dataclasses.replace(base, output_dir=os.path.join(workdir, "ablation")))
+    for name in ("report.json", "curves.csv"):
+        out[f"ablation/ablation_at/{name}"] = _file(
+            os.path.join(workdir, "ablation", "ablation_at", name), workdir)
     return out
 
 
