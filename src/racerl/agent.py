@@ -10,7 +10,7 @@ feed-forward on the flattened window).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -198,38 +198,6 @@ class AgentConfig(AgentSettings):
         return observation_dim(self.lac_enabled)
 
 
-def _config_from_checkpoint(stored, path):
-    """AgentConfig from a checkpoint's stored config.
-
-    An older checkpoint also stored the variant's traits and per.capacity.
-    Each must agree with the variant (per.capacity only where the buffer is
-    prioritized: a uniform buffer never read it) and is then dropped. It
-    also stored the importance-sampling switch per.is_weights and its
-    per.beta: both are dropped while the switch is off, and a checkpoint
-    trained with IS-weighted minibatches is refused.
-    """
-    stored = dict(stored)
-    legacy = {f.name: stored.pop(f.name) for f in fields(Variant) if f.name in stored}
-    per = stored.get("per")
-    if isinstance(per, dict):
-        per = stored["per"] = dict(per)
-        if "capacity" in per:
-            legacy["per.capacity"] = per.pop("capacity")
-        if per.pop("is_weights", False):
-            raise ValueError(f"{path}: checkpoint config 'per.is_weights' is true, "
-                             "but PER minibatches are unweighted")
-        per.pop("beta", None)
-    config = from_dict(AgentConfig, stored)
-    for key, value in legacy.items():
-        if key == "per.capacity" and config.buffer_kind != "per":
-            continue
-        want = getattr(config, key.removeprefix("per."))
-        if value != want:
-            raise ValueError(f"{path}: checkpoint config {key!r} is {value!r}, "
-                             f"but variant {config.variant} has {want!r}")
-    return config
-
-
 @dataclass
 class TrainMetrics:
     critic_loss: float
@@ -360,7 +328,11 @@ class DDPGAgent:
         meta, arrays = nn.load_arrays(path)
         if meta.get("kind") != "agent":
             raise ValueError(f"{path} is not an agent checkpoint")
-        agent = cls(_config_from_checkpoint(meta["config"], path))
+        try:
+            config = from_dict(AgentConfig, meta["config"])
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from err
+        agent = cls(config)
         expected = agent._network_arrays()
         for name in sorted(set(arrays) | set(expected)):
             want, got = _shape_of(expected, name), _shape_of(arrays, name)

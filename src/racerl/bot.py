@@ -91,15 +91,17 @@ def drive_bot(env, bot, max_steps=None, logger=None, stop_after_laps=None):
 
 
 def bot_lap_time(track, laps=2):
-    """Deterministic bot lap time on a track (best of the flying laps)."""
-    if laps < 0:
-        raise ValueError(f"laps must be non-negative, got {laps}")
+    """Deterministic bot lap time on a track: the best of `laps` flying laps,
+    driven after the standing-start lap."""
+    if laps < 1:
+        raise ValueError(f"laps must be at least 1, got {laps}")
     max_steps = int((laps + 1) * track.length / 3.0 / 0.2) + 600
     env = RacingEnv(track, settings=EnvSettings(max_steps=max_steps))
     stats = drive_bot(env, BaselineBot(track), stop_after_laps=laps + 1)  # standing start + flying laps
-    if not stats["laps"]:
-        raise RuntimeError(f"baseline bot failed to lap {track.name}")
-    return min(stats["laps"]), stats
+    flying = stats["laps"][1:]
+    if not flying:
+        raise RuntimeError(f"baseline bot finished no flying lap on {track.name}")
+    return min(flying), stats
 
 
 class _LineTrace:

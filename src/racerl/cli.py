@@ -40,7 +40,7 @@ def cmd_tournament(args):
     config = _load_config(args.config)
     report = experiments.tournament(
         config,
-        variants=args.variants.split(",") if args.variants else None,
+        variants=args.variants.split(",") if args.variants is not None else None,
         phase2_track=args.phase2_track,
         report_path=args.out,
     )
@@ -75,7 +75,7 @@ def cmd_generalize(args):
 
 def cmd_ablate_at(args):
     config = _load_config(args.config)
-    if args.track:
+    if args.track is not None:
         config = dataclasses.replace(config, track=args.track)
     if args.episodes is not None:
         config.train = dataclasses.replace(config.train, episodes=args.episodes)

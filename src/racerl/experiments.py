@@ -443,11 +443,8 @@ def select_family_winners(rows):
     """Per-family winner by average best lap-time (aLT)."""
     winners = {}
     for row in rows:
-        if row.alt is None:
-            continue
         fam = variant_family(row.variant)
-        cur = winners.get(fam)
-        if cur is None or row.alt < cur.alt:
+        if row.alt is not None and (fam not in winners or row.alt < winners[fam].alt):
             winners[fam] = row
     return {fam: row.variant for fam, row in winners.items()}
 

@@ -28,14 +28,7 @@ class ShapeError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """Non-finite value where a finite one is required.
-
-    Carries ``index``, the offending position in the parameter list.
-    """
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+    """Non-finite value where a finite one is required."""
 
 
 def _activate(z, kind):
@@ -122,9 +115,6 @@ class Dense:
         """(weight, bias) gradients from the input x and the gradient gz wrt z."""
         return gz.T @ x, gz.sum(axis=0)
 
-    def parameters(self):
-        return [getattr(self, name) for name in self.PARAMS]
-
 
 class Mlp:
     """A plain stack of Dense layers."""
@@ -159,12 +149,6 @@ class Mlp:
             flat.extend([gw, gb])
         return flat, gy
 
-    def parameters(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.parameters())
-        return out
-
 
 class LstmCell:
     """Standard LSTM cell with combined gate matrices.
@@ -197,19 +181,13 @@ class LstmCell:
         h = self.hidden_dim
         return np.zeros((batch, h)), np.zeros((batch, h))
 
-    def step(self, x, state):
-        """One recurrence step. Returns (h_new, (h_new, c_new), cache)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ShapeError(f"lstm step expects (batch, {self.in_dim}), got {x.shape}")
-        return self.advance(x, x @ self.wx.T, state)
-
     def advance(self, x, xw, state):
-        """``step`` from x's projection xw = x @ wx.T, which it overwrites
-        with the step's gates: lstm_unroll projects a whole window in one
-        product, and that one array then holds the window's gates. (Freed
-        after the unroll instead, that block left a hole in the heap that
-        glibc trimmed and faulted back in on LSTM8 updates.)"""
+        """One recurrence step from x's projection xw = x @ wx.T, which it
+        overwrites with the step's gates. Returns (h_new, (h_new, c_new),
+        cache). lstm_unroll projects a whole window in one product, and that
+        one array then holds the window's gates. (Freed after the unroll
+        instead, that block left a hole in the heap that glibc trimmed and
+        faulted back in on LSTM8 updates.)"""
         h_prev, c_prev = state
         hd = self.hidden_dim
         z = xw
@@ -237,9 +215,6 @@ class LstmCell:
         g_ifo = np.concatenate([gc_total * g, gc_total * c_prev, gh * tc], axis=1)
         gz = np.concatenate([g_ifo * ifo * (1.0 - ifo), gc_total * i * (1.0 - g * g)], axis=1)
         return gz, gc_total * f
-
-    def parameters(self):
-        return [getattr(self, name) for name in self.PARAMS]
 
 
 def lstm_unroll(cell, xs):
@@ -353,10 +328,6 @@ class Actor(Network):
         self.trunk = trunk
         self._own_parameters(*trunk.layers)
 
-    @property
-    def in_dim(self):
-        return self.trunk.in_dim
-
     def forward(self, x):
         z, caches = self.trunk.forward(np.reshape(x, (len(x), -1)))
         a = np.column_stack([np.tanh(z[:, 0]), sigmoid(z[:, 1]), sigmoid(z[:, 2])])
@@ -386,10 +357,6 @@ class Critic(Network):
         if self.action_dim <= 0:
             raise ShapeError("critic tail input must exceed the state stream width")
         self._own_parameters(state_layer, *tail.layers)
-
-    @property
-    def state_dim(self):
-        return self.state_layer.in_dim
 
     def forward(self, s_win, a_win):
         """s_win (batch, w, obs), a_win (batch, w, 3) -> q (batch,)."""
@@ -579,7 +546,7 @@ class Adam:
         if not finite.all():
             first = int(np.argmin(finite))
             i = int(np.searchsorted(self.offsets, first, side="right")) - 1
-            raise NumericError(f"non-finite gradient at parameter {i}", index=i)
+            raise NumericError(f"non-finite gradient at parameter {i}")
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t

@@ -71,9 +71,6 @@ class ReplayBuffer:
         self._write = 0
         self.size = 0
 
-    def __len__(self):
-        return self.size
-
     def push(self, transition):
         """Store at the write slot, overwriting the oldest transition when full,
         and link it to the previous push where that holds the same episode."""
@@ -107,12 +104,6 @@ class ReplayBuffer:
             if self.size:
                 grown[:self.size] = old[:self.size]
             setattr(self, name, grown)
-
-    def get(self, slot):
-        state, action, reward, next_state, code, episode, step = (
-            getattr(self, name)[slot] for name in FIELDS)
-        return Transition(state.copy(), action.copy(), float(reward), next_state.copy(),
-                          CODE_TERMINATIONS[int(code)], int(episode), int(step))
 
     def sample(self, batch_size, rng):
         """Slot array, i.i.d. uniform with replacement (a 1-item buffer
@@ -186,9 +177,6 @@ class SumTree:
     @property
     def total(self):
         return float(self.nodes[1])
-
-    def get(self, leaf):
-        return float(self.nodes[self.leaves + leaf])
 
     def update(self, leaf, value):
         i = self.leaves + leaf

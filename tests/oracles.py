@@ -26,6 +26,7 @@ from racerl.geometry import (
     wrap_angle,
 )
 from racerl.nn import NumericError, ShapeError
+from racerl.replay import CODE_TERMINATIONS, Transition
 from racerl.simulator import (
     ANGLE_SCALE,
     LAC_SCALE,
@@ -359,7 +360,7 @@ class ArrayAdam:
             if p.shape != self.m[i].shape or g.shape != p.shape:
                 raise ShapeError(f"parameter {i} shape mismatch: {p.shape} vs {g.shape}")
             if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient at parameter {i}", index=i)
+                raise NumericError(f"non-finite gradient at parameter {i}")
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
@@ -390,6 +391,14 @@ def scalar_td_target(reward_sum, steps, bootstrap_q, gamma, termination, adopted
         if termination in PREMATURE_TERMINATIONS or not adopted_target:
             return reward_sum
     return reward_sum + (gamma ** steps) * bootstrap_q
+
+
+def stored_transition(buffer, slot):
+    """The Transition a replay buffer holds at slot, read field by field."""
+    return Transition(buffer.state[slot].copy(), buffer.action[slot].copy(),
+                      float(buffer.reward[slot]), buffer.next_state[slot].copy(),
+                      CODE_TERMINATIONS[int(buffer.termination[slot])],
+                      int(buffer.episode[slot]), int(buffer.step[slot]))
 
 
 def scalar_find(tree, prefix):

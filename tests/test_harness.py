@@ -116,8 +116,9 @@ def test_lap_counts_below_their_minimum_are_rejected(oval):
     env = RacingEnv(oval)
     with pytest.raises(ValueError, match="laps must be at least 1, got 0"):
         ex.run_eval_episode(BotAgent(env), env, laps=0)
-    with pytest.raises(ValueError, match="laps must be non-negative, got -1"):
-        bot_lap_time(oval, laps=-1)
+    for laps in (-1, 0):
+        with pytest.raises(ValueError, match=f"laps must be at least 1, got {laps}$"):
+            bot_lap_time(oval, laps=laps)
 
 
 def test_record_reference_line_invariants(oval):
@@ -1085,6 +1086,22 @@ def test_cli_tournament_prints_the_phase2_track(monkeypatch, capsys):
     assert cli_main(["tournament", "--phase2-track", "fast_mixed"]) == 0
     out = capsys.readouterr().out
     assert "phase 2 (fast_mixed track):" in out and "technical" not in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tournament", "--variants", ""], "config variant must be one of .*, got ''"),
+    (["ablate-at", "--track", ""], "config track must be one of .*, got ''"),
+], ids=["tournament_variants", "ablate_at_track"])
+def test_cli_refuses_an_empty_value_before_training(tmp_path, monkeypatch, argv, message):
+    def train_run(*args, **kwargs):
+        raise AssertionError("an empty value reached train_run")
+
+    monkeypatch.setattr(ex, "train_run", train_run)
+    cfg = tiny_config(tmp_path)
+    cfg.save(str(tmp_path / "cfg.json"))
+    with pytest.raises(ValueError, match=message):
+        cli_main([*argv, "--config", str(tmp_path / "cfg.json")])
+    assert not os.path.exists(cfg.output_dir)
 
 
 def test_cli_baseline_prints_the_bot_lap(capsys):

@@ -26,6 +26,7 @@ from oracles import (
     scalar_update_priorities,
     serial_nstep,
     serial_window,
+    stored_transition,
 )
 
 
@@ -54,15 +55,15 @@ def fill_episode(buffer, n, episode=0, terminal=None):
 def test_push_to_empty():
     buf = ReplayBuffer(8)
     buf.push(make_transition(0))
-    assert len(buf) == 1
+    assert buf.size == 1
 
 
 def test_push_overwrites_oldest():
     buf = ReplayBuffer(4)
     for i in range(5):
         buf.push(make_transition(i))
-    assert len(buf) == 4
-    stored = sorted(buf.get(i).state[0] for i in range(4))
+    assert buf.size == 4
+    stored = sorted(buf.state[i][0] for i in range(4))
     assert stored == [1.0, 2.0, 3.0, 4.0]  # transition 0 evicted
 
 
@@ -75,7 +76,7 @@ def test_sample_single_item_repeats():
     slots = buf.sample(4, np.random.default_rng(0))
     assert len(slots) == 4
     for slot in slots:
-        assert buf.get(slot).state[0] == 7.0
+        assert buf.state[slot][0] == 7.0
 
 
 def test_sample_empty_not_ready():
@@ -155,7 +156,7 @@ def test_update_priority_repairs_root():
     for i in range(8):
         buf.push(make_transition(i))
     buf.update_priority(np.arange(8), np.arange(8.0), np.ones(8))
-    leaves = [buf.tree.get(i) for i in range(8)]
+    leaves = [buf.tree.nodes[buf.tree.leaves + i] for i in range(8)]
     assert buf.tree.total == pytest.approx(sum(leaves), abs=1e-9)
     assert buf.tree.consistency_error() < 1e-9
 
@@ -230,8 +231,8 @@ def test_per_new_transition_gets_max_priority():
     buf.push(make_transition(0))
     buf.update_priority([0], [3.0], [0.0])  # raw 9.001
     buf.push(make_transition(1))
-    assert buf.tree.get(1) == pytest.approx(buf.max_raw_priority)
-    assert buf.tree.get(1) >= buf.tree.get(0)
+    assert buf.tree.nodes[buf.tree.leaves + 1] == pytest.approx(buf.max_raw_priority)
+    assert buf.tree.nodes[buf.tree.leaves + 1] >= buf.tree.nodes[buf.tree.leaves + 0]
 
 
 # --- window assembly --------------------------------------------------------------
@@ -241,9 +242,9 @@ def test_window_w1_is_own_state():
     buf = ReplayBuffer(16)
     fill_episode(buf, 5)
     states, actions, next_states = buf.assemble_window(3, 1)
-    npt.assert_array_equal(states[0], buf.get(3).state)
-    npt.assert_array_equal(actions[0], buf.get(3).action)
-    npt.assert_array_equal(next_states[0], buf.get(3).next_state)
+    npt.assert_array_equal(states[0], buf.state[3])
+    npt.assert_array_equal(actions[0], buf.action[3])
+    npt.assert_array_equal(next_states[0], buf.next_state[3])
 
 
 def test_window_padding_repeats_first_state():
@@ -251,25 +252,25 @@ def test_window_padding_repeats_first_state():
     fill_episode(buf, 5)
     # index = episode step 2, w=4 -> [s0, s0, s1, s2]
     states, actions, _ = buf.assemble_window(2, 4)
-    npt.assert_array_equal(states[0], buf.get(0).state)
-    npt.assert_array_equal(states[1], buf.get(0).state)
-    npt.assert_array_equal(states[2], buf.get(1).state)
-    npt.assert_array_equal(states[3], buf.get(2).state)
-    npt.assert_array_equal(actions[0], buf.get(0).action)
+    npt.assert_array_equal(states[0], buf.state[0])
+    npt.assert_array_equal(states[1], buf.state[0])
+    npt.assert_array_equal(states[2], buf.state[1])
+    npt.assert_array_equal(states[3], buf.state[2])
+    npt.assert_array_equal(actions[0], buf.action[0])
 
 
 def test_window_mid_episode_matches_log():
     buf = ReplayBuffer(32)
     fill_episode(buf, 10)
     # episode log oracle: the raw pushed states by step index
-    log = [buf.get(i).state for i in range(10)]
+    log = [buf.state[i] for i in range(10)]
     states, _, next_states = buf.assemble_window(7, 4)
     for k, idx in enumerate(range(4, 8)):
         npt.assert_array_equal(states[k], log[idx])
     # next window is shifted by one
     for k, idx in enumerate(range(5, 8)):
         npt.assert_array_equal(next_states[k], log[idx])
-    npt.assert_array_equal(next_states[3], buf.get(7).next_state)
+    npt.assert_array_equal(next_states[3], buf.next_state[7])
 
 
 def test_window_never_crosses_episode_boundary():
@@ -278,10 +279,10 @@ def test_window_never_crosses_episode_boundary():
     fill_episode(buf, 4, episode=1)
     # slot 5 is step 1 of episode 1: window must pad with episode 1's start
     states, _, _ = buf.assemble_window(5, 4)
-    npt.assert_array_equal(states[0], buf.get(4).state)
-    npt.assert_array_equal(states[1], buf.get(4).state)
-    npt.assert_array_equal(states[2], buf.get(4).state)
-    npt.assert_array_equal(states[3], buf.get(5).state)
+    npt.assert_array_equal(states[0], buf.state[4])
+    npt.assert_array_equal(states[1], buf.state[4])
+    npt.assert_array_equal(states[2], buf.state[4])
+    npt.assert_array_equal(states[3], buf.state[5])
 
 
 # --- n-step assembly ---------------------------------------------------------------
@@ -291,7 +292,7 @@ def test_nstep_n1_reduces_to_transition():
     buf = ReplayBuffer(16)
     fill_episode(buf, 5, terminal=Termination.MAX_STEPS)
     for i in range(5):
-        t = buf.get(i)
+        t = stored_transition(buf, i)
         view = buf.assemble_nstep(i, 1, 0.9)
         assert view.reward_sum == t.reward
         npt.assert_array_equal(buf.next_state[view.slot], t.next_state)
@@ -305,7 +306,7 @@ def test_nstep_hand_arithmetic():
         buf.push(make_transition(i, reward=1.0))
     view = buf.assemble_nstep(0, 2, 0.5)
     assert view.reward_sum == 1.5  # 1 + 0.5*1
-    npt.assert_array_equal(buf.next_state[view.slot], buf.get(1).next_state)
+    npt.assert_array_equal(buf.next_state[view.slot], buf.next_state[1])
     assert view.steps == 2
     assert view.termination == TERMINATION_CODES[None]
 
@@ -348,9 +349,9 @@ def test_buffer_snapshot_roundtrip(tmp_path):
     path = tmp_path / "buffer.npz"
     save_buffer(buf, path)
     restored = load_buffer(path, ReplayBuffer(32))
-    assert len(restored) == 6
+    assert restored.size == 6
     for i in range(6):
-        a, b = buf.get(i), restored.get(i)
+        a, b = stored_transition(buf, i), stored_transition(restored, i)
         npt.assert_array_equal(a.state, b.state)
         npt.assert_array_equal(a.action, b.action)
         assert a.reward == b.reward
@@ -362,7 +363,7 @@ def test_buffer_snapshot_roundtrip(tmp_path):
     fill_episode(ring, 6)
     save_buffer(ring, path)
     restored = load_buffer(path, ReplayBuffer(4))
-    assert [restored.get(i).step for i in range(4)] == [2, 3, 4, 5]
+    assert restored.step[:4].tolist() == [2, 3, 4, 5]
     states, _, _ = restored.assemble_window(0, 3)
     npt.assert_array_equal(states[:, 0], [2.0, 2.0, 2.0])  # step 2 is the oldest kept
     assert restored.assemble_nstep(0, 4, 1.0).reward_sum == 2.0 + 3.0 + 4.0 + 5.0
@@ -432,7 +433,7 @@ def test_batched_views_match_per_transition_walk(capacity, pushes, monkeypatch):
     # push i sits in slot i % capacity until a later push overwrites it
     stored = {i: log[i] for i in range(max(0, pushes - capacity), pushes)}
     number = {i % capacity: i for i in stored}
-    slots = np.concatenate([np.arange(len(buf)), rng.integers(0, len(buf), size=9)])
+    slots = np.concatenate([np.arange(buf.size), rng.integers(0, buf.size, size=9)])
     for window in (1, 3, 8):
         batched = buf.assemble_window(slots, window)
         for row, slot in enumerate(slots):
@@ -466,7 +467,7 @@ def test_links_and_batched_write_back_match_the_serial_oracles(monkeypatch):
             buf.push(t)
             oracle.push(t)
             if rng.random() < 0.3:
-                slots = rng.integers(0, len(buf), size=int(rng.integers(1, 33)))
+                slots = rng.integers(0, buf.size, size=int(rng.integers(1, 33)))
                 slots = np.append(slots, slots[0])  # a repeated slot keeps its last value
                 deltas, grad_sq = rng.normal(0.0, 3.0, len(slots)), rng.exponential(size=len(slots))
                 buf.update_priority(slots, deltas, grad_sq)
@@ -477,7 +478,7 @@ def test_links_and_batched_write_back_match_the_serial_oracles(monkeypatch):
         kept = np.arange(max(0, pushes - capacity), pushes)
         serials = np.empty(len(kept), dtype=np.int64)
         serials[kept % capacity] = kept
-        slots = np.concatenate([np.arange(len(buf)), rng.integers(0, len(buf), size=9)])
+        slots = np.concatenate([np.arange(buf.size), rng.integers(0, buf.size, size=9)])
         for window in (1, 3, 8):
             for got, want in zip(buf.assemble_window(slots, window),
                                  serial_window(buf, serials, slots, window)):
@@ -498,5 +499,5 @@ def test_buffer_memory_follows_contents_not_capacity():
         traced = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(buf) == 100
+    assert buf.size == 100
     assert traced < 1_000_000
