@@ -92,9 +92,11 @@ def cmd_ablate_at(args):
 
 
 def cmd_record_line(args):
+    if args.out == "":
+        raise ValueError("record-line --out must name a file, got ''")
     track = tracks.get_track(args.track)
     line = record_reference_line(track)
-    out = args.out or f"{track.name}_line.json"
+    out = args.out if args.out is not None else f"{track.name}_line.json"
     save_racing_line(line, out)
     print(f"recorded {len(line.delta)} points -> {out}")
     return 0

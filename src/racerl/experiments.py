@@ -52,6 +52,12 @@ def _check_track(track, name):
         raise ValueError(f"{name} must be one of {list(tracks.TRACK_NAMES)}, got {track!r}")
 
 
+def _check_file_name(path, name):
+    """Raise ValueError if the optional file path is given but empty."""
+    if path == "":
+        raise ValueError(f"{name} must name a file, got ''")
+
+
 def _check_distinct(values, noun, check=None, key=None):
     """Raise ValueError unless values is a non-empty list of items distinct by
     key(item) (the item if no key), each passing check(item, name) if given:
@@ -220,10 +226,11 @@ def evaluate(checkpoint, track_name, laps=3, racing_line_file=None, config=None)
     The env and car settings come from config (default: the defaults).
     An episode with no completed lap is an explicit DNF result, not an error.
     """
+    _check_file_name(racing_line_file, "evaluate racing_line_file")
     agent = checkpoint if isinstance(checkpoint, DDPGAgent) else DDPGAgent.load(checkpoint)
     cfg = config if config is not None else ExperimentConfig()
     track = tracks.get_track(track_name)
-    if racing_line_file:
+    if racing_line_file is not None:
         line = load_racing_line(racing_line_file, track)
     else:
         line = RacingLine.middle_of_track(track)
@@ -284,7 +291,6 @@ class Run:
         self.failed = False
         self.success_episode = None
         self.best_score = (-1,)  # below every eval's score
-        self.checkpoints = []
 
         os.makedirs(os.path.join(self.run_dir, "checkpoints"), exist_ok=True)
         stale = [os.path.join(self.run_dir, name) for name in EARLIER_RUN_FILES]
@@ -350,9 +356,7 @@ class Run:
         if episode % t.eval_every == 0:
             self.evaluate(episode)
         if episode % t.checkpoint_every == 0:
-            path = os.path.join(self.run_dir, "checkpoints", CHECKPOINT.format(episode))
-            agent.save(path)
-            self.checkpoints.append(path)
+            agent.save(os.path.join(self.run_dir, "checkpoints", CHECKPOINT.format(episode)))
 
     def evaluate(self, episode):
         """Race one deterministic lap into eval.csv. A better score rewrites
@@ -494,15 +498,16 @@ def tournament(config, variants=None, phase2_track="technical", report_path=None
     """
     variants = variants if variants is not None else sorted(VARIANTS)
     _check_distinct(variants, "variant")
-    if phase2_track:
+    if phase2_track is not None:
         _check_track(phase2_track, "tournament phase2_track")
+    _check_file_name(report_path, "tournament report_path")
     run_dirs = []
     phase1 = _train_and_rank([(dataclasses.replace(config, variant=variant), variant)
                            for variant in variants], config.seeds, run_dirs)
     winners = select_family_winners(phase1)
 
     phase2 = None
-    if winners and phase2_track:
+    if winners and phase2_track is not None:
         track2 = tracks.get_track(phase2_track)
         line_file = os.path.join(config.output_dir, f"{track2.name}_line.json")
         save_racing_line(record_reference_line(track2, params=config.car), line_file)
@@ -514,7 +519,7 @@ def tournament(config, variants=None, phase2_track="technical", report_path=None
         ], config.seeds, run_dirs)
 
     report = TournamentReport(phase1, winners, phase2, run_dirs)
-    if report_path:
+    if report_path is not None:
         write_json(report_path, asdict(report))
     return report
 

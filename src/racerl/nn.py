@@ -31,29 +31,8 @@ class NumericError(ArithmeticError):
     """Non-finite value where a finite one is required."""
 
 
-def _activate(z, kind):
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "linear":
-        return z
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def _activate_grad(z, kind):
-    """Derivative wrt the pre-activation z."""
-    if kind == "relu":
-        return (z > 0.0).astype(z.dtype)
-    if kind == "linear":
-        return np.ones_like(z)
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 def sigmoid_(z):
-    """sigmoid(z) written over z, with the bits of ``sigmoid``."""
+    """1 / (1 + exp(-z)), written over z."""
     np.negative(z, out=z)
     np.exp(z, out=z)
     z += 1.0
@@ -95,7 +74,7 @@ class Dense:
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"dense layer expects (batch, {self.in_dim}), got {x.shape}")
         z = x @ self.weight.T + self.bias
-        y = _activate(z, self.activation)
+        y = np.maximum(z, 0.0) if self.activation == "relu" else z
         return y, (x, z, y)
 
     def backward(self, cache, gy):
@@ -108,7 +87,7 @@ class Dense:
         gy = np.asarray(gy, dtype=np.float64)
         if gy.shape != z.shape:
             raise ShapeError(f"output gradient shape {gy.shape} != {z.shape}")
-        return gy * _activate_grad(z, self.activation)
+        return gy * (z > 0.0) if self.activation == "relu" else gy
 
     @staticmethod
     def param_grads(x, gz):
@@ -218,34 +197,30 @@ class LstmCell:
 
 
 def lstm_unroll(cell, xs):
-    """Run the cell over xs (batch, steps, in_dim) from a zero state.
+    """Run the cell over xs (steps, batch, in_dim) from a zero state.
 
-    Returns (h_last, caches). The window is worked on time-major, each
-    step's rows one contiguous block; xs is copied to that layout unless it
-    is already a transposed view of it. (Batch-major, a step's rows of the
-    projection sit 16 KiB apart for LSTM8 at hidden 64, and the gate math
-    on them ran slower.)
+    Returns (h_last, caches); each step's cached x is xs[t]. Time-major,
+    each step's rows are one contiguous block. (Batch-major, a step's rows
+    of the projection sit 16 KiB apart for LSTM8 at hidden 64, and the gate
+    math on them ran slower.)
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3 or xs.shape[2] != cell.in_dim:
-        raise ShapeError(f"lstm_unroll expects (batch, steps, {cell.in_dim}), got {xs.shape}")
-    batch, steps, k = xs.shape
-    xt = xs.transpose(1, 0, 2).reshape(steps * batch, k)
+        raise ShapeError(f"lstm_unroll expects (steps, batch, {cell.in_dim}), got {xs.shape}")
+    steps, batch, k = xs.shape
     # one product projects every step, with the bits of the per-step products
-    xws = (xt @ cell.wx.T).reshape(steps, batch, -1)
-    xt = xt.reshape(steps, batch, k)
+    xws = (xs.reshape(steps * batch, k) @ cell.wx.T).reshape(steps, batch, -1)
     state = cell.zero_state(batch)
     caches = []
     h = state[0]
     for t in range(steps):
-        h, state, cache = cell.advance(xt[t], xws[t], state)
+        h, state, cache = cell.advance(xs[t], xws[t], state)
         caches.append(cache)
     return h, caches
 
 
 def lstm_unroll_backward(cell, caches, gh_last):
-    """BPTT over an unrolled window. Returns (cell grads, gxs (batch, steps, in)),
-    gxs a transposed view of a time-major array.
+    """BPTT over an unrolled window. Returns (cell grads, gxs (steps, batch, in)).
 
     Weight gradients are summed last step first, one step's product at a
     time; the gradient into the zero initial state is not formed.
@@ -265,7 +240,7 @@ def lstm_unroll_backward(cell, caches, gh_last):
         gxs[t] = gz @ cell.wx
         if t:
             gh = gz @ cell.wh
-    return [gwx, gwh, gb], np.stack(gxs).transpose(1, 0, 2)
+    return [gwx, gwh, gb], np.stack(gxs)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +305,9 @@ class Actor(Network):
 
     def forward(self, x):
         z, caches = self.trunk.forward(np.reshape(x, (len(x), -1)))
-        a = np.column_stack([np.tanh(z[:, 0]), sigmoid(z[:, 1]), sigmoid(z[:, 2])])
+        a = z.copy()
+        np.tanh(a[:, 0], out=a[:, 0])
+        sigmoid_(a[:, 1:])
         return a, (caches, z, a)
 
     def backward(self, cache, ga):
@@ -417,7 +394,7 @@ class LstmCritic(Network):
         # product, each row with the bits it has alone
         e, embed_cache = self.state_layer.forward(s_win.transpose(1, 0, 2).reshape(w * batch, -1))
         xs = np.concatenate([e.reshape(w, batch, -1), a_win.transpose(1, 0, 2)], axis=2)
-        h, step_caches = lstm_unroll(self.cell, xs.transpose(1, 0, 2))
+        h, step_caches = lstm_unroll(self.cell, xs)
         q, cache_h = self.head.forward(h)
         return q[:, 0], (embed_cache, step_caches, cache_h)
 
@@ -427,7 +404,6 @@ class LstmCritic(Network):
         embed_cache, step_caches, cache_h = cache
         ghead, gh = self.head.backward(cache_h, gq[:, None])
         cell_grads, gxs = lstm_unroll_backward(self.cell, step_caches, gh)
-        gxs = gxs.transpose(1, 0, 2)  # time-major, like the embedding's cache
         w, batch, _ = gxs.shape
         embed_dim = self.state_layer.out_dim
         gz = self.state_layer.pre_activation_grad(

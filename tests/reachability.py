@@ -5,15 +5,16 @@
 Under ``sys.setprofile`` it records every src/racerl function called by
 what a user runs: every ``racerl`` subcommand on a tiny config (a
 four-family tournament, ``ablate-at``, ``generalize``, ``record-line``, an
-rc-lac ``train`` on the recorded line, ``plot``, ``baseline``, ``eval``,
-``train`` and ``--print-config``), the demos, and one unit of each
+rc-lac ``train`` on the recorded line and an ``eval`` of it against that
+line, ``plot``, ``baseline``, ``eval``, ``train`` and ``--print-config``),
+the demos, and one unit of each
 perfbench workload with its setup and replay-bytes probe. Then it runs the
 tier-1 tests in the same process under the same profiler, leaving out the
 two learning criteria (9 and 10), which only train and race as the
 commands do, and prints each function that the tests reach and no command
 does, with its length in lines. A function that neither reaches (an error
-path, or the tournament's phase 2, which a tiny budget never promotes to)
-is listed apart.
+path) is listed apart. Only the tests run the tournament's phase 2, which
+a tiny budget never promotes to.
 
 It is a script, not a test: a tier-1 version would need an allow-list of
 the functions that wait for a caller, and that list would go stale.
@@ -107,6 +108,9 @@ def run_commands(workdir):
         json.dump({**TINY, "output_dir": "runs", "track": "technical", "reference": "rc-lac",
                    "racing_line_file": "technical_line.json"}, fh)
     commands.append(["train", "--config", "rc_lac.json"])
+    commands.append(["eval", "--checkpoint",
+                     os.path.join("runs", "WIN1_technical_rc-lac", "seed0", "latest.npz"),
+                     "--track", "technical", "--laps", "1", "--racing-line", "technical_line.json"])
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):
             main(argv)

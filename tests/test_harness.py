@@ -16,7 +16,7 @@ import numpy.testing as npt
 import pytest
 
 from racerl import experiments as ex
-from racerl import nn, plotting, tracks
+from racerl import cli, nn, plotting, tracks
 from racerl.agent import VARIANTS, AgentConfig, DDPGAgent
 from racerl.bot import BaselineBot, bot_lap_time, drive_bot, record_reference_line
 from racerl.cli import build_parser
@@ -533,7 +533,7 @@ def test_train_run_directory_contents(tmp_path):
     info = json.loads(Path(os.path.join(result.run_dir, "runinfo.json")).read_text())
     assert info["version"].startswith("racerl-")
     assert info["seed"] == 0
-    assert result.checkpoints
+    assert ex.list_checkpoints(result.run_dir)
 
 
 @pytest.mark.parametrize("eval_every", [1, 2])
@@ -570,7 +570,8 @@ def test_a_run_into_an_earlier_runs_directory_keeps_none_of_its_run_files(tmp_pa
                                            "metrics.csv", "runinfo.json", "training.svg"]
     assert os.listdir(run_dir / "checkpoints") == []
     assert (run_dir / "training.svg").read_text() == "first run\n"
-    assert (second.failed, second.episodes_run, second.checkpoints) == (False, 1, [])
+    assert (second.failed, second.episodes_run, ex.list_checkpoints(second.run_dir)) == \
+        (False, 1, [])
     raced = []
     monkeypatch.setattr(ex, "evaluate", lambda ckpt, *a, **kw: raced.append(ckpt) or
                         [ex.EpisodeResult([], None, 0.0, "out_of_track", 0.0, 1)])
@@ -604,8 +605,8 @@ def test_a_numeric_failure_writes_failed_and_ends_the_run(tmp_path, monkeypatch,
     evals = (run_dir / "eval.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in evals] == ["1", "2"]
     assert sorted(os.listdir(run_dir / "checkpoints")) == ["ckpt_000001.npz", "ckpt_000002.npz"]
-    assert run.checkpoints == [str(run_dir / "checkpoints" / f) for f in
-                               ("ckpt_000001.npz", "ckpt_000002.npz")]
+    assert [path for _, path in ex.list_checkpoints(run.run_dir)] == \
+        [str(run_dir / "checkpoints" / f) for f in ("ckpt_000001.npz", "ckpt_000002.npz")]
     assert DDPGAgent.load(str(run_dir / "latest.npz")).config.variant == "WIN1"
     calls.clear()
     config_file = tmp_path / "config.json"
@@ -925,7 +926,8 @@ def test_generalization_eval_builds_each_track_once(tmp_path, monkeypatch):
     cfg = tiny_config(tmp_path)
     cfg.train.episodes = 3
     result = ex.train_run(cfg, 0)
-    assert len(result.checkpoints) == 3
+    checkpoints = [path for _, path in ex.list_checkpoints(result.run_dir)]
+    assert len(checkpoints) == 3
     built, races = [], []
     get_track, race = tracks.get_track, ex.run_eval_episode
     monkeypatch.setattr(tracks, "get_track", lambda name: built.append(name) or get_track(name))
@@ -937,7 +939,7 @@ def test_generalization_eval_builds_each_track_once(tmp_path, monkeypatch):
     raced = list(races)
     # a reset env races as a fresh one: each race equals its own evaluate
     fresh = [ex.evaluate(ckpt, name, laps=1, config=cfg)[0]
-             for ckpt in result.checkpoints for name in names]
+             for ckpt in checkpoints for name in names]
     assert raced == fresh
     assert len(Path(report["series_csv"]).read_text().splitlines()) == 1 + len(fresh)
 
@@ -960,6 +962,8 @@ def test_tournament_tiny(tmp_path):
     ({"phase2_track": "nosuch"}, "tournament phase2_track must be one of .*, got 'nosuch'"),
     ({"variants": ["WIN1", "WIN4", "WIN1"]}, re.escape("variants[2] repeats variants[0]")),
     ({"variants": []}, "need at least one variant"),
+    ({"phase2_track": ""}, "tournament phase2_track must be one of .*, got ''"),
+    ({"report_path": ""}, "tournament report_path must name a file, got ''"),
 ])
 def test_tournament_checks_its_arguments_before_training(tmp_path, monkeypatch, kw, message):
     calls = []
@@ -967,6 +971,25 @@ def test_tournament_checks_its_arguments_before_training(tmp_path, monkeypatch, 
     with pytest.raises(ValueError, match=message):
         ex.tournament(tiny_config(tmp_path), **kw)
     assert calls == []
+
+
+def test_tournament_phase2_trains_each_family_winner_on_mot_and_a_recorded_line(
+        tmp_path, monkeypatch):
+    # a tiny budget finishes no lap, so a reported one makes WIN1 the WIN family's winner
+    monkeypatch.setattr(ex, "summarize_run",
+                        lambda run: ex.ModelSummary(run.config.variant, run.seed, 30.0, 0.0))
+    cfg = tiny_config(tmp_path)
+    cfg.train.episodes = 1
+    report = ex.tournament(cfg, variants=["WIN1"])
+    assert report.winners == {"WIN": "WIN1"}
+    line_file = os.path.join(cfg.output_dir, "technical_line.json")
+    assert os.path.exists(line_file)
+    assert sorted(row.variant for row in report.phase2) == ["WIN1-mot", "WIN1-rc"]
+    assert len(report.run_dirs) == 3
+    mot, rc = (json.loads(Path(run_dir, "config.json").read_text())
+               for run_dir in report.run_dirs[1:])
+    assert (mot["track"], mot["reference"], mot["racing_line_file"]) == ("technical", "mot", None)
+    assert (rc["track"], rc["reference"], rc["racing_line_file"]) == ("technical", "rc", line_file)
 
 
 # --- AT ablation ------------------------------------------------------------------------------
@@ -1102,6 +1125,23 @@ def test_cli_refuses_an_empty_value_before_training(tmp_path, monkeypatch, argv,
     with pytest.raises(ValueError, match=message):
         cli_main([*argv, "--config", str(tmp_path / "cfg.json")])
     assert not os.path.exists(cfg.output_dir)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["record-line", "--track", "oval", "--out", ""], "record-line --out must name a file, got ''"),
+    (["eval", "--checkpoint", "latest.npz", "--track", "oval", "--racing-line", ""],
+     "evaluate racing_line_file must name a file, got ''"),
+], ids=["record_line_out", "eval_racing_line"])
+def test_cli_refuses_an_empty_file_name_before_any_work(tmp_path, monkeypatch, argv, message):
+    def work(*args, **kwargs):
+        raise AssertionError("an empty file name reached the work")
+
+    monkeypatch.setattr(cli, "record_reference_line", work)
+    monkeypatch.setattr(DDPGAgent, "load", work)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cli_main(argv)
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_baseline_prints_the_bot_lap(capsys):

@@ -152,7 +152,7 @@ def test_lstm_unrolled_gradient_finite_difference():
         rng.normal(size=(4 * hdim, hdim)) * 0.5,
         rng.normal(size=4 * hdim) * 0.1,
     )
-    xs = rng.normal(size=(2, w, k))
+    xs = rng.normal(size=(w, 2, k))  # time-major
     g_out = rng.normal(size=(2, hdim))
 
     def loss_fn():
@@ -170,6 +170,19 @@ def test_lstm_unrolled_gradient_finite_difference():
         lambda a: float(np.sum(g_out * nn.lstm_unroll(cell, a)[0])), xs.copy()
     )
     assert max_relative_error(gxs, numeric) < 1e-4
+
+
+def test_lstm_unroll_caches_views_of_a_time_major_window():
+    rng = np.random.default_rng(11)
+    cell = nn.LstmCell(rng.normal(size=(8, 3)), rng.normal(size=(8, 2)), np.zeros(8))
+    xs = rng.normal(size=(5, 4, 3))
+    _, caches = nn.lstm_unroll(cell, xs)
+    assert len(caches) == 5
+    for t, cache in enumerate(caches):
+        assert np.shares_memory(cache[0], xs)
+        npt.assert_array_equal(cache[0], xs[t])
+    gh = rng.normal(size=(4, 2))
+    assert nn.lstm_unroll_backward(cell, caches, gh)[1].shape == (5, 4, 3)
 
 
 def test_adam_zero_gradient_is_identity():
