@@ -14,6 +14,8 @@ from .geometry import save_racing_line
 def _load_config(path):
     if path is None:
         return experiments.ExperimentConfig()
+    if path == "":
+        raise ValueError("--config must name a file, got ''")
     return experiments.ExperimentConfig.from_file(path)
 
 

@@ -52,10 +52,10 @@ def _check_track(track, name):
         raise ValueError(f"{name} must be one of {list(tracks.TRACK_NAMES)}, got {track!r}")
 
 
-def _check_file_name(path, name):
-    """Raise ValueError if the optional file path is given but empty."""
+def _check_file_name(path, name, kind="file"):
+    """Raise ValueError if the optional path is given but empty."""
     if path == "":
-        raise ValueError(f"{name} must name a file, got ''")
+        raise ValueError(f"{name} must name a {kind}, got ''")
 
 
 def _check_distinct(values, noun, check=None, key=None):
@@ -554,6 +554,7 @@ def generalization_eval(run_dir, track_names, laps=1):
     general model, selected per the best-on-training-but-finishes-everywhere
     rule, to generalization.json, both in the run directory.
     """
+    _check_file_name(run_dir, "generalization_eval run_dir", "directory")
     _check_distinct(track_names, "track", _check_track, key=tracks.canonical_name)
     config = ExperimentConfig.from_file(os.path.join(run_dir, "config.json"))
     training_track = config.track

@@ -578,6 +578,7 @@ def load_arrays(path):
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
         if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('version')}")
+            raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}; "
+                             f"this racerl reads version {CHECKPOINT_VERSION}")
         arrays = {k: data[k] for k in data.files if k != "__meta__"}
     return meta, arrays

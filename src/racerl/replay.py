@@ -3,6 +3,9 @@ prioritized replay with a sum tree, and batched window and n-step views.
 
 Each push also records its step links: the slots of the same episode's
 previous and next stored transitions, so the views gather along them.
+Each observation is stored once: a slot's next state is its successor's
+state, and only a slot whose next state no stored successor holds keeps it
+in a side row, at the back of the state array.
 
 Minibatches are used unweighted: there is no importance-sampling correction.
 """
@@ -21,11 +24,15 @@ from .simulator import Termination
 TERMINATION_CODES = {None: -1, **{kind: i for i, kind in enumerate(Termination)}}
 CODE_TERMINATIONS = {v: k for k, v in TERMINATION_CODES.items()}
 
-# one array per Transition field, in its order; termination holds the codes
+# the Transition fields in their order, as a snapshot names them
 FIELDS = ("state", "action", "reward", "next_state", "termination", "episode", "step")
+# one array per field but the states; termination holds the codes
+COLUMNS = ("action", "reward", "termination", "episode", "step")
 # per slot, the slot of the same episode's previous and next stored
-# transition, or the slot itself where there is none
-LINKS = ("prev", "next")
+# transition, or the slot itself where there is none; and the row of `state`
+# that holds the slot's next state: its successor's slot, or a side row
+# counted from the back (-1 the last)
+LINKS = ("prev", "next", "next_row")
 FIRST_ROWS = 1024  # the field arrays start this long and double up to capacity
 DEFAULT_CAPACITY = 100_000  # the uniform variants' buffer size
 
@@ -64,46 +71,107 @@ class ReplayBuffer:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
-        self.state = self.action = self.next_state = np.zeros((0, 0))
+        # state holds the slots' states from the front and the side rows
+        # from the back
+        self.state = self.action = np.zeros((0, 0))
         self.reward = np.zeros(0)
         self.termination = self.episode = self.step = np.zeros(0, dtype=np.int64)
-        self.prev = self.next = np.zeros(0, dtype=np.int64)
+        # slot numbers: a buffer of 2**31 slots would not fit in memory
+        self.prev = self.next = self.next_row = np.zeros(0, dtype=np.int32)
+        self._side_rows = 0  # side rows handed out so far
+        self._free_rows = []  # those given back, as next_row values
         self._write = 0
         self.size = 0
 
     def push(self, transition):
         """Store at the write slot, overwriting the oldest transition when full,
-        and link it to the previous push where that holds the same episode."""
+        and link it to the previous push where that holds the same episode.
+
+        Where the new state has the bits of the previous push's next state,
+        the previous push's side row passes to the new push, which holds its
+        own next state there until a successor does the same.
+        """
         t = transition
+        shape = t.state.shape
+        if t.next_state.shape != shape:
+            raise ValueError(f"next_state has shape {t.next_state.shape}, "
+                             f"unlike the state's {shape}")
         slot = self._write
         last = (slot - 1) % self.capacity  # the previous push's slot
         if self.size == self.capacity:
             # the overwritten transition's successor now starts its stored run
             after = self.next[slot]
             self.prev[after] = after
-        linked = 0 < self.size and self.episode[last] == t.episode
-        row = (t.state, t.action, t.reward, t.next_state, TERMINATION_CODES[t.termination],
-               t.episode, t.step, last if linked else slot, slot)
+            if self.next_row[slot] < 0:  # its side row is given back
+                self._free_rows.append(int(self.next_row[slot]))
+        else:
+            self._room(shape)
+        # a 1-slot ring has just given back the previous push's slot
+        linked = 0 < self.size and last != slot and self.episode[last] == t.episode
+        # next_row is set below, once the row holding the next state is known
+        row = (t.action, t.reward, TERMINATION_CODES[t.termination],
+               t.episode, t.step, last if linked else slot, slot, slot)
         if slot == len(self.reward):
             self._grow(row)
-        for name, value in zip(FIELDS + LINKS, row):
+        self.state[slot] = t.state
+        for name, value in zip(COLUMNS + LINKS, row):
             getattr(self, name)[slot] = value
+        side = None
         if linked:
             self.next[last] = slot
+            held = self.next_row[last]
+            if self.state[slot].tobytes() == self.state[held].tobytes():
+                self.next_row[last] = slot
+                side = held
         self._write = (slot + 1) % self.capacity
+        # counted in size, the new state survives _hold growing state
         self.size = min(self.size + 1, self.capacity)
+        if side is None:
+            side = self._hold(shape)
+        self.state[side] = t.next_state
+        self.next_row[slot] = side
         return slot
 
     def _grow(self, row):
         # geometric growth: capacity-sized arrays up front would cost their
-        # full size in memory for a buffer that never fills
+        # full size in memory for a buffer that never fills (_room grows state)
         rows = min(self.capacity, max(FIRST_ROWS, 2 * self.size))
-        for name, value in zip(FIELDS + LINKS, row):
+        for name, value in zip(COLUMNS + LINKS, row):
             old = getattr(self, name)
             grown = np.empty((rows,) + np.shape(value), dtype=old.dtype)
             if self.size:
                 grown[:self.size] = old[:self.size]
             setattr(self, name, grown)
+
+    def _room(self, shape):
+        """Grow state if the stored states and the side rows handed out fill
+        it. It doubles, but to no more rows than the capacity plus twice the
+        side rows, nor than twice the capacity: the most a buffer full of
+        one-step episodes holds."""
+        if self.size + self._side_rows >= len(self.state):
+            rows = min(max(FIRST_ROWS, 2 * len(self.state)),
+                       self.capacity + 2 * self._side_rows + 1, 2 * self.capacity)
+            grown = np.empty((rows,) + shape)
+            if self.size:
+                grown[:self.size] = self.state[:self.size]
+            if self._side_rows:
+                # counted from the back, the side rows keep their next_row values
+                grown[-self._side_rows:] = self.state[-self._side_rows:]
+            self.state = grown
+
+    def _hold(self, shape):
+        """A side row for a new push's next state, a given-back one first,
+        as its next_row value."""
+        if self._free_rows:
+            return self._free_rows.pop()
+        self._room(shape)
+        self._side_rows += 1
+        return -self._side_rows
+
+    def next_states(self, slots):
+        """The next state of each slot, a new array; a scalar slot gives one
+        state."""
+        return np.take(self.state, self.next_row[slots], axis=0)
 
     def sample(self, batch_size, rng):
         """Slot array, i.i.d. uniform with replacement (a 1-item buffer
@@ -128,7 +196,7 @@ class ReplayBuffer:
             chain.append(self.prev[chain[-1]])
         idx = np.stack(chain[::-1], axis=-1)
         states = self.state[idx]
-        last = self.next_state[chain[0]][..., None, :]
+        last = self.next_states(chain[0])[..., None, :]
         return states, self.action[idx], np.concatenate([states[..., 1:, :], last], axis=-2)
 
     def assemble_nstep(self, slots, n, gamma):
@@ -274,11 +342,11 @@ def make_buffer(kind, capacity=DEFAULT_CAPACITY, per_config=None):
 
 def save_buffer(buffer, path):
     """Snapshot the stored transitions oldest first (same container format as
-    checkpoints), each field under its plural name; the links are rebuilt
-    by load_buffer's pushes."""
-    oldest = (buffer._write - buffer.size) % buffer.capacity
-    arrays = {f"{name}s": np.roll(getattr(buffer, name)[:buffer.size], -oldest, axis=0)
-              for name in FIELDS}
+    checkpoints), each field under its plural name, next states in full; the
+    links and the side rows are rebuilt by load_buffer's pushes."""
+    order = (buffer._write - buffer.size + np.arange(buffer.size)) % buffer.capacity
+    arrays = {f"{name}s": buffer.next_states(order) if name == "next_state"
+              else getattr(buffer, name)[order] for name in FIELDS}
     meta = {"kind": "replay-buffer", "capacity": buffer.capacity, "count": buffer.size}
     save_arrays(path, meta, arrays)
 

@@ -26,7 +26,7 @@ from racerl.geometry import (
     wrap_angle,
 )
 from racerl.nn import NumericError, ShapeError
-from racerl.replay import CODE_TERMINATIONS, Transition
+from racerl.replay import CODE_TERMINATIONS, TERMINATION_CODES, Transition
 from racerl.simulator import (
     ANGLE_SCALE,
     LAC_SCALE,
@@ -393,12 +393,81 @@ def scalar_td_target(reward_sum, steps, bootstrap_q, gamma, termination, adopted
     return reward_sum + (gamma ** steps) * bootstrap_q
 
 
-def stored_transition(buffer, slot):
-    """The Transition a replay buffer holds at slot, read field by field."""
+def stored_transition(buffer, slot, next_state):
+    """The Transition a replay buffer holds at slot, read field by field,
+    with the next state the test recorded for it."""
     return Transition(buffer.state[slot].copy(), buffer.action[slot].copy(),
-                      float(buffer.reward[slot]), buffer.next_state[slot].copy(),
+                      float(buffer.reward[slot]), next_state,
                       CODE_TERMINATIONS[int(buffer.termination[slot])],
                       int(buffer.episode[slot]), int(buffer.step[slot]))
+
+
+class ColumnReplayBuffer:
+    """ReplayBuffer's storage as it was before the side rows: every
+    Transition field a capacity-long column, next_state included, and int64
+    step links. Its views and snapshot arrays are the reference for the
+    stored-once layout."""
+
+    FIELDS = ("state", "action", "reward", "next_state", "termination", "episode", "step")
+    FLOATS = ("state", "action", "reward", "next_state")
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._write = 0
+        self.size = 0
+
+    def push(self, t):
+        row = (t.state, t.action, t.reward, t.next_state, TERMINATION_CODES[t.termination],
+               t.episode, t.step)
+        if self.size == 0:
+            for name, value in zip(self.FIELDS, row):
+                dtype = np.float64 if name in self.FLOATS else np.int64
+                setattr(self, name, np.zeros((self.capacity,) + np.shape(value), dtype=dtype))
+            self.prev = np.zeros(self.capacity, dtype=np.int64)
+            self.next = np.zeros(self.capacity, dtype=np.int64)
+        slot = self._write
+        last = (slot - 1) % self.capacity
+        if self.size == self.capacity:
+            after = self.next[slot]
+            self.prev[after] = after
+        linked = 0 < self.size and self.episode[last] == t.episode
+        for name, value in zip(self.FIELDS + ("prev", "next"), row + (last if linked else slot, slot)):
+            getattr(self, name)[slot] = value
+        if linked:
+            self.next[last] = slot
+        self._write = (slot + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+
+    def assemble_window(self, slots, window):
+        chain = [np.asarray(slots)]
+        for _ in range(window - 1):
+            chain.append(self.prev[chain[-1]])
+        idx = np.stack(chain[::-1], axis=-1)
+        states = self.state[idx]
+        last = self.next_state[chain[0]][..., None, :]
+        return states, self.action[idx], np.concatenate([states[..., 1:, :], last], axis=-2)
+
+    def assemble_nstep(self, slots, n, gamma):
+        """(reward_sum, steps, termination, slot)."""
+        last = np.asarray(slots)
+        reward_sum = np.zeros(last.shape)
+        steps = np.zeros(last.shape, dtype=np.int64)
+        going = np.ones(last.shape, dtype=bool)
+        for k in range(n):
+            reward_sum = np.where(going, reward_sum + (gamma ** k) * self.reward[last], reward_sum)
+            steps += going
+            if k == n - 1:
+                break
+            nxt = self.next[last]
+            going &= (nxt != last) & (self.termination[last] == TERMINATION_CODES[None])
+            last = np.where(going, nxt, last)
+        return reward_sum, steps, self.termination[last], last
+
+    def saved_arrays(self):
+        """save_buffer's arrays: the stored rows oldest first."""
+        oldest = (self._write - self.size) % self.capacity
+        return {f"{name}s": np.roll(getattr(self, name)[:self.size], -oldest, axis=0)
+                for name in self.FIELDS}
 
 
 def scalar_find(tree, prefix):
@@ -438,14 +507,15 @@ def serial_neighbour(buffer, serials, slots, offset):
     return np.where(linked, other, slots), linked
 
 
-def serial_window(buffer, serials, slots, window):
-    """ReplayBuffer.assemble_window walking serial_neighbour."""
+def serial_window(buffer, serials, slots, window, next_states):
+    """ReplayBuffer.assemble_window walking serial_neighbour; next_states[slot]
+    is the next state the test recorded for the push the slot holds."""
     chain = [np.asarray(slots)]
     for _ in range(window - 1):
         chain.append(serial_neighbour(buffer, serials, chain[-1], -1)[0])
     idx = np.stack(chain[::-1], axis=-1)
     states = buffer.state[idx]
-    last = buffer.next_state[chain[0]][..., None, :]
+    last = next_states[chain[0]][..., None, :]
     return states, buffer.action[idx], np.concatenate([states[..., 1:, :], last], axis=-2)
 
 

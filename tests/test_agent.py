@@ -49,13 +49,15 @@ def random_obs(rng, agent, steps=1):
 
 
 def fill_buffer(agent, n, rng, terminal_every=None):
+    """Push n random transitions; returns them."""
     c = agent.config
     episode, step = 0, 0
+    log = []
     for i in range(n):
         term = None
         if terminal_every and (step + 1) % terminal_every == 0:
             term = Termination.OUT_OF_TRACK
-        agent.buffer.push(Transition(
+        log.append(Transition(
             state=rng.normal(size=c.obs_dim) * 0.3,
             action=rng.uniform([-1, 0, 0], [1, 1, 1]),
             reward=float(rng.normal()),
@@ -64,11 +66,13 @@ def fill_buffer(agent, n, rng, terminal_every=None):
             episode=episode,
             step=step,
         ))
+        agent.buffer.push(log[-1])
         if term is not None:
             episode += 1
             step = 0
         else:
             step += 1
+    return log
 
 
 # --- act ---------------------------------------------------------------------
@@ -253,11 +257,11 @@ def test_compute_targets_n1_is_the_one_step_rule():
     # every slot, terminals and the newest one included, against
     # y = r + gamma * Q'(s', mu'(s')) built from the stored transition
     agent = DDPGAgent(tiny_config("WIN1"), seed=2)
-    fill_buffer(agent, 40, np.random.default_rng(0), terminal_every=10)
+    log = fill_buffer(agent, 40, np.random.default_rng(0), terminal_every=10)
     slots = np.arange(40)
     want = []
     for slot in slots:
-        t = stored_transition(agent.buffer, slot)
+        t = stored_transition(agent.buffer, slot, log[slot].next_state)
         s_next = t.next_state[None, :]
         q = agent.target_critic(s_next, agent.target_actor(s_next)[:, None, :])[0]
         want.append(scalar_td_target(t.reward, 1, q, agent.config.gamma, t.termination))

@@ -1131,13 +1131,22 @@ def test_cli_refuses_an_empty_value_before_training(tmp_path, monkeypatch, argv,
     (["record-line", "--track", "oval", "--out", ""], "record-line --out must name a file, got ''"),
     (["eval", "--checkpoint", "latest.npz", "--track", "oval", "--racing-line", ""],
      "evaluate racing_line_file must name a file, got ''"),
-], ids=["record_line_out", "eval_racing_line"])
+    (["train", "--config", ""], "--config must name a file, got ''"),
+    (["tournament", "--config", ""], "--config must name a file, got ''"),
+    (["ablate-at", "--config", ""], "--config must name a file, got ''"),
+    # an empty run directory would read the current one
+    (["generalize", "--run-dir", "", "--tracks", "oval"],
+     "generalization_eval run_dir must name a directory, got ''"),
+], ids=["record_line_out", "eval_racing_line", "train_config", "tournament_config",
+        "ablate_at_config", "generalize_run_dir"])
 def test_cli_refuses_an_empty_file_name_before_any_work(tmp_path, monkeypatch, argv, message):
     def work(*args, **kwargs):
         raise AssertionError("an empty file name reached the work")
 
     monkeypatch.setattr(cli, "record_reference_line", work)
     monkeypatch.setattr(DDPGAgent, "load", work)
+    monkeypatch.setattr(ex, "train_run", work)
+    monkeypatch.setattr(ex.ExperimentConfig, "from_file", work)
     monkeypatch.chdir(tmp_path)
     with pytest.raises(ValueError, match=re.escape(message)):
         cli_main(argv)

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -436,6 +439,19 @@ def test_network_copy_owns_a_fresh_vector(build):
     assert start == clone.flat.size
     clone.flat += 1.0
     assert net.flat.tobytes() == build(np.random.default_rng(29)).flat.tobytes()
+
+
+@pytest.mark.parametrize("header, message", [
+    ({"format": "racerl-checkpoint", "version": 2},
+     "{path}: unsupported checkpoint version 2; this racerl reads version 1"),
+    ({"format": "other", "version": 1}, "{path} is not a racerl-checkpoint file"),
+], ids=["version", "format"])
+def test_load_arrays_errors_name_the_file(tmp_path, header, message):
+    path = tmp_path / "ckpt.npz"
+    raw = json.dumps(header).encode()
+    np.savez(path, __meta__=np.frombuffer(raw, dtype=np.uint8), w0=np.zeros(2))
+    with pytest.raises(ValueError, match=re.escape(message.format(path=path))):
+        nn.load_arrays(path)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,9 @@ import numpy.testing as npt
 import pytest
 
 from racerl import replay
+from racerl.nn import load_arrays
 from racerl.replay import (
+    CODE_TERMINATIONS,
     TERMINATION_CODES,
     NotReadyError,
     PERConfig,
@@ -20,6 +23,7 @@ from racerl.replay import (
 )
 from racerl.simulator import Termination
 from oracles import (
+    ColumnReplayBuffer,
     empirical_frequencies,
     scalar_find,
     scalar_per_sample,
@@ -44,9 +48,12 @@ def make_transition(i, episode=0, step=None, termination=None, reward=None):
 
 
 def fill_episode(buffer, n, episode=0, terminal=None):
-    for i in range(n):
-        term = terminal if i == n - 1 else None
-        buffer.push(make_transition(i, episode=episode, step=i, termination=term))
+    """Push n steps of one episode; returns the pushed transitions."""
+    log = [make_transition(i, episode=episode, step=i, termination=terminal if i == n - 1 else None)
+           for i in range(n)]
+    for t in log:
+        buffer.push(t)
+    return log
 
 
 # --- push / evict --------------------------------------------------------------
@@ -240,11 +247,11 @@ def test_per_new_transition_gets_max_priority():
 
 def test_window_w1_is_own_state():
     buf = ReplayBuffer(16)
-    fill_episode(buf, 5)
+    log = fill_episode(buf, 5)
     states, actions, next_states = buf.assemble_window(3, 1)
     npt.assert_array_equal(states[0], buf.state[3])
     npt.assert_array_equal(actions[0], buf.action[3])
-    npt.assert_array_equal(next_states[0], buf.next_state[3])
+    npt.assert_array_equal(next_states[0], log[3].next_state)
 
 
 def test_window_padding_repeats_first_state():
@@ -261,7 +268,7 @@ def test_window_padding_repeats_first_state():
 
 def test_window_mid_episode_matches_log():
     buf = ReplayBuffer(32)
-    fill_episode(buf, 10)
+    pushed = fill_episode(buf, 10)
     # episode log oracle: the raw pushed states by step index
     log = [buf.state[i] for i in range(10)]
     states, _, next_states = buf.assemble_window(7, 4)
@@ -270,7 +277,7 @@ def test_window_mid_episode_matches_log():
     # next window is shifted by one
     for k, idx in enumerate(range(5, 8)):
         npt.assert_array_equal(next_states[k], log[idx])
-    npt.assert_array_equal(next_states[3], buf.next_state[7])
+    npt.assert_array_equal(next_states[3], pushed[7].next_state)
 
 
 def test_window_never_crosses_episode_boundary():
@@ -290,12 +297,12 @@ def test_window_never_crosses_episode_boundary():
 
 def test_nstep_n1_reduces_to_transition():
     buf = ReplayBuffer(16)
-    fill_episode(buf, 5, terminal=Termination.MAX_STEPS)
+    log = fill_episode(buf, 5, terminal=Termination.MAX_STEPS)
     for i in range(5):
-        t = stored_transition(buf, i)
+        t = log[i]
         view = buf.assemble_nstep(i, 1, 0.9)
         assert view.reward_sum == t.reward
-        npt.assert_array_equal(buf.next_state[view.slot], t.next_state)
+        npt.assert_array_equal(buf.next_states(view.slot), t.next_state)
         assert view.steps == 1
         assert view.termination == TERMINATION_CODES[t.termination]
 
@@ -306,7 +313,7 @@ def test_nstep_hand_arithmetic():
         buf.push(make_transition(i, reward=1.0))
     view = buf.assemble_nstep(0, 2, 0.5)
     assert view.reward_sum == 1.5  # 1 + 0.5*1
-    npt.assert_array_equal(buf.next_state[view.slot], buf.next_state[1])
+    npt.assert_array_equal(buf.next_states(view.slot), make_transition(1).next_state)
     assert view.steps == 2
     assert view.termination == TERMINATION_CODES[None]
 
@@ -345,18 +352,20 @@ def test_make_buffer_kinds():
 
 def test_buffer_snapshot_roundtrip(tmp_path):
     buf = ReplayBuffer(32)
-    fill_episode(buf, 6, terminal=Termination.SLOW_PROGRESS)
+    log = fill_episode(buf, 6, terminal=Termination.SLOW_PROGRESS)
     path = tmp_path / "buffer.npz"
     save_buffer(buf, path)
     restored = load_buffer(path, ReplayBuffer(32))
     assert restored.size == 6
     for i in range(6):
-        a, b = stored_transition(buf, i), stored_transition(restored, i)
+        a = stored_transition(buf, i, log[i].next_state)
+        b = stored_transition(restored, i, log[i].next_state)
         npt.assert_array_equal(a.state, b.state)
         npt.assert_array_equal(a.action, b.action)
         assert a.reward == b.reward
         assert a.termination == b.termination
         assert (a.episode, a.step) == (b.episode, b.step)
+        npt.assert_array_equal(restored.next_states(i), log[i].next_state)
 
     # a wrapped ring is saved oldest first, so trajectory views survive a reload
     ring = ReplayBuffer(4)
@@ -448,7 +457,7 @@ def test_batched_views_match_per_transition_walk(capacity, pushes, monkeypatch):
             single = buf.assemble_nstep(int(slot), n, gamma)
             for v, i in ((view, row), (single, ...)):
                 assert v.reward_sum[i] == reward_sum  # same order of additions: bit equal
-                npt.assert_array_equal(buf.next_state[v.slot[i]], boot)
+                npt.assert_array_equal(buf.next_states(v.slot[i]), boot)
                 assert (v.steps[i], v.termination[i]) == (steps, code)
 
 
@@ -463,7 +472,9 @@ def test_links_and_batched_write_back_match_the_serial_oracles(monkeypatch):
         config = PERConfig(alpha=float(rng.uniform(0.0, 1.0)), lam3=float(rng.uniform(0.0, 1.0)))
         buf, oracle = PrioritizedReplayBuffer(capacity, config), PrioritizedReplayBuffer(capacity, config)
         pushes = int(rng.integers(1, 4 * capacity + 3))
+        log = []
         for t in _random_trajectory(rng, pushes):
+            log.append(t)
             buf.push(t)
             oracle.push(t)
             if rng.random() < 0.3:
@@ -478,10 +489,11 @@ def test_links_and_batched_write_back_match_the_serial_oracles(monkeypatch):
         kept = np.arange(max(0, pushes - capacity), pushes)
         serials = np.empty(len(kept), dtype=np.int64)
         serials[kept % capacity] = kept
+        next_states = np.stack([log[i].next_state for i in serials])
         slots = np.concatenate([np.arange(buf.size), rng.integers(0, buf.size, size=9)])
         for window in (1, 3, 8):
             for got, want in zip(buf.assemble_window(slots, window),
-                                 serial_window(buf, serials, slots, window)):
+                                 serial_window(buf, serials, slots, window, next_states)):
                 assert np.array_equal(got, want)
         for n in (1, 2, 4, 7):
             view = buf.assemble_nstep(slots, n, 0.9)
@@ -501,3 +513,142 @@ def test_buffer_memory_follows_contents_not_capacity():
         tracemalloc.stop()
     assert buf.size == 100
     assert traced < 1_000_000
+
+
+# --- each observation stored once ----------------------------------------------------
+
+
+def _chain_trajectory(rng, pushes):
+    """Transitions as train_run pushes them: each state is the previous
+    transition's next state, and an episode's last next state is a terminal
+    observation that no push repeats. A few next states hold a -0.0 that
+    the next state repeats as 0.0: equal under np.array_equal, not in bits."""
+    episode, step, state = 0, 0, rng.normal(size=4)
+    for _ in range(pushes):
+        next_state = rng.normal(size=4)
+        if rng.random() < 0.1:
+            next_state[0] = -0.0
+        end = list(Termination)[rng.integers(len(Termination))] if rng.random() < 0.1 else None
+        yield Transition(state, rng.uniform(size=3), float(rng.normal()), next_state, end,
+                         episode, step)
+        step, state = step + 1, next_state
+        if end is not None:
+            episode, step, state = episode + 1, 0, rng.normal(size=4)
+        elif rng.random() < 0.5 and next_state[0] == 0.0:
+            state = next_state.copy()
+            state[0] = 0.0
+
+
+def _one_step_trajectory(rng, pushes):
+    """Every transition its own episode, ended by a terminal."""
+    for i in range(pushes):
+        yield Transition(rng.normal(size=4), rng.uniform(size=3), float(rng.normal()),
+                         rng.normal(size=4), Termination.OUT_OF_TRACK, i, 0)
+
+
+def _assert_stores_the_column_version(buf, column, rng):
+    """Fields, links, next states and views have the bits of the column
+    version's, for every slot, a random batch and a scalar slot; and a slot
+    holds a side row just where no successor's state has its next state's
+    bits."""
+    n = buf.size
+    assert n == column.size
+    for name in ("state", "action", "reward", "termination", "episode", "step"):
+        assert getattr(buf, name)[:n].tobytes() == getattr(column, name)[:n].tobytes(), name
+    for name in ("prev", "next"):
+        assert getattr(buf, name)[:n].tolist() == getattr(column, name)[:n].tolist(), name
+    every = np.arange(n)
+    successor = buf.state[buf.next[:n]]
+    own = (buf.next[:n] == every) | [a.tobytes() != b.tobytes()
+                                      for a, b in zip(successor, column.next_state[:n])]
+    assert (buf.next_row[:n] < 0).tolist() == own.tolist()
+    assert buf.next_row[:n][~own].tolist() == buf.next[:n][~own].tolist()
+    held = buf.next_row[:n][own]
+    assert len(set(held.tolist())) == len(held)
+    assert (len(buf.state) + held >= n).all() and len(buf.state) <= 2 * buf.capacity
+    slots = np.concatenate([every, rng.integers(0, n, size=9)])
+    for batch in (slots, int(slots[-1])):
+        assert buf.next_states(batch).tobytes() == column.next_state[batch].tobytes()
+        for window in (1, 3, 8):
+            for got, want in zip(buf.assemble_window(batch, window),
+                                 column.assemble_window(batch, window)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for steps, gamma in ((1, 0.9), (4, 0.9), (7, 0.5)):
+            view = buf.assemble_nstep(batch, steps, gamma)
+            want = column.assemble_nstep(batch, steps, gamma)
+            for got, w in zip((view.reward_sum, view.steps, view.termination, view.slot), want):
+                assert np.asarray(got).tobytes() == np.asarray(w).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["uniform", "per"])
+@pytest.mark.parametrize("trajectory", [_random_trajectory, _chain_trajectory,
+                                        _one_step_trajectory])
+@pytest.mark.parametrize("capacity,pushes", [(1, 5), (7, 7), (13, 40), (50, 137)])
+def test_storage_matches_the_column_version(kind, trajectory, capacity, pushes, tmp_path,
+                                            monkeypatch):
+    monkeypatch.setattr(replay, "FIRST_ROWS", 4)
+    rng = np.random.default_rng(capacity + pushes)
+    buf, column = make_buffer(kind, capacity), ColumnReplayBuffer(capacity)
+    for t in trajectory(rng, pushes):
+        buf.push(t)
+        column.push(t)
+        _assert_stores_the_column_version(buf, column, rng)
+    # the snapshot writes the column version's arrays, next states in full,
+    # and a reload stores what the column version stores from them
+    path = tmp_path / "buffer.npz"
+    save_buffer(buf, path)
+    meta, arrays = load_arrays(path)
+    want = column.saved_arrays()
+    assert list(arrays) == list(want)
+    for name, array in arrays.items():
+        assert array.dtype == want[name].dtype and array.tobytes() == want[name].tobytes(), name
+    restored, column = load_buffer(path, make_buffer(kind, capacity)), ColumnReplayBuffer(capacity)
+    for state, action, reward, next_state, code, episode, step in zip(*want.values()):
+        column.push(Transition(state, action, reward, next_state, CODE_TERMINATIONS[int(code)],
+                               episode, step))
+    _assert_stores_the_column_version(restored, column, rng)
+
+
+def test_push_rejects_a_next_state_shaped_unlike_the_state():
+    buf = ReplayBuffer(4)
+    for bad in (np.zeros(3), np.zeros((1, 2))):
+        with pytest.raises(ValueError, match="next_state"):
+            buf.push(dataclasses.replace(make_transition(0), next_state=bad))
+        assert buf.size == 0
+    buf.push(make_transition(0))
+    with pytest.raises(ValueError, match="next_state"):
+        buf.push(dataclasses.replace(make_transition(1), next_state=np.zeros(3)))
+    assert buf.size == 1
+
+
+# the column layout's figures for the pushes below, by tracemalloc on numpy
+# 2.4: 536.9 B uniform and 553.4 B PER on one long episode, 536.6 B and
+# 553.4 B with one-step episodes
+COLUMN_BYTES_PER_PUSH = {"uniform": 536.6, "per": 553.4}
+
+
+@pytest.mark.parametrize("kind, bound", [("uniform", 320.0), ("per", 340.0)])
+def test_each_observation_is_stored_once(kind, bound):
+    rng = np.random.default_rng(1)
+    n = 2000
+    obs = rng.standard_normal((n + 1, 29))
+    actions, rewards = rng.uniform(-1.0, 1.0, (n, 3)), rng.standard_normal(n).tolist()
+    # as train_run pushes them: each state the previous transition's next state
+    chain = [Transition(obs[i], actions[i], rewards[i], obs[i + 1], None, 1, i) for i in range(n)]
+    # the worst case: every next state a terminal one that no push repeats
+    ends = [Transition(obs[i], actions[i], rewards[i], obs[i + 1], Termination.OUT_OF_TRACK, i, 0)
+            for i in range(n)]
+
+    def bytes_per_push(transitions):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            buf = make_buffer(kind, n)
+            for t in transitions:
+                buf.push(t)
+            return (tracemalloc.get_traced_memory()[0] - before) / n
+        finally:
+            tracemalloc.stop()
+
+    assert bytes_per_push(chain) <= bound
+    assert bytes_per_push(ends) <= COLUMN_BYTES_PER_PUSH[kind]
