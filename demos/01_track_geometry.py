@@ -6,11 +6,12 @@ Run:  python3 demos/01_track_geometry.py
 import numpy as np
 
 from racerl import tracks
-from racerl.geometry import RacingLine, max_speed
+from racerl.geometry import RacingLine
+from racerl.simulator import CarParams
 
 for name in tracks.TRACK_NAMES:
     track = tracks.get_track(name)
-    kappas = [abs(track.curvature_at(s)) for s in np.arange(0.0, track.length, 5.0)]
+    kappas = np.abs(track.centerline.curvatures(np.arange(0.0, track.length, 5.0)))
     print(f"{name}: lap {track.length:.0f} m, width {track.width} m, "
           f"tightest corner r = {1.0 / max(kappas):.0f} m")
 
@@ -30,7 +31,6 @@ print(f"rangefinders: right={readings[0]:.1f} m, ahead={readings[9]:.1f} m, "
 lac = line.look_ahead_curvature(frame.delta)
 print(f"look-ahead curvature at +20/40/60/80 m: {np.array2string(lac, precision=4)}")
 
-# how fast can the car corner? grip-limited speed for the oval's turns
-kappa = 1.0 / 160.0
-v = max_speed(kappa, mu_grip=1.1, mass=1000.0, downforce=2.0 * 40.0**2)
+# how fast can the default car corner? grip-limited speed for the oval's turns
+v = CarParams().corner_speed(1.0 / 160.0, 40.0)
 print(f"\ngrip-limited speed in a r=160 m turn at 40 m/s downforce: {v:.1f} m/s")

@@ -15,7 +15,7 @@ critic = nn.build_critic(state_dim=8, hidden=16, rng=rng)
 s = rng.normal(size=(1, 1, 8))
 a = np.array([[[0.1, 0.7, 0.0]]])
 q, cache = critic.forward(s, a)
-_, ga = critic.backward(cache, np.ones(1))
+ga = critic.action_grad(cache, np.ones(1))
 print(f"Q(s,a) = {q[0]:+.4f}, grad_a Q = {np.array2string(ga[0], precision=4)}")
 
 # central finite differences agree to ~1e-10 relative error

@@ -36,6 +36,16 @@ class Variant:
     capacity: int = DEFAULT_CAPACITY
     lstm: bool = False
 
+    @property
+    def family(self):
+        """The tournament family, named by the trait that sets the variant
+        apart: LSTM, PER, MS for an n-step target, else WIN."""
+        if self.lstm:
+            return "LSTM"
+        if self.buffer_kind == "per":
+            return "PER"
+        return "MS" if self.nstep > 1 else "WIN"
+
 
 VARIANTS = {
     "WIN1": Variant(),
@@ -282,7 +292,7 @@ class DDPGAgent:
                 "non-finite critic loss; minibatch slots "
                 f"{slots.tolist()}, targets {np.array2string(y, precision=3)}"
             )
-        grads, _ = self.critic.backward(cache, (2.0 / n) * (q - y))
+        grads = self.critic.backward(cache, (2.0 / n) * (q - y))
         # per-sample grad_a Q at the stored actions, before the weights move
         grad_sq = None
         if c.buffer_kind == "per":
@@ -296,7 +306,7 @@ class DDPGAgent:
             s_win, np.concatenate([a_win[:, :-1], a_pred[:, None]], axis=1))
         actor_objective = float(np.mean(q_pred))
         ga = self.critic.action_grad(cache_pred, np.full(n, 1.0 / n))
-        actor_grads, _ = self.actor.backward(actor_cache, -ga)
+        actor_grads = self.actor.backward(actor_cache, -ga)
         self.actor_opt.step(self.actor.flat, actor_grads)
 
         nn.soft_update(self.actor.flat, self.target_actor.flat, c.tau)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .geometry import RacingLine, max_speed, wrap_angle
+from .geometry import RacingLine, wrap_angle
 from .simulator import CarParams, EnvSettings, RacingEnv, clamp_action
 
 SPEED_LOOKAHEAD = (0.0, 20.0, 40.0, 60.0, 80.0)
@@ -41,8 +41,7 @@ class BaselineBot:
         for off in SPEED_LOOKAHEAD:
             kappa = abs(self.line.curvature_at(delta + off))
             if kappa > 1e-9:
-                v = min(v, SAFETY * max_speed(
-                    kappa, p.mu_grip, mass=p.mass, downforce=p.downforce(vx)))
+                v = min(v, SAFETY * p.corner_speed(kappa, vx))
         return v * self.speed_scale
 
     def act(self, state, axis_frame):
@@ -95,7 +94,7 @@ def bot_lap_time(track, laps=2):
     driven after the standing-start lap."""
     if laps < 1:
         raise ValueError(f"laps must be at least 1, got {laps}")
-    max_steps = int((laps + 1) * track.length / 3.0 / 0.2) + 600
+    max_steps = int((laps + 1) * track.length / 3.0 / EnvSettings.dt) + 600
     env = RacingEnv(track, settings=EnvSettings(max_steps=max_steps))
     stats = drive_bot(env, BaselineBot(track), stop_after_laps=laps + 1)  # standing start + flying laps
     flying = stats["laps"][1:]
@@ -123,7 +122,7 @@ def record_reference_line(track, params=None):
     Raises RuntimeError when the bot cannot complete the lap (the track is
     then unusable for RC reference modes).
     """
-    max_steps = int(track.length / (2.5 * SLOW_FACTOR) / 0.2) + 800
+    max_steps = int(track.length / (2.5 * SLOW_FACTOR) / EnvSettings.dt) + 800
     env = RacingEnv(track, params=params, settings=EnvSettings(max_steps=max_steps))
     trace = _LineTrace()
     stats = drive_bot(env, BaselineBot(track, params=params, speed_scale=SLOW_FACTOR),

@@ -151,7 +151,8 @@ def build_parser():
 
     p = sub.add_parser("generalize", help="evaluate run checkpoints on other tracks")
     p.add_argument("--run-dir", required=True)
-    p.add_argument("--tracks", required=True, help="comma list of track names")
+    p.add_argument("--tracks", required=True,
+                   help="comma list of track names, the training track included")
     p.add_argument("--laps", type=int, default=1)
     p.set_defaults(fn=cmd_generalize)
 

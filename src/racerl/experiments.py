@@ -436,18 +436,11 @@ def build_leaderboard(summaries):
     return rows
 
 
-def variant_family(variant):
-    for prefix in ("WIN", "MS", "PER", "LSTM"):
-        if variant.startswith(prefix):
-            return prefix
-    raise ValueError(f"variant {variant!r} belongs to no family")
-
-
 def select_family_winners(rows):
     """Per-family winner by average best lap-time (aLT)."""
     winners = {}
     for row in rows:
-        fam = variant_family(row.variant)
+        fam = VARIANTS[row.variant].family
         if row.alt is not None and (fam not in winners or row.alt < winners[fam].alt):
             winners[fam] = row
     return {fam: row.variant for fam, row in winners.items()}
@@ -552,12 +545,19 @@ def generalization_eval(run_dir, track_names, laps=1):
     track too), with the run's env and car settings and LAC input.
     Writes the per-checkpoint lap-time series to generalization.csv and the
     general model, selected per the best-on-training-but-finishes-everywhere
-    rule, to generalization.json, both in the run directory.
+    rule, to generalization.json, both in the run directory. track_names
+    must include the training track.
     """
     _check_file_name(run_dir, "generalization_eval run_dir", "directory")
     _check_distinct(track_names, "track", _check_track, key=tracks.canonical_name)
     config = ExperimentConfig.from_file(os.path.join(run_dir, "config.json"))
     training_track = config.track
+    # the caller's spelling of the training track keys its laps
+    trained = [name for name in track_names
+               if tracks.canonical_name(name) == tracks.canonical_name(training_track)]
+    if not trained:
+        raise ValueError(f"tracks {list(track_names)} must include the run's training track "
+                         f"{training_track!r}")
     checkpoints = list_checkpoints(run_dir)
     if not checkpoints:
         raise FileNotFoundError(f"no checkpoints under {run_dir}")
@@ -581,7 +581,7 @@ def generalization_eval(run_dir, track_names, laps=1):
     out_csv = os.path.join(run_dir, "generalization.csv")
     write_text(out_csv, GENERALIZATION_HEADER + "\n" + "".join(map(csv_row, rows)))
 
-    general = select_general_model(entries, training_track)
+    general = select_general_model(entries, trained[0])
     report = {
         "training_track": training_track,
         "tracks": list(track_names),

@@ -222,10 +222,6 @@ class Polyline:
             self._cells[key] = cell
         return cell
 
-    def curvature_at(self, s, spacing=_CURVATURE_SPACING):
-        """Signed curvature (1/m, positive left) at arc length s."""
-        return float(self.curvatures(s, spacing))
-
     def curvatures(self, s, spacing=_CURVATURE_SPACING):
         """Signed curvature (1/m, positive left) at each arc length of s.
 
@@ -251,31 +247,13 @@ class Polyline:
         return 2.0 * cross / (lengths[0] * lengths[1] * lengths[2])
 
 
-def max_speed(kappa, mu_grip, mass=None, downforce=0.0, g=9.81, straight_speed=math.inf):
-    """Grip-limited cornering speed sqrt(mu * (1/kappa) * (g + F_a/m)).
-
-    kappa = 0 means a straight and returns the declared straight_speed
-    sentinel. downforce is the aerodynamic load F_a in newtons.
-    """
-    if kappa < 0 or mu_grip < 0 or downforce < 0:
-        raise DomainError("kappa, mu_grip and downforce must be non-negative")
-    if kappa == 0.0:
-        return straight_speed
-    load = g
-    if downforce > 0.0:
-        if mass is None or mass <= 0:
-            raise DomainError("positive downforce needs a positive mass")
-        load += downforce / mass
-    return math.sqrt(mu_grip * (1.0 / kappa) * load)
-
-
 class Track:
     """Closed centerline with constant width and offset border polylines."""
 
-    def __init__(self, centerline, width, name="track", car_width=1.8):
+    def __init__(self, centerline, width, name="track"):
         self.centerline = centerline if isinstance(centerline, Polyline) else Polyline(centerline)
-        if not (math.isfinite(width) and width > car_width):
-            raise GeometryError(f"width {width} must be finite and exceed the car width {car_width}")
+        if not (math.isfinite(width) and width > 0.0):
+            raise GeometryError(f"width {width} must be finite and positive")
         self.width = float(width)
         self.name = name
         self.length = self.centerline.length
@@ -301,9 +279,6 @@ class Track:
             theta=wrap_angle(heading - tangent),
             delta=s,
         )
-
-    def curvature_at(self, delta):
-        return self.centerline.curvature_at(delta)
 
     def point_at_alpha(self, delta, alpha):
         """World point at lateral fraction alpha of the width, from the right border."""

@@ -268,6 +268,8 @@ class Network:
 
     ``flat`` holds every parameter; ``parameters()`` returns one view of it
     per array, in layer order and each layer's PARAMS order.
+    ``backward(cache, g)`` returns the gradients of those arrays, in that
+    order, and nothing else; a critic's one dQ/da is ``action_grad``.
     """
 
     def _own_parameters(self, *layers):
@@ -318,7 +320,7 @@ class Actor(Network):
         gz[:, 0] = ga[:, 0] * (1.0 - a[:, 0] ** 2)
         gz[:, 1] = ga[:, 1] * a[:, 1] * (1.0 - a[:, 1])
         gz[:, 2] = ga[:, 2] * a[:, 2] * (1.0 - a[:, 2])
-        return self.trunk.backward(caches, gz)
+        return self.trunk.backward(caches, gz)[0]
 
 
 class Critic(Network):
@@ -345,16 +347,13 @@ class Critic(Network):
         return q[:, 0], (cache_s, caches_t)
 
     def backward(self, cache, gq):
-        """gq is (batch,). Returns (grads, ga), ga (batch, 3) for the last
-        action; the state's gradient is not formed."""
         cache_s, caches_t = cache
         gt, gu = self.tail.backward(caches_t, gq[:, None])
-        embed_dim = self.state_layer.out_dim
-        gz = self.state_layer.pre_activation_grad(cache_s, gu[:, :embed_dim])
-        return [*self.state_layer.param_grads(cache_s[0], gz), *gt], gu[:, embed_dim:]
+        gz = self.state_layer.pre_activation_grad(cache_s, gu[:, :self.state_layer.out_dim])
+        return [*self.state_layer.param_grads(cache_s[0], gz), *gt]
 
     def action_grad(self, cache, gq):
-        """The ga of ``backward``: the tail's backward alone."""
+        """dQ/da (batch, 3) for the window's last action: the tail's backward alone."""
         _, caches_t = cache
         return self.tail.backward(caches_t, gq[:, None])[1][:, self.state_layer.out_dim:]
 
@@ -399,8 +398,6 @@ class LstmCritic(Network):
         return q[:, 0], (embed_cache, step_caches, cache_h)
 
     def backward(self, cache, gq):
-        """Returns (grads, ga_win), ga_win (batch, w, 3); grads ordered like
-        parameters(). The states' gradients are not formed."""
         embed_cache, step_caches, cache_h = cache
         ghead, gh = self.head.backward(cache_h, gq[:, None])
         cell_grads, gxs = lstm_unroll_backward(self.cell, step_caches, gh)
@@ -418,10 +415,10 @@ class LstmCritic(Network):
             dws, dbs = self.state_layer.param_grads(s[rows], gz[rows])
             gws += dws
             gbs += dbs
-        return [gws, gbs, *cell_grads, *ghead], gxs[:, :, embed_dim:].transpose(1, 0, 2)
+        return [gws, gbs, *cell_grads, *ghead]
 
     def action_grad(self, cache, gq):
-        """The last step of ``backward``'s ga_win, dQ/da for the current action.
+        """dQ/da (batch, 3) for the window's last action.
 
         That action enters the recurrence at the last step only, so this is
         the head's backward and the last cell step's, from a zero cell

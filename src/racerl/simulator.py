@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import Config, ranged
 from .files import write_text
-from .geometry import RacingLine, TrackFrame, wrap_angle
+from .geometry import RANGEFINDER_MAX, RacingLine, TrackFrame, wrap_angle
 from .nn import NumericError
 
 GRAVITY = 9.81
@@ -89,6 +89,11 @@ class CarParams(Config, tree="car"):
     def lateral_accel_cap(self, vx):
         return self.mu_grip * (GRAVITY + self.downforce(vx) / self.mass)
 
+    def corner_speed(self, kappa, vx):
+        """Grip-limited speed sqrt(mu * (1/kappa) * (g + F_a(vx)/m)) on a
+        curvature kappa > 0, with the downforce F_a of the speed vx."""
+        return math.sqrt(self.mu_grip * (1.0 / kappa) * (GRAVITY + self.downforce(vx) / self.mass))
+
     def rpm(self, vx):
         return self.rpm_idle + self.rpm_per_mps * vx
 
@@ -128,9 +133,9 @@ class CarState:
     damage: float = 0.0
 
 
-# observation scaling constants: each feature lands roughly in [-1, 1]
+# observation scaling constants: each feature lands roughly in [-1, 1]; the
+# rangefinders are divided by their range, RANGEFINDER_MAX
 ANGLE_SCALE = math.pi
-RANGE_SCALE = 200.0
 SPEED_SCALE = 50.0
 WHEEL_SCALE = 150.0
 RPM_SCALE = 10000.0
@@ -255,7 +260,7 @@ class RacingEnv:
         wheel = s.vx / self.params.wheel_radius / WHEEL_SCALE
         parts = [
             [ref.theta / ANGLE_SCALE],
-            self.track.rangefinders(s.position, s.heading, self.axis_frame) / RANGE_SCALE,
+            self.track.rangefinders(s.position, s.heading, self.axis_frame) / RANGEFINDER_MAX,
             [ref.track_pos, s.vx / SPEED_SCALE, s.vy / SPEED_SCALE, 0.0,
              wheel, wheel, wheel, wheel, self.params.rpm(s.vx) / RPM_SCALE],
         ]

@@ -31,7 +31,6 @@ from racerl.simulator import (
     ANGLE_SCALE,
     LAC_SCALE,
     PREMATURE_TERMINATIONS,
-    RANGE_SCALE,
     RPM_SCALE,
     SPEED_SCALE,
     WHEEL_SCALE,
@@ -158,7 +157,7 @@ def circumscribed_curvature(a, b, c):
 
 
 def scalar_curvature_at(polyline, s, spacing=5.0):
-    """Polyline.curvature_at as the per-query code did it."""
+    """Polyline.curvatures at one arc length, as the per-query code did it."""
     i = numpy_nearest_vertex(polyline, s)
     j = numpy_nearest_vertex(polyline, s + spacing)
     k = numpy_nearest_vertex(polyline, s - spacing)
@@ -168,6 +167,16 @@ def scalar_curvature_at(polyline, s, spacing=5.0):
     if k == i or k == j:
         k = (i - 1) % n
     return circumscribed_curvature(polyline.points[k], polyline.points[i], polyline.points[j])
+
+
+def max_speed(kappa, mu_grip, mass=None, downforce=0.0, g=9.81):
+    """Grip-limited cornering speed sqrt(mu * (1/kappa) * (g + F_a/m)) as a
+    free function of the car's numbers, F_a the aerodynamic load in newtons:
+    the form the bot called before CarParams.corner_speed."""
+    load = g
+    if downforce > 0.0:
+        load += downforce / mass
+    return math.sqrt(mu_grip * (1.0 / kappa) * load)
 
 
 def scalar_line_tables(track, delta, alpha):
@@ -255,7 +264,7 @@ def observation_vector(env):
     frame = reference.frame(s.position, s.heading)
     parts = [
         np.array([frame.theta / ANGLE_SCALE]),
-        brute_rangefinders(env.track, s.position, s.heading) / RANGE_SCALE,
+        brute_rangefinders(env.track, s.position, s.heading) / RANGEFINDER_MAX,
         np.array([frame.track_pos]),
         np.array([s.vx / SPEED_SCALE, s.vy / SPEED_SCALE, 0.0 / SPEED_SCALE]),
         np.full(4, s.vx / p.wheel_radius) / WHEEL_SCALE,

@@ -26,10 +26,10 @@ from racerl.agent import (
     td_target,
 )
 from racerl.bot import bot_lap_time
-from racerl.geometry import Polyline, RacingLine, Track, max_speed
+from racerl.geometry import Polyline, RacingLine, Track
 from racerl.replay import TERMINATION_CODES as CODE
 from racerl.replay import PERConfig, PrioritizedReplayBuffer, SumTree, Transition, priority_from
-from racerl.simulator import Termination, progress_reward
+from racerl.simulator import CarParams, Termination, progress_reward
 from oracles import check_network_gradients, empirical_frequencies
 
 _artifacts = {}
@@ -63,7 +63,7 @@ def test_criterion_1_gradient_correctness():
 
         def fb(actor=actor, x=x, g=g):
             y, cache = actor.forward(x)
-            grads, _ = actor.backward(cache, g)
+            grads = actor.backward(cache, g)
             return float(np.sum(g * y)), grads
 
         gradcheck(actor, fb)
@@ -78,7 +78,7 @@ def test_criterion_1_gradient_correctness():
 
         def fb(critic=critic, s=s, a=a, g=g):
             q, cache = critic.forward(s, a[:, None, :])
-            grads, _ = critic.backward(cache, g)
+            grads = critic.backward(cache, g)
             return float(np.sum(g * q)), grads
 
         gradcheck(critic, fb)
@@ -93,7 +93,7 @@ def test_criterion_1_gradient_correctness():
 
         def fb(critic=critic, s=s, a=a, g=g):
             q, cache = critic.forward(s, a)
-            grads, _ = critic.backward(cache, g)
+            grads = critic.backward(cache, g)
             return float(np.sum(g * q)), grads
 
         gradcheck(critic, fb)
@@ -306,7 +306,7 @@ def test_criterion_7_geometry():
         ang = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         circle = Polyline(np.column_stack([50.0 * np.cos(ang), 50.0 * np.sin(ang)]))
         for s in (0.0, 80.0, 200.0):
-            assert abs(circle.curvature_at(s) - 0.02) < 1e-6
+            assert abs(circle.curvatures(s) - 0.02) < 1e-6
 
     # rangefinder symmetry on a straight
     segs = [("s", 200.0), ("l", 40.0, math.pi), ("s", 200.0), ("l", 40.0, math.pi)]
@@ -316,7 +316,7 @@ def test_criterion_7_geometry():
     assert sym < 1e-9
 
     # grip formula hand value
-    assert abs(max_speed(0.1, 1.0) - 9.9045) < 1e-3
+    assert abs(CarParams(mu_grip=1.0).corner_speed(0.1, 0.0) - 9.9045) < 1e-3
 
     # LAC on a constant-curvature line is exact
     ang = np.linspace(0.0, 2.0 * math.pi, 700, endpoint=False)
@@ -326,7 +326,7 @@ def test_criterion_7_geometry():
     lac = line.look_ahead_curvature(123.0)
     npt.assert_allclose(lac, np.full(4, 0.01), atol=1e-9)
     report(7, f"circle kappa exact to 1e-6; rangefinder symmetry {sym:.1e}; "
-              f"max_speed 9.9045; LAC constant-line exact")
+              f"corner_speed 9.9045; LAC constant-line exact")
 
 
 # -----------------------------------------------------------------------------

@@ -306,7 +306,7 @@ def test_train_step_action_gradient_matches_finite_differences():
     s = rng.normal(size=(3, agent.config.obs_dim))
     a = rng.uniform(size=(3, 3))
     q, cache = agent.critic.forward(s, a[:, None, :])
-    _, ga = agent.critic.backward(cache, np.ones(3))
+    ga = agent.critic.action_grad(cache, np.ones(3))
     numeric = finite_difference_grad(
         lambda arr: float(np.sum(agent.critic(s, arr[:, None, :]))), a.copy()
     )
@@ -459,6 +459,15 @@ def test_variant_table_invariants():
     assert DDPGAgent(AgentConfig(variant="PER1M")).buffer.capacity == 1_000_000
 
 
+def test_variant_families_read_as_the_names_do():
+    families = {name: spec.family for name, spec in VARIANTS.items()}
+    assert families == {"WIN1": "WIN", "WIN4": "WIN", "WIN8": "WIN", "MS2": "MS", "MS3": "MS",
+                        "MS4": "MS", "PER40k": "PER", "PER1M": "PER", "LSTM4": "LSTM",
+                        "LSTM8": "LSTM"}
+    for name, family in families.items():
+        assert name.startswith(family) and name[len(family)].isdigit()
+
+
 # keys that checkpoints written before the variant's traits were read from
 # VARIANTS also stored, each with the value that agrees with PER40k
 LEGACY_KEYS = {"window": 1, "nstep": 1, "buffer_kind": "per", "capacity": 40_000, "lstm": False,
@@ -541,9 +550,14 @@ def test_lstm_action_grad_is_the_last_step_of_the_full_backward(variant):
     for last in (a_win[:, -1, :], rng.uniform([-1, 0, 0], [1, 1, 1], size=(32, 3))):
         full_a = np.concatenate([a_win[:, :-1, :], last[:, None, :]], axis=1)
         _, cache = agent.critic.forward(s_win, full_a)
+        _, step_caches, cache_h = cache
+        critic = agent.critic
         for gq in (np.ones(32), rng.normal(size=32)):
-            _, ga_win = agent.critic.backward(cache, gq)
-            assert np.array_equal(agent.critic.action_grad(cache, gq), ga_win[:, -1, :])
+            # the whole window's BPTT, as the critic's backward runs it
+            _, gh = critic.head.backward(cache_h, gq[:, None])
+            _, gxs = nn.lstm_unroll_backward(critic.cell, step_caches, gh)
+            last = gxs[-1][:, critic.state_layer.out_dim:]
+            assert np.array_equal(critic.action_grad(cache, gq), last)
 
 
 def test_lstm_train_step_runs_and_learns_shape():

@@ -12,7 +12,6 @@ from racerl.geometry import (
     Polyline,
     RacingLine,
     Track,
-    max_speed,
     wrap_angle,
 )
 from racerl.bot import bot_lap_time, record_reference_line
@@ -45,20 +44,20 @@ def test_curvature_circle_any_density():
     for n in (350, 1000, 5000):  # 1..16 points per meter on r=50
         line = Polyline(circle_points(50.0, n))
         for s in (0.0, 37.5, 200.0):
-            assert abs(line.curvature_at(s) - 0.02) < 1e-6
+            assert abs(line.curvatures(s) - 0.02) < 1e-6
 
 
 def test_curvature_straight_is_zero():
     track = stadium_track()
     # delta 100 is mid-straight
-    assert track.curvature_at(100.0) == 0.0
+    assert track.centerline.curvatures(100.0) == 0.0
 
 
 def test_curvature_sign_follows_turn_direction():
     left = Polyline(circle_points(50.0, 400))           # counterclockwise
     right = Polyline(circle_points(50.0, 400)[::-1])    # clockwise
-    assert left.curvature_at(10.0) > 0
-    assert right.curvature_at(10.0) < 0
+    assert left.curvatures(10.0) > 0
+    assert right.curvatures(10.0) < 0
 
 
 def test_curvature_ellipse_apex():
@@ -68,7 +67,7 @@ def test_curvature_ellipse_apex():
     line = Polyline(np.column_stack([a * np.cos(t), b * np.sin(t)]))
     # curvature varies along the window, so the circumscribed circle carries a
     # small finite-window bias (~0.1% at 2 m spacing); 0.5% bound
-    npt.assert_allclose(abs(line.curvature_at(0.0, spacing=2.0)), a / b**2, rtol=5e-3)
+    npt.assert_allclose(abs(line.curvatures(0.0, spacing=2.0)), a / b**2, rtol=5e-3)
 
 
 def test_curvature_duplicate_points_error():
@@ -86,35 +85,6 @@ def test_polyline_keeps_a_last_vertex_far_from_the_first(center):
     assert line.length == pytest.approx(2 * 314 * 100.0 * math.sin(math.pi / 314), rel=1e-9)
     # a first point repeated at the end is a closing point, and goes
     assert len(Polyline(np.vstack([pts, pts[:1]])).points) == 314
-
-
-# --- max_speed ---------------------------------------------------------------
-
-
-def test_max_speed_hand_value():
-    # sqrt(1 * 10 * 9.81) = 9.90454...
-    assert abs(max_speed(0.1, 1.0) - 9.9045) < 1e-3
-
-
-def test_max_speed_straight_sentinel():
-    assert max_speed(0.0, 1.0, straight_speed=55.0) == 55.0
-    assert max_speed(0.0, 1.0) == math.inf
-
-
-def test_max_speed_downforce_ratio():
-    g = 9.81
-    m = 1000.0
-    base = max_speed(0.1, 1.0, mass=m, downforce=m * g / 2.0, g=g)   # F_a/m = g/2
-    doubled = max_speed(0.1, 1.0, mass=m, downforce=m * g, g=g)      # F_a/m = g
-    npt.assert_allclose(doubled / base, math.sqrt(2.0 * g / 1.5 / g), rtol=1e-12)
-    npt.assert_allclose(doubled / base, math.sqrt(4.0 / 3.0), rtol=1e-12)
-
-
-def test_max_speed_domain_errors():
-    with pytest.raises(DomainError):
-        max_speed(-0.1, 1.0)
-    with pytest.raises(DomainError):
-        max_speed(0.1, 1.0, mass=-5.0, downforce=10.0)
 
 
 # --- projection --------------------------------------------------------------
@@ -346,7 +316,7 @@ def test_lac_matches_track_curvature_exactly():
         lac = line.look_ahead_curvature(d)
         for off, k in zip(geometry.LAC_OFFSETS, lac):
             # constant-curvature regions agree exactly; transitions via interp
-            k_track = track.curvature_at(d + off)
+            k_track = track.centerline.curvatures(d + off)
             assert abs(k - k_track) < 5e-4
 
 
@@ -450,7 +420,7 @@ def test_curvature_at_equals_the_per_query_code():
     for track in [tracks.get_track(name) for name in tracks.TRACK_NAMES] + [irregular_track()]:
         axis = track.centerline
         for s in rng.uniform(-track.length, 2.0 * track.length, 200).tolist():
-            assert axis.curvature_at(s, spacing=2.0) == scalar_curvature_at(axis, s, spacing=2.0)
+            assert axis.curvatures(s, spacing=2.0) == scalar_curvature_at(axis, s, spacing=2.0)
 
 
 def test_racing_line_frame_theta_and_trackpos():
@@ -537,7 +507,7 @@ def test_bundled_tracks_build_and_order_by_difficulty():
     assert set(built) == {"oval", "fast_mixed", "technical"}
     min_radius = {}
     for name, t in built.items():
-        ks = [abs(t.curvature_at(s)) for s in np.arange(0.0, t.length, 5.0)]
+        ks = np.abs(t.centerline.curvatures(np.arange(0.0, t.length, 5.0)))
         min_radius[name] = 1.0 / max(ks)
     assert min_radius["oval"] > min_radius["fast_mixed"] > min_radius["technical"]
 

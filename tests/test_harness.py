@@ -922,6 +922,32 @@ def test_generalization_eval_rejects_a_repeated_or_unknown_track(tmp_path):
     assert not list(run_dir.glob("generalization*"))
 
 
+@pytest.mark.parametrize("names", [["fast_mixed", "technical"], ["technical"]])
+def test_generalization_eval_refuses_tracks_without_the_training_track(
+        tmp_path, monkeypatch, names):
+    run_dir = Path(ex.train_run(tiny_config(tmp_path), 0).run_dir)
+    built = []
+    monkeypatch.setattr(ex, "make_env", lambda *a, **kw: built.append(a))
+    with pytest.raises(ValueError, match=re.escape(
+            f"tracks {names} must include the run's training track 'oval'")):
+        ex.generalization_eval(run_dir, names, laps=1)
+    assert built == []
+    assert not list(run_dir.glob("generalization*"))
+
+
+def test_generalization_eval_reads_the_training_lap_under_the_callers_spelling(
+        tmp_path, monkeypatch):
+    run_dir = Path(ex.train_run(tiny_config(tmp_path), 0).run_dir)
+    # two checkpoints finish both tracks; the second is faster on the oval
+    times = iter([50.0, 90.0, 40.0, 95.0])
+    monkeypatch.setattr(ex, "run_eval_episode", lambda agent, env, laps: SimpleNamespace(
+        best_lap_time=next(times), damage=0.0, finished=True))
+    report = ex.generalization_eval(run_dir, ["OVAL", "technical"], laps=1)
+    assert report["training_track"] == "oval"
+    assert report["general_model"]["episode"] == 2
+    assert report["general_model"]["laps"] == {"OVAL": 40.0, "technical": 95.0}
+
+
 def test_generalization_eval_builds_each_track_once(tmp_path, monkeypatch):
     cfg = tiny_config(tmp_path)
     cfg.train.episodes = 3

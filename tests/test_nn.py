@@ -288,7 +288,7 @@ def test_actor_head_ranges_and_gradcheck():
     def loss_fn():
         y, cache = actor.forward(x)
         loss = float(np.sum(g_out * y))
-        grads, _ = actor.backward(cache, g_out)
+        grads = actor.backward(cache, g_out)
         return loss, grads
 
     assert check_network_gradients(actor.parameters(), loss_fn) < 1e-4
@@ -304,13 +304,13 @@ def test_critic_gradcheck_including_action_input():
     def loss_fn():
         q, cache = critic.forward(s, a[:, None, :])
         loss = float(np.sum(g_out * q))
-        grads, _ = critic.backward(cache, g_out)
+        grads = critic.backward(cache, g_out)
         return loss, grads
 
     assert check_network_gradients(critic.parameters(), loss_fn) < 1e-4
 
     _, cache = critic.forward(s, a[:, None, :])
-    _, ga = critic.backward(cache, g_out)
+    ga = critic.action_grad(cache, g_out)
     numeric = finite_difference_grad(
         lambda arr: float(np.sum(g_out * critic(s, arr[:, None, :]))), a.copy()
     )
@@ -327,17 +327,24 @@ def test_lstm_critic_gradcheck():
     def loss_fn():
         q, cache = critic.forward(s_win, a_win)
         loss = float(np.sum(g_out * q))
-        grads, _ = critic.backward(cache, g_out)
+        grads = critic.backward(cache, g_out)
         return loss, grads
 
     assert check_network_gradients(critic.parameters(), loss_fn) < 1e-4
 
-    _, cache = critic.forward(s_win, a_win)
-    _, ga = critic.backward(cache, g_out)
-    numeric = finite_difference_grad(
-        lambda arr: float(np.sum(g_out * critic(s_win, arr))), a_win.copy()
-    )
-    assert max_relative_error(ga, numeric) < 1e-4
+
+def test_every_network_backward_returns_its_parameter_gradients_alone():
+    rng = np.random.default_rng(23)
+    s_win, a_win = rng.normal(size=(4, 2, 5)), rng.normal(size=(4, 2, 3))
+    actor = nn.build_actor(10, hidden=(6, 4), rng=rng)
+    _, cache = actor.forward(s_win)
+    cases = [(actor, actor.backward(cache, rng.normal(size=(4, 3))))]
+    for critic in (nn.build_critic(10, hidden=6, rng=rng), nn.build_lstm_critic(5, hidden=4, rng=rng)):
+        _, cache = critic.forward(s_win, a_win)
+        cases.append((critic, critic.backward(cache, rng.normal(size=4))))
+    for net, grads in cases:
+        assert isinstance(grads, list)
+        assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
 
 
 def test_critic_action_grad_matches_finite_differences():
@@ -348,7 +355,6 @@ def test_critic_action_grad_matches_finite_differences():
     g_out = rng.normal(size=4)
     _, cache = critic.forward(s, a[:, None, :])
     ga = critic.action_grad(cache, g_out)
-    assert np.array_equal(ga, critic.backward(cache, g_out)[1])
     numeric = finite_difference_grad(
         lambda arr: float(np.sum(g_out * critic(s, arr[:, None, :]))), a.copy()
     )

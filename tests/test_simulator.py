@@ -7,7 +7,7 @@ import pytest
 
 from racerl import simulator, tracks
 from racerl.bot import BaselineBot, drive_bot, record_reference_line
-from racerl.geometry import Polyline, RacingLine, Track, wrap_angle
+from racerl.geometry import RANGEFINDER_MAX, GeometryError, Polyline, RacingLine, Track, wrap_angle
 from racerl.nn import NumericError
 from racerl.simulator import (
     CarParams,
@@ -22,6 +22,7 @@ from racerl.simulator import (
 from oracles import (
     brute_project,
     brute_rangefinders,
+    max_speed,
     observation_vector,
     substep_step,
     wall_contact_floats,
@@ -156,6 +157,52 @@ def test_a_car_wider_than_the_track_is_refused_by_name():
         RacingEnv(tracks.get_track("technical"), params=CarParams(width=12.0))
 
 
+def test_the_env_not_the_track_holds_the_car_to_the_width():
+    # the track knows no car: a 1.5 m track builds, and the env refuses the
+    # default 1.8 m car on it
+    narrow = Track(tracks.get_track("oval").centerline, width=1.5, name="lane")
+    assert narrow.width == 1.5
+    with pytest.raises(ValueError, match=re.escape(
+            "track 'lane' is 1.5 m wide, not wider than car.width 1.8 m")):
+        RacingEnv(narrow)
+    RacingEnv(narrow, params=CarParams(width=1.2))
+    for width in (0.0, -1.0, math.inf):
+        with pytest.raises(GeometryError, match=f"width {width} must be finite and positive"):
+            Track(narrow.centerline, width=width)
+
+
+# --- grip law ------------------------------------------------------------------
+
+
+def test_corner_speed_hand_value():
+    # sqrt(1 * 10 * 9.81) = 9.90454...
+    assert abs(CarParams(mu_grip=1.0).corner_speed(0.1, 0.0) - 9.9045) < 1e-3
+
+
+def test_corner_speed_downforce_ratio():
+    g, m, vx = simulator.GRAVITY, 1000.0, 10.0
+    # F_a = c * vx^2 is m * g / 2 for base and m * g for doubled
+    base = CarParams(mu_grip=1.0, mass=m, downforce_coeff=m * g / 2.0 / vx**2).corner_speed(0.1, vx)
+    doubled = CarParams(mu_grip=1.0, mass=m, downforce_coeff=m * g / vx**2).corner_speed(0.1, vx)
+    npt.assert_allclose(doubled / base, math.sqrt(2.0 * g / 1.5 / g), rtol=1e-12)
+    npt.assert_allclose(doubled / base, math.sqrt(4.0 / 3.0), rtol=1e-12)
+
+
+def test_corner_speed_equals_the_free_grip_function():
+    # bit for bit, so the bot's laps do not move: vx = 0 (no downforce) and
+    # curvatures from the bot's 1e-9 floor to a 1 m radius
+    rng = np.random.default_rng(29)
+    cars = [CarParams(), CarParams(mass=740.0, mu_grip=1.6, downforce_coeff=0.0),
+            CarParams(mass=1250.0, mu_grip=0.8, downforce_coeff=3.7)]
+    for car in cars:
+        kappas = 10.0 ** rng.uniform(-9.0, 0.0, 2000)
+        speeds = rng.uniform(0.0, car.top_speed, 2000)
+        speeds[::4] = 0.0
+        for kappa, vx in zip(kappas.tolist(), speeds.tolist()):
+            assert car.corner_speed(kappa, vx) == max_speed(
+                kappa, car.mu_grip, mass=car.mass, downforce=car.downforce(vx))
+
+
 # --- telemetry -----------------------------------------------------------------
 
 
@@ -284,9 +331,7 @@ def test_zero_throttle_speed_non_increasing(oval):
 
 def test_cornering_speed_capped_by_grip_formula(oval):
     # full-steer steady state: achieved path curvature and speed obey
-    # vx <= max_speed(kappa) within 2%
-    from racerl.geometry import max_speed
-
+    # vx <= corner_speed(kappa, vx) within 2%
     env = make_env(oval, max_steps=100000)
     env.reset()
     p = env.params
@@ -297,7 +342,7 @@ def test_cornering_speed_capped_by_grip_formula(oval):
     vx = env.state.vx
     if vx > 1.0 and abs(env.state.yaw_rate) > 1e-6:
         kappa = abs(env.state.yaw_rate) / vx
-        cap = max_speed(kappa, p.mu_grip, mass=p.mass, downforce=p.downforce(vx))
+        cap = p.corner_speed(kappa, vx)
         assert vx <= cap * 1.02
 
 
@@ -565,7 +610,7 @@ def test_lazy_rangefinders_read_the_pose_of_their_step(name, recorded):
     def observe_and_cast():
         s = env.state
         eager = track.rangefinders(s.position, s.heading)
-        assert np.array_equal(env.observe()[1:20], eager / simulator.RANGE_SCALE)
+        assert np.array_equal(env.observe()[1:20], eager / RANGEFINDER_MAX)
         return eager
 
     ends = []  # (termination, the last step's rangefinders) of each episode
