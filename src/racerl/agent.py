@@ -68,11 +68,6 @@ class OUParams:
     mu: float = 0.0                               # long-run mean
 
 
-def ou_step(x, params, rng):
-    """One agent step of the OU process: x <- x + theta*(mu - x) + sigma*N(0,1)."""
-    return x + params.theta * (params.mu - x) + params.sigma * rng.standard_normal()
-
-
 class OUProcess:
     """Mean-reverting noise with temporal correlation; deterministic per rng."""
 
@@ -84,7 +79,9 @@ class OUProcess:
         self.x = self.params.mu
 
     def step(self, rng):
-        self.x = ou_step(self.x, self.params, rng)
+        """One agent step: x <- x + theta*(mu - x) + sigma*N(0,1)."""
+        p = self.params
+        self.x = self.x + p.theta * (p.mu - self.x) + p.sigma * rng.standard_normal()
         return self.x
 
 

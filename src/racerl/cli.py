@@ -14,8 +14,7 @@ from .geometry import save_racing_line
 def _load_config(path):
     if path is None:
         return experiments.ExperimentConfig()
-    if path == "":
-        raise ValueError("--config must name a file, got ''")
+    experiments.check_file_name(path, "--config")
     return experiments.ExperimentConfig.from_file(path)
 
 
@@ -94,8 +93,7 @@ def cmd_ablate_at(args):
 
 
 def cmd_record_line(args):
-    if args.out == "":
-        raise ValueError("record-line --out must name a file, got ''")
+    experiments.check_file_name(args.out, "record-line --out")
     track = tracks.get_track(args.track)
     line = record_reference_line(track)
     out = args.out if args.out is not None else f"{track.name}_line.json"

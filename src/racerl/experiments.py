@@ -52,7 +52,7 @@ def _check_track(track, name):
         raise ValueError(f"{name} must be one of {list(tracks.TRACK_NAMES)}, got {track!r}")
 
 
-def _check_file_name(path, name, kind="file"):
+def check_file_name(path, name, kind="file"):
     """Raise ValueError if the optional path is given but empty."""
     if path == "":
         raise ValueError(f"{name} must name a {kind}, got ''")
@@ -226,7 +226,7 @@ def evaluate(checkpoint, track_name, laps=3, racing_line_file=None, config=None)
     The env and car settings come from config (default: the defaults).
     An episode with no completed lap is an explicit DNF result, not an error.
     """
-    _check_file_name(racing_line_file, "evaluate racing_line_file")
+    check_file_name(racing_line_file, "evaluate racing_line_file")
     agent = checkpoint if isinstance(checkpoint, DDPGAgent) else DDPGAgent.load(checkpoint)
     cfg = config if config is not None else ExperimentConfig()
     track = tracks.get_track(track_name)
@@ -264,8 +264,11 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def list_checkpoints(run_dir):
-    """(episode, path) of each checkpoints/ckpt_<digits>.npz of a run, by episode."""
+    """(episode, path) of each checkpoints/ckpt_<digits>.npz of a run, by
+    episode; none when the run has no checkpoints/ directory."""
     ckpt_dir = os.path.join(run_dir, "checkpoints")
+    if not os.path.isdir(ckpt_dir):
+        return []
     found = [re.fullmatch(r"ckpt_(\d+)\.npz", name) for name in os.listdir(ckpt_dir)]
     return sorted((int(m[1]), os.path.join(ckpt_dir, m[0])) for m in found if m)
 
@@ -392,18 +395,6 @@ def train_run(config, seed, run_dir=None):
 
 
 @dataclass
-class ModelSummary:
-    variant: str
-    seed: int
-    best_lap: float | None
-    damage: float
-
-    @property
-    def finished(self):
-        return self.best_lap is not None
-
-
-@dataclass
 class LeaderboardRow:
     variant: str
     blt: float | None        # best lap over zero-damage models
@@ -413,21 +404,22 @@ class LeaderboardRow:
     models: int
 
 
-def build_leaderboard(summaries):
-    """Table-style aggregation: bLT/aLT over zero-damage models only."""
+def build_leaderboard(results):
+    """Table-style aggregation of (variant label, EpisodeResult) races, one
+    per model: bLT/aLT over zero-damage models only."""
     by_variant = {}
-    for s in summaries:
-        by_variant.setdefault(s.variant, []).append(s)
+    for variant, res in results:
+        by_variant.setdefault(variant, []).append(res)
     rows = []
     for variant, group in by_variant.items():
-        finished = [s for s in group if s.finished]
-        zero = [s for s in finished if s.damage == 0.0]
-        laps = [s.best_lap for s in zero]
+        finished = [res for res in group if res.finished]
+        zero = [res for res in finished if res.damage == 0.0]
+        laps = [res.best_lap_time for res in zero]
         rows.append(LeaderboardRow(
             variant=variant,
             blt=min(laps) if laps else None,
             alt=float(np.mean(laps)) if laps else None,
-            avg_damage=float(np.mean([s.damage for s in finished])) if finished else None,
+            avg_damage=float(np.mean([res.damage for res in finished])) if finished else None,
             finish_rate=len(finished) / len(group),
             models=len(group),
         ))
@@ -459,25 +451,24 @@ class TournamentReport:
 
 def summarize_run(run):
     """Race a finished run's best checkpoint (its final agent when no eval
-    saved one) for 3 laps on its own track."""
+    saved one) for 3 laps on its own track; returns its EpisodeResult."""
     config = run.config
     best = os.path.join(run.run_dir, "best.npz")
     agent = best if os.path.exists(best) else run.agent
     line_file = config.racing_line_file if config.reference != "mot" else None
-    res = evaluate(agent, config.track, racing_line_file=line_file, config=config)[0]
-    return ModelSummary(config.variant, run.seed, res.best_lap_time, res.damage)
+    return evaluate(agent, config.track, racing_line_file=line_file, config=config)[0]
 
 
 def _train_and_rank(labelled_configs, seeds, run_dirs):
-    """Train each (config, label) pair on every seed, summarize each run
-    under its label, and rank them; appends every run directory to run_dirs."""
-    summaries = []
+    """Train each (config, label) pair on every seed, race each run under its
+    label, and rank them; appends every run directory to run_dirs."""
+    results = []
     for cfg, label in labelled_configs:
         for seed in seeds:
             run = train_run(cfg, seed)
             run_dirs.append(run.run_dir)
-            summaries.append(dataclasses.replace(summarize_run(run), variant=label))
-    return build_leaderboard(summaries)
+            results.append((label, summarize_run(run)))
+    return build_leaderboard(results)
 
 
 def tournament(config, variants=None, phase2_track="technical", report_path=None):
@@ -493,7 +484,7 @@ def tournament(config, variants=None, phase2_track="technical", report_path=None
     _check_distinct(variants, "variant")
     if phase2_track is not None:
         _check_track(phase2_track, "tournament phase2_track")
-    _check_file_name(report_path, "tournament report_path")
+    check_file_name(report_path, "tournament report_path")
     run_dirs = []
     phase1 = _train_and_rank([(dataclasses.replace(config, variant=variant), variant)
                            for variant in variants], config.seeds, run_dirs)
@@ -548,7 +539,7 @@ def generalization_eval(run_dir, track_names, laps=1):
     rule, to generalization.json, both in the run directory. track_names
     must include the training track.
     """
-    _check_file_name(run_dir, "generalization_eval run_dir", "directory")
+    check_file_name(run_dir, "generalization_eval run_dir", "directory")
     _check_distinct(track_names, "track", _check_track, key=tracks.canonical_name)
     config = ExperimentConfig.from_file(os.path.join(run_dir, "config.json"))
     training_track = config.track

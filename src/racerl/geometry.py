@@ -260,7 +260,8 @@ class Track:
         left, right = _offset_borders(self.centerline, self.width / 2.0)
         self.left_border = Polyline(left)
         self.right_border = Polyline(right)
-        self._border_start, self._border_vec = _stack_segments(self.left_border, self.right_border)
+        self._border_start = np.concatenate([self.left_border.points, self.right_border.points])
+        self._border_vec = np.concatenate([self.left_border._seg, self.right_border._seg])
         # bounding circles of chunks of consecutive border segments; the last
         # chunk repeats its final segment, which leaves a minimum unchanged
         m = self._border_start.shape[0]
@@ -355,12 +356,6 @@ def _offset_borders(polyline, half_width):
     left = pts + scale[:, None] * miter
     right = pts - scale[:, None] * miter
     return left, right
-
-
-def _stack_segments(*polylines):
-    starts = np.concatenate([p.points for p in polylines])
-    vecs = np.concatenate([p._seg for p in polylines])
-    return starts, vecs
 
 
 class RacingLine:

@@ -376,17 +376,13 @@ class LstmCritic(Network):
         self.action_dim = 3
         self._own_parameters(state_layer, cell, head)
 
-    @property
-    def state_dim(self):
-        return self.state_layer.in_dim
-
     def forward(self, s_win, a_win):
         """s_win (batch, w, state_dim), a_win (batch, w, 3) -> q (batch,)."""
         s_win = np.asarray(s_win, dtype=np.float64)
         a_win = np.asarray(a_win, dtype=np.float64)
         if s_win.ndim != 3 or a_win.ndim != 3 or s_win.shape[:2] != a_win.shape[:2]:
             raise ShapeError(f"window shapes {s_win.shape} / {a_win.shape} incompatible")
-        if s_win.shape[2] != self.state_dim or a_win.shape[2] != self.action_dim:
+        if s_win.shape[2] != self.state_layer.in_dim or a_win.shape[2] != self.action_dim:
             raise ShapeError(f"window features {s_win.shape[2]}/{a_win.shape[2]} mismatch")
         batch, w, _ = s_win.shape
         # time-major, like lstm_unroll: every step's states embedded in one

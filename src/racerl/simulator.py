@@ -50,13 +50,6 @@ PREMATURE_TERMINATIONS = (
 )
 
 
-def terminal_reward(kind):
-    """-1 for the penalized endings, None when the step reward stands."""
-    if kind in PENALIZED_TERMINATIONS:
-        return -1.0
-    return None
-
-
 @dataclass(frozen=True)
 class CarParams(Config, tree="car"):
     mass: float = ranged("finite and positive", 1000.0)             # kg
@@ -147,7 +140,7 @@ def observation_dim(lac_enabled):
 
 
 def progress_reward(vx, theta, track_pos, damage_increment=0.0,
-                    damage_weight=0.01, literal_sin=False):
+                    damage_weight=EnvSettings.damage_weight, literal_sin=EnvSettings.literal_sin):
     """Speed-projected progress reward with a damage penalty.
 
     Default form: vx * (cos(theta) - |sin(theta)| - |track_pos|). With
@@ -355,9 +348,8 @@ class RacingEnv:
             damage_weight=settings.damage_weight, literal_sin=settings.literal_sin,
         )
         self.termination = self.tracker.update(track_pos, self.axis_frame.theta, vx)
-        penalty = terminal_reward(self.termination)
-        if penalty is not None:
-            reward = penalty
+        if self.termination in PENALIZED_TERMINATIONS:
+            reward = -1.0
         self.episode_return += reward
         return StepResult(reward=reward, termination=self.termination,
                           damage_increment=damage_increment)

@@ -36,8 +36,8 @@ from racerl.simulator import (
     WHEEL_SCALE,
     CarState,
     StepResult,
+    Termination,
     progress_reward,
-    terminal_reward,
 )
 
 
@@ -248,9 +248,8 @@ def substep_step(env, action):
         damage_weight=settings.damage_weight, literal_sin=settings.literal_sin,
     )
     env.termination = env.tracker.update(frame.track_pos, frame.theta, env.state.vx)
-    penalty = terminal_reward(env.termination)
-    if penalty is not None:
-        reward = penalty
+    if env.termination in (Termination.OUT_OF_TRACK, Termination.BACKWARDS):
+        reward = -1.0
     env.episode_return += reward
     return StepResult(reward=reward, termination=env.termination,
                       damage_increment=damage_increment)

@@ -15,7 +15,6 @@ from racerl.agent import (
     ObservationWindow,
     OUParams,
     OUProcess,
-    ou_step,
     td_target,
 )
 from racerl.replay import TERMINATION_CODES as CODE
@@ -121,12 +120,11 @@ def test_ou_sigma_zero_fixed_point():
 
 
 def test_ou_sigma_zero_geometric_decay():
-    params = OUParams(theta=0.25, sigma=0.0, mu=0.0)
-    x = 1.0
+    ou = OUProcess(OUParams(theta=0.25, sigma=0.0, mu=0.0))
+    ou.x = 1.0
     rng = np.random.default_rng(0)
     for k in range(1, 8):
-        x = ou_step(x, params, rng)
-        assert x == pytest.approx((1 - 0.25) ** k)
+        assert ou.step(rng) == pytest.approx((1 - 0.25) ** k)
 
 
 def test_ou_stationary_variance():

@@ -814,9 +814,9 @@ def test_generalization_of_an_lac_run_writes_no_line_files(tmp_path, oval):
 
 def test_leaderboard_zero_damage_filter():
     rows = ex.build_leaderboard([
-        ex.ModelSummary("WIN1", 0, 30.0, 0.0),
-        ex.ModelSummary("WIN1", 1, 25.0, 50.0),   # fast but damaged: excluded from bLT/aLT
-        ex.ModelSummary("WIN1", 2, 32.0, 0.0),
+        ("WIN1", _eval_result(30.0)),
+        ("WIN1", _eval_result(25.0, damage=50.0)),  # fast but damaged: excluded from bLT/aLT
+        ("WIN1", _eval_result(32.0)),
     ])
     row = rows[0]
     assert row.blt == 30.0
@@ -827,17 +827,15 @@ def test_leaderboard_zero_damage_filter():
 
 def test_leaderboard_alt_at_least_blt():
     rng = np.random.default_rng(0)
-    summaries = [
-        ex.ModelSummary("MS2", s, float(rng.uniform(25, 40)), 0.0) for s in range(5)
-    ]
-    row = ex.build_leaderboard(summaries)[0]
+    results = [("MS2", _eval_result(float(rng.uniform(25, 40)))) for _ in range(5)]
+    row = ex.build_leaderboard(results)[0]
     assert row.alt >= row.blt
 
 
 def test_leaderboard_dnf_ranks_last():
     rows = ex.build_leaderboard([
-        ex.ModelSummary("WIN1", 0, None, 0.0),
-        ex.ModelSummary("WIN4", 0, 30.0, 0.0),
+        ("WIN1", _eval_result()),
+        ("WIN4", _eval_result(30.0)),
     ])
     assert rows[0].variant == "WIN4"
     assert rows[1].blt is None
@@ -846,9 +844,9 @@ def test_leaderboard_dnf_ranks_last():
 def test_family_winner_selection_matches_alt_rule():
     # synthetic aLT values 27.16 / 26.96 / 35.61 pick WIN4
     rows = ex.build_leaderboard([
-        ex.ModelSummary("WIN1", 0, 27.16, 0.0),
-        ex.ModelSummary("WIN4", 0, 26.96, 0.0),
-        ex.ModelSummary("WIN8", 0, 35.61, 0.0),
+        ("WIN1", _eval_result(27.16)),
+        ("WIN4", _eval_result(26.96)),
+        ("WIN8", _eval_result(35.61)),
     ])
     winners = ex.select_family_winners(rows)
     assert winners == {"WIN": "WIN4"}
@@ -935,6 +933,20 @@ def test_generalization_eval_refuses_tracks_without_the_training_track(
     assert not list(run_dir.glob("generalization*"))
 
 
+@pytest.mark.parametrize("empty_checkpoints_dir", [False, True],
+                         ids=["no_checkpoints_dir", "empty_checkpoints_dir"])
+def test_generalization_eval_refuses_a_run_without_checkpoints(tmp_path, empty_checkpoints_dir):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    tiny_config(tmp_path).save(run_dir / "config.json")
+    if empty_checkpoints_dir:
+        (run_dir / "checkpoints").mkdir()
+    with pytest.raises(FileNotFoundError, match=re.escape(f"no checkpoints under {run_dir}")):
+        ex.generalization_eval(str(run_dir), ["oval", "technical"], laps=1)
+    left = ["checkpoints", "config.json"] if empty_checkpoints_dir else ["config.json"]
+    assert sorted(p.name for p in run_dir.iterdir()) == left
+
+
 def test_generalization_eval_reads_the_training_lap_under_the_callers_spelling(
         tmp_path, monkeypatch):
     run_dir = Path(ex.train_run(tiny_config(tmp_path), 0).run_dir)
@@ -1002,8 +1014,7 @@ def test_tournament_checks_its_arguments_before_training(tmp_path, monkeypatch, 
 def test_tournament_phase2_trains_each_family_winner_on_mot_and_a_recorded_line(
         tmp_path, monkeypatch):
     # a tiny budget finishes no lap, so a reported one makes WIN1 the WIN family's winner
-    monkeypatch.setattr(ex, "summarize_run",
-                        lambda run: ex.ModelSummary(run.config.variant, run.seed, 30.0, 0.0))
+    monkeypatch.setattr(ex, "summarize_run", lambda run: _eval_result(30.0))
     cfg = tiny_config(tmp_path)
     cfg.train.episodes = 1
     report = ex.tournament(cfg, variants=["WIN1"])

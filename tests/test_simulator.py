@@ -10,6 +10,7 @@ from racerl.bot import BaselineBot, drive_bot, record_reference_line
 from racerl.geometry import RANGEFINDER_MAX, GeometryError, Polyline, RacingLine, Track, wrap_angle
 from racerl.nn import NumericError
 from racerl.simulator import (
+    PENALIZED_TERMINATIONS,
     CarParams,
     EnvSettings,
     RacingEnv,
@@ -17,7 +18,6 @@ from racerl.simulator import (
     TerminationTracker,
     observation_dim,
     progress_reward,
-    terminal_reward,
 )
 from oracles import (
     brute_project,
@@ -88,7 +88,7 @@ def test_reward_argmax_at_zero_for_abs_form():
 def test_termination_out_of_track_and_penalty():
     t = TerminationTracker(EnvSettings(max_steps=1000))
     assert t.update(1.01, 0.0, 10.0) is Termination.OUT_OF_TRACK
-    assert terminal_reward(Termination.OUT_OF_TRACK) == -1.0
+    assert Termination.OUT_OF_TRACK in PENALIZED_TERMINATIONS
 
 
 def test_termination_exact_border_does_not_trigger():
@@ -101,7 +101,7 @@ def test_termination_backwards_needs_five_consecutive():
     for _ in range(4):
         assert t.update(0.0, 2.0, 5.0) is None
     assert t.update(0.0, 2.0, 5.0) is Termination.BACKWARDS
-    assert terminal_reward(Termination.BACKWARDS) == -1.0
+    assert Termination.BACKWARDS in PENALIZED_TERMINATIONS
 
     t = TerminationTracker(EnvSettings(max_steps=1000))
     for _ in range(4):
@@ -120,7 +120,7 @@ def test_termination_slow_progress_after_grace():
             break
     assert kind is Termination.SLOW_PROGRESS
     assert i == 101  # first step past the grace period with a full slow window
-    assert terminal_reward(Termination.SLOW_PROGRESS) is None
+    assert Termination.SLOW_PROGRESS not in PENALIZED_TERMINATIONS
 
 
 def test_termination_max_steps_no_penalty():
@@ -128,7 +128,35 @@ def test_termination_max_steps_no_penalty():
     assert t.update(0.0, 0.0, 10.0) is None
     assert t.update(0.0, 0.0, 10.0) is None
     assert t.update(0.0, 0.0, 10.0) is Termination.MAX_STEPS
-    assert terminal_reward(Termination.MAX_STEPS) is None
+    assert Termination.MAX_STEPS not in PENALIZED_TERMINATIONS
+
+
+@pytest.mark.parametrize("kind, reversed_start, action, settings, steps", [
+    (Termination.OUT_OF_TRACK, False, (1.0, 1.0, 0.0), {}, None),
+    (Termination.BACKWARDS, True, (0.0, 0.0, 0.0), {}, 5),
+    (Termination.SLOW_PROGRESS, False, (0.0, 0.0, 0.0), {}, 101),
+    (Termination.MAX_STEPS, False, (0.0, 1.0, 0.0), {"max_steps": 1}, 1),
+], ids=["out_of_track", "backwards", "slow_progress", "max_steps"])
+def test_env_step_penalizes_only_out_of_track_and_backwards(oval, kind, reversed_start, action,
+                                                             settings, steps):
+    """The step that ends an episode returns -1 for out_of_track and
+    backwards, and its progress reward for slow_progress and max_steps."""
+    env = make_env(oval, **settings)
+    if reversed_start:
+        env.state.heading = wrap_angle(env.state.heading + math.pi)
+    n = 0
+    while not env.done:
+        res = env.step(action)
+        n += 1
+    assert env.termination is kind and res.termination is kind
+    if steps is not None:
+        assert n == steps
+    ref = env.ref_frame
+    progress = progress_reward(env.state.vx, ref.theta, ref.track_pos, res.damage_increment)
+    if kind in (Termination.OUT_OF_TRACK, Termination.BACKWARDS):
+        assert res.reward == -1.0 and progress != -1.0
+    else:
+        assert res.reward == progress
 
 
 def test_termination_priority_order():
