@@ -10,19 +10,13 @@ feed-forward on the flattened window).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import nn
-from .config import Config, from_dict, ranged
-from .replay import (
-    CODE_TERMINATIONS,
-    DEFAULT_CAPACITY,
-    TERMINATION_CODES,
-    PERConfig,
-    make_buffer,
-)
+from .config import Config, ranged
+from .replay import CODE_TERMINATIONS, DEFAULT_CAPACITY, TERMINATION_CODES, make_buffer
 from .simulator import PREMATURE_TERMINATIONS, clamp_action, observation_dim
 
 
@@ -174,37 +168,6 @@ class AgentSettings(Config, tree="agent"):
     adopted_target: bool = True
 
 
-def _variant_trait(name):
-    return property(lambda self: getattr(VARIANTS[self.variant], name),
-                    doc=f"The variant's {name}, read from VARIANTS.")
-
-
-@dataclass(kw_only=True)
-class AgentConfig(AgentSettings):
-    """One agent: its hyperparameters, variant, LAC input, PER and exploration
-    settings. The variant's traits are read-only views of its VARIANTS row."""
-
-    variant: str = "WIN1"
-    lac_enabled: bool = False
-    per: PERConfig = field(default_factory=PERConfig)
-    exploration: ExplorationConfig = field(default_factory=ExplorationConfig)
-
-    window = _variant_trait("window")
-    nstep = _variant_trait("nstep")
-    buffer_kind = _variant_trait("buffer_kind")
-    capacity = _variant_trait("capacity")
-    lstm = _variant_trait("lstm")
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise KeyError(f"unknown variant {self.variant!r}; pick one of {sorted(VARIANTS)}")
-        super().__post_init__()
-
-    @property
-    def obs_dim(self):
-        return observation_dim(self.lac_enabled)
-
-
 @dataclass
 class TrainMetrics:
     critic_loss: float
@@ -214,24 +177,31 @@ class TrainMetrics:
 
 
 class DDPGAgent:
-    """Actor-critic learner with target networks and a replay buffer."""
+    """Actor-critic learner with target networks and a replay buffer.
 
-    def __init__(self, config=None, seed=0):
-        self.config = config if config is not None else AgentConfig()
-        c = self.config
+    config is the run's ExperimentConfig, kept as it is: the agent reads its
+    variant (whose VARIANTS row is ``variant``), its agent and exploration
+    trees, and whether it reads LAC (which sets ``obs_dim``).
+    """
+
+    def __init__(self, config, seed=0):
+        self.config = config
+        self.variant = v = VARIANTS[config.variant]
+        self.obs_dim = observation_dim(config.lac_enabled)
+        c = config.agent
         init_rng = np.random.default_rng(seed)
-        in_dim = c.window * c.obs_dim
+        in_dim = v.window * self.obs_dim
         self.actor = nn.build_actor(in_dim, (c.hidden, c.hidden), rng=init_rng)
-        if c.lstm:
-            self.critic = nn.build_lstm_critic(c.obs_dim, hidden=c.hidden, rng=init_rng)
+        if v.lstm:
+            self.critic = nn.build_lstm_critic(self.obs_dim, hidden=c.hidden, rng=init_rng)
         else:
             self.critic = nn.build_critic(in_dim, hidden=c.hidden, rng=init_rng)
         self.target_actor = self.actor.copy()
         self.target_critic = self.critic.copy()
         self.actor_opt = nn.Adam(self.actor.parameters(), lr=c.actor_lr)
         self.critic_opt = nn.Adam(self.critic.parameters(), lr=c.critic_lr)
-        self.buffer = make_buffer(c.buffer_kind, c.capacity, c.per)
-        self.explorer = Explorer(c.exploration, seed=seed + 1)
+        self.buffer = make_buffer(v.buffer_kind, v.capacity)
+        self.explorer = Explorer(config.exploration, seed=seed + 1)
         self.rng = np.random.default_rng(seed + 2)
         self.train_steps = 0
 
@@ -239,7 +209,7 @@ class DDPGAgent:
 
     def _flatten_window(self, window_obs):
         w = np.asarray(window_obs, dtype=np.float64)
-        want = (self.config.window, self.config.obs_dim)
+        want = (self.variant.window, self.obs_dim)
         if w.shape != want:
             raise nn.ShapeError(f"expected window {want}, got {w.shape}")
         return w.reshape(1, -1)
@@ -260,11 +230,11 @@ class DDPGAgent:
         windows is assemble_window of the slots when the caller has it; with
         nstep 1 every view ends at its own slot, so it is reused.
         """
-        c = self.config
-        view = self.buffer.assemble_nstep(np.asarray(slots), c.nstep, c.gamma)
+        c, v = self.config.agent, self.variant
+        view = self.buffer.assemble_nstep(np.asarray(slots), v.nstep, c.gamma)
         # bootstrap from the window that ends at each view's last transition
-        if windows is None or c.nstep != 1:
-            windows = self.buffer.assemble_window(view.slot, c.window)
+        if windows is None or v.nstep != 1:
+            windows = self.buffer.assemble_window(view.slot, v.window)
         _, a_win, next_s_win = windows
         a_next = self.target_actor(next_s_win)
         q_next = self.target_critic(next_s_win, np.concatenate([a_win[:, 1:], a_next[:, None]], axis=1))
@@ -273,10 +243,10 @@ class DDPGAgent:
 
     def train_step(self):
         """One sampled update of critic and actor plus target soft updates."""
-        c = self.config
+        c, v = self.config.agent, self.variant
         slots = self.buffer.sample(c.batch_size, self.rng)
         n = len(slots)
-        windows = self.buffer.assemble_window(slots, c.window)
+        windows = self.buffer.assemble_window(slots, v.window)
         y = self.compute_targets(slots, windows)
         s_win, a_win, _ = windows
 
@@ -292,7 +262,7 @@ class DDPGAgent:
         grads = self.critic.backward(cache, (2.0 / n) * (q - y))
         # per-sample grad_a Q at the stored actions, before the weights move
         grad_sq = None
-        if c.buffer_kind == "per":
+        if v.buffer_kind == "per":
             ga_stored = self.critic.action_grad(cache, np.ones(n))
             grad_sq = np.einsum("ij,ij->i", ga_stored, ga_stored)
         self.critic_opt.step(self.critic.flat, grads)
@@ -309,14 +279,15 @@ class DDPGAgent:
         nn.soft_update(self.actor.flat, self.target_actor.flat, c.tau)
         nn.soft_update(self.critic.flat, self.target_critic.flat, c.tau)
 
-        if c.buffer_kind == "per":
+        if v.buffer_kind == "per":
             self.buffer.update_priority(slots, td, grad_sq)
         self.train_steps += 1
         return TrainMetrics(critic_loss, actor_objective, td, grad_sq)
 
     # --- persistence -----------------------------------------------------------
 
-    def _network_arrays(self):
+    def network_arrays(self):
+        """Each network parameter array by its checkpoint name."""
         out = {}
         for tag, net in (("actor", self.actor), ("critic", self.critic),
                          ("target_actor", self.target_actor),
@@ -326,33 +297,11 @@ class DDPGAgent:
         return out
 
     def save(self, path):
+        """Checkpoint the networks with the run's whole config; the loader is
+        experiments.load_agent."""
         meta = {"kind": "agent", "config": asdict(self.config),
                 "train_steps": self.train_steps}
-        nn.save_arrays(path, meta, self._network_arrays())
-
-    @classmethod
-    def load(cls, path):
-        meta, arrays = nn.load_arrays(path)
-        if meta.get("kind") != "agent":
-            raise ValueError(f"{path} is not an agent checkpoint")
-        try:
-            config = from_dict(AgentConfig, meta["config"])
-        except ValueError as err:
-            raise ValueError(f"{path}: {err}") from err
-        agent = cls(config)
-        expected = agent._network_arrays()
-        for name in sorted(set(arrays) | set(expected)):
-            want, got = _shape_of(expected, name), _shape_of(arrays, name)
-            if want != got:
-                raise ValueError(f"{path}: checkpoint array {name!r}: expected {want}, got {got}")
-        for name, p in expected.items():
-            p[...] = arrays[name]
-        agent.train_steps = int(meta.get("train_steps", 0))
-        return agent
-
-
-def _shape_of(arrays, name):
-    return f"shape {arrays[name].shape}" if name in arrays else "no array"
+        nn.save_arrays(path, meta, self.network_arrays())
 
 
 class ObservationWindow:

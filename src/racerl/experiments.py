@@ -20,19 +20,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__, tracks
-from .agent import (
-    VARIANTS,
-    AgentConfig,
-    AgentSettings,
-    DDPGAgent,
-    ExplorationConfig,
-    ObservationWindow,
-)
+from .agent import VARIANTS, AgentSettings, DDPGAgent, ExplorationConfig, ObservationWindow
 from .bot import record_reference_line
 from .config import Config, from_dict, ranged
 from .files import write_text
 from .geometry import RacingLine, load_racing_line, save_racing_line
-from .nn import NumericError
+from .nn import NumericError, load_arrays
 from .plotting import moving_average, read_csv_columns
 from .replay import Transition
 from .simulator import CarParams, EnvSettings, RacingEnv, csv_row
@@ -167,9 +160,33 @@ def make_env(config, track=None, reference=None, max_steps=None):
 
 
 def make_agent(config, seed):
-    agent_config = AgentConfig(variant=config.variant, lac_enabled=config.lac_enabled,
-                               exploration=config.exploration, **asdict(config.agent))
-    return DDPGAgent(agent_config, seed=seed)
+    return DDPGAgent(config, seed=seed)
+
+
+def load_agent(path):
+    """The agent a checkpoint holds, built under the run config it stores;
+    each network array must be there with its network's shape."""
+    meta, arrays = load_arrays(path)
+    if meta.get("kind") != "agent":
+        raise ValueError(f"{path} is not an agent checkpoint")
+    try:
+        config = from_dict(ExperimentConfig, meta["config"])
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+    agent = DDPGAgent(config)
+    expected = agent.network_arrays()
+    for name in sorted(set(arrays) | set(expected)):
+        want, got = _shape_of(expected, name), _shape_of(arrays, name)
+        if want != got:
+            raise ValueError(f"{path}: checkpoint array {name!r}: expected {want}, got {got}")
+    for name, p in expected.items():
+        p[...] = arrays[name]
+    agent.train_steps = int(meta["train_steps"])
+    return agent
+
+
+def _shape_of(arrays, name):
+    return f"shape {arrays[name].shape}" if name in arrays else "no array"
 
 
 # --- results -------------------------------------------------------------------
@@ -201,7 +218,7 @@ def run_eval_episode(agent, env, laps=3):
     if laps < 1:
         raise ValueError(f"laps must be at least 1, got {laps}")
     env.reset()
-    window = ObservationWindow(agent.config.window)
+    window = ObservationWindow(agent.variant.window)
     window.reset(env.observe())
     while len(env.lap_times) < laps and not env.done:
         env.step(agent.act(window.array()))
@@ -217,26 +234,28 @@ def run_eval_episode(agent, env, laps=3):
     )
 
 
-def evaluate(checkpoint, track_name, laps=3, racing_line_file=None, config=None):
-    """Race a checkpoint (path or agent) in one deterministic episode.
+def evaluate(checkpoint, track_name, laps=3, racing_line_file=None):
+    """Race a checkpoint (path or agent) in one deterministic episode, under
+    the env, car and LAC settings of the run config it carries.
 
     Returns a one-element list of its EpisodeResult; callers index [0].
-    Telemetry is measured against the line file's racing line, or else the
-    middle of the track; the agent's own config says whether it reads LAC.
-    The env and car settings come from config (default: the defaults).
-    An episode with no completed lap is an explicit DNF result, not an error.
+    Telemetry is measured against the line file's racing line; without one,
+    against the run's reference on its training track and the middle of the
+    track elsewhere. An episode with no completed lap is an explicit DNF
+    result, not an error.
     """
     check_file_name(racing_line_file, "evaluate racing_line_file")
-    agent = checkpoint if isinstance(checkpoint, DDPGAgent) else DDPGAgent.load(checkpoint)
-    cfg = config if config is not None else ExperimentConfig()
+    agent = checkpoint if isinstance(checkpoint, DDPGAgent) else load_agent(checkpoint)
+    config = agent.config
     track = tracks.get_track(track_name)
     if racing_line_file is not None:
         line = load_racing_line(racing_line_file, track)
+    elif tracks.canonical_name(track_name) == tracks.canonical_name(config.track):
+        line = build_reference(config, track)
     else:
         line = RacingLine.middle_of_track(track)
-    settings = dataclasses.replace(cfg.env, max_steps=eval_step_cap(track, laps, cfg.env.dt))
-    env = RacingEnv(track, reference=line, lac_enabled=agent.config.lac_enabled,
-                    params=cfg.car, settings=settings)
+    env = make_env(config, track=track, reference=line,
+                   max_steps=eval_step_cap(track, laps, config.env.dt))
     return [run_eval_episode(agent, env, laps=laps)]
 
 
@@ -289,7 +308,7 @@ class Run:
         self.env = make_env(config, track=self.track, reference=reference)
         self.eval_env = make_env(config, track=self.track, reference=reference)
         self.agent = make_agent(config, seed)
-        self.window = ObservationWindow(self.agent.config.window)
+        self.window = ObservationWindow(self.agent.variant.window)
         self.episodes_run = 0
         self.failed = False
         self.success_episode = None
@@ -452,11 +471,9 @@ class TournamentReport:
 def summarize_run(run):
     """Race a finished run's best checkpoint (its final agent when no eval
     saved one) for 3 laps on its own track; returns its EpisodeResult."""
-    config = run.config
     best = os.path.join(run.run_dir, "best.npz")
     agent = best if os.path.exists(best) else run.agent
-    line_file = config.racing_line_file if config.reference != "mot" else None
-    return evaluate(agent, config.track, racing_line_file=line_file, config=config)[0]
+    return evaluate(agent, run.config.track)[0]
 
 
 def _train_and_rank(labelled_configs, seeds, run_dirs):
@@ -561,7 +578,7 @@ def generalization_eval(run_dir, track_names, laps=1):
                                     max_steps=eval_step_cap(track, laps, config.env.dt))))
     entries, rows = [], []
     for episode, path in checkpoints:
-        agent = DDPGAgent.load(path)
+        agent = load_agent(path)
         lap_by_track = {}
         for name, env in envs:
             res = run_eval_episode(agent, env, laps=laps)

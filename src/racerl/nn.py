@@ -544,7 +544,7 @@ def soft_update(source, target, tau):
 # checkpoint format
 
 CHECKPOINT_FORMAT = "racerl-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: an agent checkpoint stores its run's whole config
 
 
 def save_arrays(path, meta, arrays):
@@ -570,8 +570,11 @@ def load_arrays(path):
         meta = json.loads(raw.decode())
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}; "
+        version = meta.get("version")
+        if version != CHECKPOINT_VERSION:
+            note = "; version 1 agent checkpoints stored only the agent's config" \
+                if version == 1 else ""
+            raise ValueError(f"{path}: unsupported checkpoint version {version}{note}; "
                              f"this racerl reads version {CHECKPOINT_VERSION}")
         arrays = {k: data[k] for k in data.files if k != "__meta__"}
     return meta, arrays

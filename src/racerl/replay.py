@@ -193,7 +193,8 @@ class ReplayBuffer:
         """
         chain = [np.asarray(slots)]
         for _ in range(window - 1):
-            chain.append(self.prev[chain[-1]])
+            # the int32 links, converted to intp once here, not at each indexing
+            chain.append(self.prev[chain[-1]].astype(np.intp))
         idx = np.stack(chain[::-1], axis=-1)
         states = self.state[idx]
         last = self.next_states(chain[0])[..., None, :]
@@ -329,11 +330,11 @@ class PrioritizedReplayBuffer(ReplayBuffer):
         self.tree.update_many(slots, [p ** self.config.alpha for p in raw])
 
 
-def make_buffer(kind, capacity=DEFAULT_CAPACITY, per_config=None):
+def make_buffer(kind, capacity=DEFAULT_CAPACITY):
     if kind == "uniform":
         return ReplayBuffer(capacity)
     if kind == "per":
-        return PrioritizedReplayBuffer(capacity, per_config)
+        return PrioritizedReplayBuffer(capacity)
     raise ValueError(f"unknown buffer kind {kind!r}")
 
 

@@ -18,7 +18,7 @@ import pytest
 from racerl import experiments as ex
 from racerl import nn, tracks
 from racerl.agent import (
-    AgentConfig,
+    AgentSettings,
     DDPGAgent,
     ExplorationConfig,
     Explorer,
@@ -112,7 +112,8 @@ def test_criterion_1_gradient_correctness():
 
 def _pinned_q_agent(variant, q_value, gamma):
     """Agent whose target critic outputs exactly q_value everywhere."""
-    agent = DDPGAgent(AgentConfig(variant=variant, gamma=gamma, hidden=8), seed=0)
+    agent = DDPGAgent(
+        ex.ExperimentConfig(variant=variant, agent=AgentSettings(gamma=gamma, hidden=8)), seed=0)
     for p in agent.target_critic.parameters():
         p[...] = 0.0
     agent.target_critic.parameters()[-1][...] = q_value  # final bias
@@ -120,7 +121,7 @@ def _pinned_q_agent(variant, q_value, gamma):
 
 
 def _push_chain(agent, rewards, terminal=None):
-    obs = agent.config.obs_dim
+    obs = agent.obs_dim
     for i, r in enumerate(rewards):
         agent.buffer.push(Transition(
             state=np.full(obs, 0.1 * i), action=np.array([0.0, 0.5, 0.0]),
@@ -200,11 +201,11 @@ def test_criterion_2_target_equation_table():
 
 def test_criterion_3_at_rule_identity():
     rng = np.random.default_rng(7)
-    agent = DDPGAgent(AgentConfig(variant="WIN1", hidden=8), seed=1)
-    obs = agent.config.obs_dim
+    agent = DDPGAgent(ex.ExperimentConfig(agent=AgentSettings(hidden=8)), seed=1)
+    obs = agent.obs_dim
     s_next = rng.normal(size=(1, obs))
     q_boot = float(agent.target_critic(s_next, agent.target_actor(s_next)[:, None, :])[0])
-    gamma = agent.config.gamma
+    gamma = agent.config.agent.gamma
 
     # at r = 0 the identity holds bit for bit
     at0 = td_target(0.0, 1, q_boot, gamma, CODE[Termination.MAX_STEPS], adopted_target=True)
@@ -352,11 +353,11 @@ def test_criterion_8_brake_exploration():
     assert frac_plain > 0.20
 
     # eps' = 0: act_explore equals act bit for bit
-    agent = DDPGAgent(AgentConfig(variant="WIN1", hidden=8), seed=5)
+    agent = DDPGAgent(ex.ExperimentConfig(agent=AgentSettings(hidden=8)), seed=5)
     agent.explorer.steps = agent.explorer.config.horizon
     rng = np.random.default_rng(1)
     for _ in range(100):
-        obs = rng.normal(size=(1, agent.config.obs_dim)) * 0.3
+        obs = rng.normal(size=(1, agent.obs_dim)) * 0.3
         assert agent.act(obs).tobytes() == agent.act_explore(obs).tobytes()
     report(8, f"both-pedals fraction {frac_scheme:.1%} (scheme) vs {frac_plain:.1%} "
               f"(plain); eps'=0 bit-exact over 100 states")

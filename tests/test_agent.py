@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -8,7 +9,7 @@ import pytest
 from racerl import nn
 from racerl.agent import (
     VARIANTS,
-    AgentConfig,
+    AgentSettings,
     DDPGAgent,
     ExplorationConfig,
     Explorer,
@@ -17,6 +18,7 @@ from racerl.agent import (
     OUProcess,
     td_target,
 )
+from racerl.experiments import ExperimentConfig, load_agent
 from racerl.replay import TERMINATION_CODES as CODE
 from racerl.replay import Transition
 from racerl.simulator import Termination
@@ -31,9 +33,11 @@ from oracles import (
 
 
 def tiny_config(variant="WIN1", **kw):
+    """A run config of the variant with the agent settings kw (hidden 8
+    and batch 4 unless kw sets them)."""
     kw.setdefault("hidden", 8)
     kw.setdefault("batch_size", 4)
-    return AgentConfig(variant=variant, **kw)
+    return ExperimentConfig(variant=variant, agent=AgentSettings(**kw))
 
 
 def zero_weight_agent(variant="WIN1"):
@@ -44,12 +48,12 @@ def zero_weight_agent(variant="WIN1"):
 
 
 def random_obs(rng, agent, steps=1):
-    return rng.normal(size=(agent.config.window, agent.config.obs_dim)) * 0.3
+    return rng.normal(size=(agent.variant.window, agent.obs_dim)) * 0.3
 
 
 def fill_buffer(agent, n, rng, terminal_every=None):
     """Push n random transitions; returns them."""
-    c = agent.config
+    obs_dim = agent.obs_dim
     episode, step = 0, 0
     log = []
     for i in range(n):
@@ -57,10 +61,10 @@ def fill_buffer(agent, n, rng, terminal_every=None):
         if terminal_every and (step + 1) % terminal_every == 0:
             term = Termination.OUT_OF_TRACK
         log.append(Transition(
-            state=rng.normal(size=c.obs_dim) * 0.3,
+            state=rng.normal(size=obs_dim) * 0.3,
             action=rng.uniform([-1, 0, 0], [1, 1, 1]),
             reward=float(rng.normal()),
-            next_state=rng.normal(size=c.obs_dim) * 0.3,
+            next_state=rng.normal(size=obs_dim) * 0.3,
             termination=term,
             episode=episode,
             step=step,
@@ -79,20 +83,20 @@ def fill_buffer(agent, n, rng, terminal_every=None):
 
 def test_act_zero_weight_actor():
     agent = zero_weight_agent()
-    obs = np.zeros((1, agent.config.obs_dim))
+    obs = np.zeros((1, agent.obs_dim))
     a = agent.act(obs)
     npt.assert_array_equal(a, [0.0, 0.5, 0.5])  # tanh(0), sigmoid(0), sigmoid(0)
 
 
 def test_act_deterministic():
     agent = DDPGAgent(tiny_config(), seed=3)
-    obs = np.random.default_rng(1).normal(size=(1, agent.config.obs_dim))
+    obs = np.random.default_rng(1).normal(size=(1, agent.obs_dim))
     npt.assert_array_equal(agent.act(obs), agent.act(obs))
 
 
 def test_act_hand_set_single_layer():
     agent = zero_weight_agent()
-    obs_dim = agent.config.obs_dim
+    obs_dim = agent.obs_dim
     trunk = nn.Mlp([nn.Dense(np.zeros((3, obs_dim)), np.array([0.2, -0.4, 1.0]), "linear")])
     agent.actor = nn.Actor(trunk)
     a = agent.act(np.zeros((1, obs_dim)))
@@ -105,7 +109,7 @@ def test_act_rejects_malformed_window():
     for variant, rows in (("WIN4", (2,)), ("WIN4", ()), ("WIN1", ())):
         agent = DDPGAgent(tiny_config(variant), seed=0)
         with pytest.raises(nn.ShapeError, match=r"expected window \(\d, \d+\), got"):
-            agent.act(np.zeros(rows + (agent.config.obs_dim,)))
+            agent.act(np.zeros(rows + (agent.obs_dim,)))
 
 
 # --- exploration ----------------------------------------------------------------
@@ -262,7 +266,7 @@ def test_compute_targets_n1_is_the_one_step_rule():
         t = stored_transition(agent.buffer, slot, log[slot].next_state)
         s_next = t.next_state[None, :]
         q = agent.target_critic(s_next, agent.target_actor(s_next)[:, None, :])[0]
-        want.append(scalar_td_target(t.reward, 1, q, agent.config.gamma, t.termination))
+        want.append(scalar_td_target(t.reward, 1, q, agent.config.agent.gamma, t.termination))
     npt.assert_allclose(agent.compute_targets(slots), want, rtol=1e-12)
 
 
@@ -272,7 +276,7 @@ def test_train_step_gathers_each_window_once(variant, calls):
     agent = DDPGAgent(tiny_config(variant), seed=1)
     fill_buffer(agent, 60, np.random.default_rng(0), terminal_every=12)
     slots = agent.buffer.sample(4, np.random.default_rng(3))
-    windows = agent.buffer.assemble_window(slots, agent.config.window)
+    windows = agent.buffer.assemble_window(slots, agent.variant.window)
     npt.assert_array_equal(agent.compute_targets(slots, windows), agent.compute_targets(slots))
     seen = []
     gather = agent.buffer.assemble_window
@@ -286,9 +290,8 @@ def test_train_step_gathers_each_window_once(variant, calls):
 
 
 def test_train_step_fixed_point_single_transition():
-    cfg = tiny_config("WIN1", gamma=0.0)
-    agent = DDPGAgent(cfg, seed=1)
-    s = np.full(cfg.obs_dim, 0.1)
+    agent = DDPGAgent(tiny_config("WIN1", gamma=0.0), seed=1)
+    s = np.full(agent.obs_dim, 0.1)
     agent.buffer.push(Transition(
         state=s, action=np.array([0.0, 0.5, 0.5]), reward=0.0,
         next_state=s, termination=None, episode=0, step=0,
@@ -301,7 +304,7 @@ def test_train_step_fixed_point_single_transition():
 def test_train_step_action_gradient_matches_finite_differences():
     agent = DDPGAgent(tiny_config("WIN1"), seed=4)
     rng = np.random.default_rng(8)
-    s = rng.normal(size=(3, agent.config.obs_dim))
+    s = rng.normal(size=(3, agent.obs_dim))
     a = rng.uniform(size=(3, 3))
     q, cache = agent.critic.forward(s, a[:, None, :])
     ga = agent.critic.action_grad(cache, np.ones(3))
@@ -359,8 +362,8 @@ def _run_per_array(agent, monkeypatch):
             assert flat is self.net.flat
             self.oracle.step(self.net.parameters(), grads)
 
-    agent.actor_opt = OracleOptimizer(agent.actor, agent.config.actor_lr)
-    agent.critic_opt = OracleOptimizer(agent.critic, agent.config.critic_lr)
+    agent.actor_opt = OracleOptimizer(agent.actor, agent.config.agent.actor_lr)
+    agent.critic_opt = OracleOptimizer(agent.critic, agent.config.agent.critic_lr)
     monkeypatch.setattr(nn, "soft_update", lambda source, target, tau: array_soft_update(
         by_vector[id(source)].parameters(), by_vector[id(target)].parameters(), tau))
 
@@ -414,12 +417,11 @@ def test_adam_names_the_parameter_of_a_nonfinite_gradient(variant):
 
 def test_train_step_supervised_sanity_loss_decreases():
     # gamma = 0 turns the critic update into supervised regression on rewards
-    cfg = tiny_config("WIN1", gamma=0.0, batch_size=16)
-    agent = DDPGAgent(cfg, seed=9)
+    agent = DDPGAgent(tiny_config("WIN1", gamma=0.0, batch_size=16), seed=9)
     rng = np.random.default_rng(3)
-    w = rng.normal(size=cfg.obs_dim)
+    w = rng.normal(size=agent.obs_dim)
     for i in range(256):
-        s = rng.normal(size=cfg.obs_dim) * 0.3
+        s = rng.normal(size=agent.obs_dim) * 0.3
         a = rng.uniform([-1, 0, 0], [1, 1, 1])
         r = float(s @ w * 0.1 + 0.2 * a[0])  # a learnable Q surface
         agent.buffer.push(Transition(s, a, r, s * 0.9, None, 0, i))
@@ -443,18 +445,22 @@ def test_variant_table_invariants():
         "WIN1", "WIN4", "WIN8", "MS2", "MS3", "MS4", "PER40k", "PER1M", "LSTM4", "LSTM8",
     }
     for name, spec in VARIANTS.items():
-        cfg = AgentConfig(variant=name)
         if name.startswith("WIN"):
-            assert cfg.window == int(name[3:]) and cfg.nstep == 1
-            assert cfg.buffer_kind == "uniform" and not cfg.lstm
+            assert spec.window == int(name[3:]) and spec.nstep == 1
+            assert spec.buffer_kind == "uniform" and not spec.lstm
         if name.startswith("MS"):
-            assert cfg.nstep == int(name[2:]) and cfg.window == 1
+            assert spec.nstep == int(name[2:]) and spec.window == 1
         if name.startswith("PER"):
-            assert cfg.buffer_kind == "per"
+            assert spec.buffer_kind == "per"
         if name.startswith("LSTM"):
-            assert cfg.lstm and cfg.window == int(name[4:])
-    assert DDPGAgent(AgentConfig(variant="PER40k")).buffer.capacity == 40_000
-    assert DDPGAgent(AgentConfig(variant="PER1M")).buffer.capacity == 1_000_000
+            assert spec.lstm and spec.window == int(name[4:])
+    # a row is read-only: no run can change what its variant name means
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        VARIANTS["LSTM8"].window = 1
+    agent = DDPGAgent(ExperimentConfig(variant="LSTM8"))
+    assert agent.variant is VARIANTS["LSTM8"] and agent.config.variant == "LSTM8"
+    assert DDPGAgent(ExperimentConfig(variant="PER40k")).buffer.capacity == 40_000
+    assert DDPGAgent(ExperimentConfig(variant="PER1M")).buffer.capacity == 1_000_000
 
 
 def test_variant_families_read_as_the_names_do():
@@ -466,10 +472,10 @@ def test_variant_families_read_as_the_names_do():
         assert name.startswith(family) and name[len(family)].isdigit()
 
 
-# keys that checkpoints written before the variant's traits were read from
-# VARIANTS also stored, each with the value that agrees with PER40k
+# keys that earlier checkpoints stored in their config, each with a value
+# that agrees with PER40k: the variant's traits, and the PER settings
 LEGACY_KEYS = {"window": 1, "nstep": 1, "buffer_kind": "per", "capacity": 40_000, "lstm": False,
-               "per.capacity": 40_000, "per.is_weights": False, "per.beta": 0.5}
+               "per": {"alpha": 0.7, "lam3": 0.1, "epsilon": 1e-3}}
 
 
 @pytest.mark.parametrize("key", LEGACY_KEYS)
@@ -477,35 +483,21 @@ def test_load_refuses_a_checkpoint_that_stores_a_legacy_key(tmp_path, key):
     agent = DDPGAgent(tiny_config("PER40k"), seed=3)
     agent.save(tmp_path / "agent.npz")
     meta, arrays = nn.load_arrays(tmp_path / "agent.npz")
-    tree, _, name = key.rpartition(".")
-    (meta["config"][tree] if tree else meta["config"])[name] = LEGACY_KEYS[key]
+    meta["config"][key] = LEGACY_KEYS[key]
     path = tmp_path / "older.npz"
     nn.save_arrays(path, meta, arrays)
     with pytest.raises(ValueError, match=re.escape(f"{path}: unknown config key {key!r}")):
-        DDPGAgent.load(path)
-
-
-def test_variant_traits_are_read_only():
-    with pytest.raises(TypeError):
-        AgentConfig(variant="WIN1", window=8)
-    cfg = AgentConfig(variant="LSTM8")
-    with pytest.raises(AttributeError):
-        cfg.window = 1
-    assert (cfg.window, cfg.nstep, cfg.buffer_kind, cfg.capacity, cfg.lstm) == \
-        (8, 1, "uniform", 100_000, True)
-    with pytest.raises(KeyError, match="unknown variant 'WIN9'"):
-        AgentConfig(variant="WIN9")
+        load_agent(path)
 
 
 # --- LSTM critic variant --------------------------------------------------------
 
 
 def test_lstm_w1_zero_recurrent_reduces_to_feedforward():
-    cfg = tiny_config("LSTM4")
-    agent = DDPGAgent(cfg, seed=13)
+    agent = DDPGAgent(tiny_config("LSTM4"), seed=13)
     cell = agent.critic.cell
     cell.wh[...] = 0.0
-    s = np.random.default_rng(0).normal(size=(2, 1, cfg.obs_dim))
+    s = np.random.default_rng(0).normal(size=(2, 1, agent.obs_dim))
     a = np.random.default_rng(1).uniform(size=(2, 1, 3))
     q = agent.critic(s, a)
 
@@ -525,7 +517,7 @@ def test_lstm_w1_zero_recurrent_reduces_to_feedforward():
 def test_lstm_order_sensitivity():
     agent = DDPGAgent(tiny_config("LSTM4"), seed=14)
     rng = np.random.default_rng(5)
-    s = rng.normal(size=(1, 4, agent.config.obs_dim))
+    s = rng.normal(size=(1, 4, agent.obs_dim))
     a = rng.uniform(size=(1, 4, 3))
     q = agent.critic(s, a)
     s_perm = s.copy()
@@ -538,13 +530,13 @@ def test_lstm_order_sensitivity():
 def test_lstm_action_grad_is_the_last_step_of_the_full_backward(variant):
     # full-size critics on stored windows, a third of them padded at an
     # episode start, scored at the stored and at freshly chosen actions
-    agent = DDPGAgent(AgentConfig(variant=variant), seed=21)
+    agent = DDPGAgent(ExperimentConfig(variant=variant), seed=21)
     rng = np.random.default_rng(22)
     fill_buffer(agent, 120, rng, terminal_every=12)
     slots = rng.integers(0, agent.buffer.size, size=32)
     slots[::3] = 12 * rng.integers(0, 10, size=len(slots[::3]))  # episode starts
-    s_win, a_win, _ = agent.buffer.assemble_window(slots, agent.config.window)
-    assert (agent.buffer.step[slots] < agent.config.window - 1).any()
+    s_win, a_win, _ = agent.buffer.assemble_window(slots, agent.variant.window)
+    assert (agent.buffer.step[slots] < agent.variant.window - 1).any()
     for last in (a_win[:, -1, :], rng.uniform([-1, 0, 0], [1, 1, 1], size=(32, 3))):
         full_a = np.concatenate([a_win[:, :-1, :], last[:, None, :]], axis=1)
         _, cache = agent.critic.forward(s_win, full_a)
@@ -563,7 +555,7 @@ def test_lstm_train_step_runs_and_learns_shape():
     fill_buffer(agent, 80, np.random.default_rng(6), terminal_every=20)
     m = agent.train_step()
     assert math.isfinite(m.critic_loss)
-    assert m.td_errors.shape == (agent.config.batch_size,)
+    assert m.td_errors.shape == (agent.config.agent.batch_size,)
 
 
 # --- window helper / persistence ---------------------------------------------------
@@ -595,16 +587,16 @@ def test_agent_load_checks_every_network_array(tmp_path, edit, message):
     meta = {k: v for k, v in meta.items() if k not in ("format", "version")}
     nn.save_arrays(path, meta, arrays)
     with pytest.raises(ValueError, match=message):
-        DDPGAgent.load(path)
+        load_agent(path)
 
 
 def test_agent_save_load_roundtrip(tmp_path):
     agent = DDPGAgent(tiny_config("LSTM4"), seed=16)
     path = tmp_path / "agent.npz"
     agent.save(path)
-    loaded = DDPGAgent.load(path)
+    loaded = load_agent(path)
     assert loaded.config.variant == "LSTM4"
-    obs = np.random.default_rng(7).normal(size=(4, agent.config.obs_dim))
+    obs = np.random.default_rng(7).normal(size=(4, agent.obs_dim))
     npt.assert_array_equal(agent.act(obs), loaded.act(obs))
     for p, q in zip(agent.critic.parameters(), loaded.critic.parameters()):
         npt.assert_array_equal(p, q)

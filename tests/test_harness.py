@@ -17,7 +17,7 @@ import pytest
 
 from racerl import experiments as ex
 from racerl import cli, nn, plotting, tracks
-from racerl.agent import VARIANTS, AgentConfig, DDPGAgent
+from racerl.agent import VARIANTS, AgentSettings, DDPGAgent
 from racerl.bot import BaselineBot, bot_lap_time, drive_bot, record_reference_line
 from racerl.cli import build_parser
 from racerl.cli import main as cli_main
@@ -90,7 +90,7 @@ def test_bot_lap_projects_once_per_substep(oval, monkeypatch):
 class BotAgent:
     """The baseline bot behind the agent interface run_eval_episode drives."""
 
-    config = SimpleNamespace(window=1, obs_dim=29)
+    variant = VARIANTS["WIN1"]
 
     def __init__(self, env):
         self.env = env
@@ -302,7 +302,7 @@ def test_missing_racing_line_file_fails_before_writing(tmp_path):
 
 def test_agent_settings_and_seeds_set_in_code_fail_before_writing(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match=re.escape("agent.tau must be in [0, 1], got 2.0")):
-        AgentConfig(tau=2.0)
+        AgentSettings(tau=2.0)
     cfg = tiny_config(tmp_path)
     cfg.agent.batch_size = 0
     with pytest.raises(ValueError, match=re.escape("agent.batch_size must be at least 1")):
@@ -412,8 +412,6 @@ def test_car_top_speed_error_names_the_fields_and_the_values(car, message):
 def test_per_config_rejects_non_finite_values(kwargs, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         PERConfig(**kwargs)
-    with pytest.raises(ValueError, match=re.escape(f"agent.{message}")):
-        from_dict(AgentConfig, {"per": kwargs})  # as a checkpoint's stored config loads
 
 
 def test_repeated_seeds_fail_before_anything_is_written(tmp_path):
@@ -607,7 +605,7 @@ def test_a_numeric_failure_writes_failed_and_ends_the_run(tmp_path, monkeypatch,
     assert sorted(os.listdir(run_dir / "checkpoints")) == ["ckpt_000001.npz", "ckpt_000002.npz"]
     assert [path for _, path in ex.list_checkpoints(run.run_dir)] == \
         [str(run_dir / "checkpoints" / f) for f in ("ckpt_000001.npz", "ckpt_000002.npz")]
-    assert DDPGAgent.load(str(run_dir / "latest.npz")).config.variant == "WIN1"
+    assert ex.load_agent(str(run_dir / "latest.npz")).config.variant == "WIN1"
     calls.clear()
     config_file = tmp_path / "config.json"
     cfg.save(config_file)
@@ -779,25 +777,45 @@ def test_eval_determinism(tmp_path):
         (b.return_, b.steps, b.damage, b.best_lap_time)
 
 
-def _offset_line_file(tmp_path, track):
-    """A racing line a tenth of the width off the axis, saved to a file."""
+def _offset_line_file(tmp_path, track, alpha=0.6):
+    """A racing line at lateral position alpha (0.5 is the axis, 0.6 a tenth
+    of the width off it), saved to a file."""
     grid = np.arange(0.0, track.length - 1.0, 2.0)
-    path = str(tmp_path / f"{track.name}_offset_line.json")
-    save_racing_line(RacingLine(track, grid, np.full(grid.shape, 0.6)), path)
+    path = str(tmp_path / f"{track.name}_line_{alpha}.json")
+    save_racing_line(RacingLine(track, grid, np.full(grid.shape, alpha)), path)
     return path
 
 
 @pytest.mark.parametrize("reference", ["mot", "rc-lac"])
 def test_evaluate_reads_lac_from_the_checkpoint(tmp_path, oval, reference):
-    # LAC input follows the agent; the line file, when given, sets the line
-    line = _offset_line_file(tmp_path, oval)
+    # LAC input follows the agent; a line file, when given, sets the line
     cfg = tiny_config(tmp_path, reference=reference,
-                      racing_line_file=line if reference != "mot" else None)
+                      racing_line_file=_offset_line_file(tmp_path, oval)
+                      if reference != "mot" else None)
     ckpt = os.path.join(ex.train_run(cfg, 0).run_dir, "latest.npz")
-    axis = ex.evaluate(ckpt, "oval", laps=1)[0]
-    on_line = ex.evaluate(ckpt, "oval", laps=1, racing_line_file=line)[0]
-    assert axis.steps > 0 and on_line.steps > 0
-    assert on_line.return_ != axis.return_  # telemetry measured against the line
+    own = ex.evaluate(ckpt, "oval", laps=1)[0]
+    other = ex.evaluate(ckpt, "oval", laps=1,
+                        racing_line_file=_offset_line_file(tmp_path, oval, 0.4))[0]
+    assert own.steps > 0 and other.steps > 0
+    assert other.return_ != own.return_  # telemetry measured against the line
+
+
+def test_an_rc_lac_checkpoint_races_its_own_line_on_its_training_track(tmp_path):
+    # a line off the axis from the start: a recorded line keeps to the axis
+    # for the first 196 m of technical, further than a 2-episode agent drives
+    technical, oval = tracks.get_track("technical"), tracks.get_track("oval")
+    line = _offset_line_file(tmp_path, technical)
+    cfg = tiny_config(tmp_path, track="technical", reference="rc-lac", racing_line_file=line)
+    run = ex.train_run(cfg, 0)
+    ckpt = os.path.join(run.run_dir, "latest.npz")
+    own = ex.evaluate(ckpt, "Technical", laps=1)[0]
+    assert own == ex.evaluate(ckpt, "technical", laps=1, racing_line_file=line)[0]
+    assert own != ex.evaluate(ckpt, "technical", laps=1,
+                              racing_line_file=_offset_line_file(tmp_path, technical, 0.5))[0]
+    # on another track it races the axis
+    axis_env = ex.make_env(cfg, track=oval, reference=RacingLine.middle_of_track(oval),
+                           max_steps=ex.eval_step_cap(oval, 1, cfg.env.dt))
+    assert ex.evaluate(ckpt, "oval", laps=1)[0] == ex.run_eval_episode(run.agent, axis_env, laps=1)
 
 
 def test_generalization_of_an_lac_run_writes_no_line_files(tmp_path, oval):
@@ -976,7 +994,7 @@ def test_generalization_eval_builds_each_track_once(tmp_path, monkeypatch):
     assert built == names
     raced = list(races)
     # a reset env races as a fresh one: each race equals its own evaluate
-    fresh = [ex.evaluate(ckpt, name, laps=1, config=cfg)[0]
+    fresh = [ex.evaluate(ckpt, name, laps=1)[0]
              for ckpt in checkpoints for name in names]
     assert raced == fresh
     assert len(Path(report["series_csv"]).read_text().splitlines()) == 1 + len(fresh)
@@ -1181,7 +1199,7 @@ def test_cli_refuses_an_empty_file_name_before_any_work(tmp_path, monkeypatch, a
         raise AssertionError("an empty file name reached the work")
 
     monkeypatch.setattr(cli, "record_reference_line", work)
-    monkeypatch.setattr(DDPGAgent, "load", work)
+    monkeypatch.setattr(ex, "load_agent", work)
     monkeypatch.setattr(ex, "train_run", work)
     monkeypatch.setattr(ex.ExperimentConfig, "from_file", work)
     monkeypatch.chdir(tmp_path)
@@ -1205,6 +1223,22 @@ def test_readme_cli_lines_parse():
     parser = build_parser()
     for command in commands:
         parser.parse_args(shlex.split(command)[1:])  # a stale flag exits the parser
+
+
+def test_cli_eval_races_the_runs_car(tmp_path, capsys):
+    cfg = tiny_config(tmp_path)
+    cfg.car = dataclasses.replace(cfg.car, mass=2 * cfg.car.mass)
+    run = ex.train_run(cfg, 0)
+    cap = ex.eval_step_cap(tracks.get_track("oval"), 1, cfg.env.dt)
+    res = ex.run_eval_episode(run.agent, ex.make_env(cfg, max_steps=cap), laps=1)
+    default_car = dataclasses.replace(cfg, car=CarParams())
+    assert res != ex.run_eval_episode(run.agent, ex.make_env(default_car, max_steps=cap), laps=1)
+    assert cli_main(["eval", "--checkpoint", os.path.join(run.run_dir, "latest.npz"),
+                     "--track", "oval", "--laps", "1"]) == 0
+    lap = f"{res.best_lap_time:.3f}s" if res.finished else "DNF"
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"{res.status} best_lap={lap} laps={len(res.lap_times)} "
+        f"damage={res.damage:.2f} return={res.return_:.1f} ({res.termination})")
 
 
 def test_cli_train_eval_flow(tmp_path, capsys):

@@ -448,10 +448,13 @@ def test_network_copy_owns_a_fresh_vector(build):
 
 
 @pytest.mark.parametrize("header, message", [
-    ({"format": "racerl-checkpoint", "version": 2},
-     "{path}: unsupported checkpoint version 2; this racerl reads version 1"),
-    ({"format": "other", "version": 1}, "{path} is not a racerl-checkpoint file"),
-], ids=["version", "format"])
+    ({"format": "racerl-checkpoint", "version": 3},
+     "{path}: unsupported checkpoint version 3; this racerl reads version 2"),
+    ({"format": "racerl-checkpoint", "version": 1},
+     "{path}: unsupported checkpoint version 1; version 1 agent checkpoints stored only the "
+     "agent's config; this racerl reads version 2"),
+    ({"format": "other", "version": 2}, "{path} is not a racerl-checkpoint file"),
+], ids=["version", "version_1", "format"])
 def test_load_arrays_errors_name_the_file(tmp_path, header, message):
     path = tmp_path / "ckpt.npz"
     raw = json.dumps(header).encode()
