@@ -18,6 +18,7 @@ from racerl.agent import (
     OUProcess,
     td_target,
 )
+from racerl.config import from_dict
 from racerl.experiments import ExperimentConfig, load_agent
 from racerl.replay import TERMINATION_CODES as CODE
 from racerl.replay import Transition
@@ -454,11 +455,6 @@ def test_variant_table_invariants():
             assert spec.buffer_kind == "per"
         if name.startswith("LSTM"):
             assert spec.lstm and spec.window == int(name[4:])
-    # a row is read-only: no run can change what its variant name means
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        VARIANTS["LSTM8"].window = 1
-    agent = DDPGAgent(ExperimentConfig(variant="LSTM8"))
-    assert agent.variant is VARIANTS["LSTM8"] and agent.config.variant == "LSTM8"
     assert DDPGAgent(ExperimentConfig(variant="PER40k")).buffer.capacity == 40_000
     assert DDPGAgent(ExperimentConfig(variant="PER1M")).buffer.capacity == 1_000_000
 
@@ -473,9 +469,9 @@ def test_variant_families_read_as_the_names_do():
 
 
 # keys that earlier checkpoints stored in their config, each with a value
-# that agrees with PER40k: the variant's traits, and the PER settings
+# that agrees with PER40k: the variant's traits, and keys of a per tree
 LEGACY_KEYS = {"window": 1, "nstep": 1, "buffer_kind": "per", "capacity": 40_000, "lstm": False,
-               "per": {"alpha": 0.7, "lam3": 0.1, "epsilon": 1e-3}}
+               "per.capacity": 40_000, "per.is_weights": False, "per.beta": 0.5}
 
 
 @pytest.mark.parametrize("key", LEGACY_KEYS)
@@ -483,11 +479,31 @@ def test_load_refuses_a_checkpoint_that_stores_a_legacy_key(tmp_path, key):
     agent = DDPGAgent(tiny_config("PER40k"), seed=3)
     agent.save(tmp_path / "agent.npz")
     meta, arrays = nn.load_arrays(tmp_path / "agent.npz")
-    meta["config"][key] = LEGACY_KEYS[key]
+    tree, _, name = key.rpartition(".")
+    (meta["config"].setdefault(tree, {}) if tree else meta["config"])[name] = LEGACY_KEYS[key]
     path = tmp_path / "older.npz"
     nn.save_arrays(path, meta, arrays)
-    with pytest.raises(ValueError, match=re.escape(f"{path}: unknown config key {key!r}")):
+    # a run config has no per tree, so the checkpoint is refused at the tree's own key
+    refused = tree or key
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unknown config key {refused!r}")):
         load_agent(path)
+
+
+def test_variant_traits_are_read_only():
+    with pytest.raises(TypeError):
+        ExperimentConfig(variant="WIN1", window=8)
+    with pytest.raises(ValueError, match="unknown config key 'window'"):
+        from_dict(ExperimentConfig, {"variant": "WIN1", "window": 8})
+    # a row is read-only: no run can change what its variant name means
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        VARIANTS["LSTM8"].window = 1
+    agent = DDPGAgent(ExperimentConfig(variant="LSTM8"))
+    assert agent.variant is VARIANTS["LSTM8"] and agent.config.variant == "LSTM8"
+    v = agent.variant
+    assert (v.window, v.nstep, v.buffer_kind, v.capacity, v.lstm) == \
+        (8, 1, "uniform", 100_000, True)
+    with pytest.raises(ValueError, match="config variant must be one of .*, got 'WIN9'"):
+        ExperimentConfig(variant="WIN9")
 
 
 # --- LSTM critic variant --------------------------------------------------------
