@@ -150,8 +150,12 @@ def build_reference(config, track):
 
 
 def make_env(config, track=None, reference=None, max_steps=None):
+    """The env of config's env, car and LAC settings on track (the training
+    track if None). Without a reference it races the run's reference on the
+    training track, in any spelling, and the track's axis elsewhere."""
     track = track if track is not None else tracks.get_track(config.track)
-    reference = reference if reference is not None else build_reference(config, track)
+    if reference is None and track.name == tracks.canonical_name(config.track):
+        reference = build_reference(config, track)
     settings = config.env
     if max_steps is not None:
         settings = dataclasses.replace(settings, max_steps=max_steps)
@@ -235,27 +239,20 @@ def run_eval_episode(agent, env, laps=3):
 
 
 def evaluate(checkpoint, track_name, laps=3, racing_line_file=None):
-    """Race a checkpoint (path or agent) in one deterministic episode, under
-    the env, car and LAC settings of the run config it carries.
+    """Race the checkpoint file at path checkpoint in one deterministic
+    episode, under the env, car and LAC settings of the run config it carries.
 
     Returns a one-element list of its EpisodeResult; callers index [0].
     Telemetry is measured against the line file's racing line; without one,
-    against the run's reference on its training track and the middle of the
-    track elsewhere. An episode with no completed lap is an explicit DNF
-    result, not an error.
+    against the line make_env picks. An episode with no completed lap is an
+    explicit DNF result, not an error.
     """
     check_file_name(racing_line_file, "evaluate racing_line_file")
-    agent = checkpoint if isinstance(checkpoint, DDPGAgent) else load_agent(checkpoint)
-    config = agent.config
+    agent = load_agent(checkpoint)
     track = tracks.get_track(track_name)
-    if racing_line_file is not None:
-        line = load_racing_line(racing_line_file, track)
-    elif tracks.canonical_name(track_name) == tracks.canonical_name(config.track):
-        line = build_reference(config, track)
-    else:
-        line = RacingLine.middle_of_track(track)
-    env = make_env(config, track=track, reference=line,
-                   max_steps=eval_step_cap(track, laps, config.env.dt))
+    line = load_racing_line(racing_line_file, track) if racing_line_file is not None else None
+    env = make_env(agent.config, track=track, reference=line,
+                   max_steps=eval_step_cap(track, laps, agent.config.env.dt))
     return [run_eval_episode(agent, env, laps=laps)]
 
 
@@ -301,12 +298,14 @@ class Run:
     def __init__(self, config, seed, run_dir=None):
         config.validate()
         _check_seed(seed)
+        if config.racing_line_file:  # so config.json names it from any directory
+            config = dataclasses.replace(config, racing_line_file=os.path.abspath(
+                config.racing_line_file))
         self.config, self.seed = config, seed
         self.run_dir = run_dir if run_dir is not None else run_dir_for(config, seed)
-        self.track = tracks.get_track(config.track)
-        reference = build_reference(config, self.track)
-        self.env = make_env(config, track=self.track, reference=reference)
-        self.eval_env = make_env(config, track=self.track, reference=reference)
+        self.env = make_env(config)
+        self.track = self.env.track
+        self.eval_env = make_env(config, track=self.track, reference=self.env.reference)
         self.agent = make_agent(config, seed)
         self.window = ObservationWindow(self.agent.variant.window)
         self.episodes_run = 0
@@ -469,11 +468,11 @@ class TournamentReport:
 
 
 def summarize_run(run):
-    """Race a finished run's best checkpoint (its final agent when no eval
-    saved one) for 3 laps on its own track; returns its EpisodeResult."""
+    """Race a finished run's best.npz (its latest.npz when no eval saved a
+    best) for 3 laps on its own track; returns its EpisodeResult."""
     best = os.path.join(run.run_dir, "best.npz")
-    agent = best if os.path.exists(best) else run.agent
-    return evaluate(agent, run.config.track)[0]
+    path = best if os.path.exists(best) else os.path.join(run.run_dir, "latest.npz")
+    return evaluate(path, run.config.track)[0]
 
 
 def _train_and_rank(labelled_configs, seeds, run_dirs):
@@ -549,8 +548,8 @@ def generalization_eval(run_dir, track_names, laps=1):
     """Race every saved checkpoint of a run on several tracks.
 
     Each track and its env are built once; every checkpoint races on them
-    in one deterministic episode, against the track's axis (the training
-    track too), with the run's env and car settings and LAC input.
+    in one deterministic episode, against the line make_env picks, with the
+    run's env and car settings and LAC input, as evaluate races it.
     Writes the per-checkpoint lap-time series to generalization.csv and the
     general model, selected per the best-on-training-but-finishes-everywhere
     rule, to generalization.json, both in the run directory. track_names
@@ -574,7 +573,6 @@ def generalization_eval(run_dir, track_names, laps=1):
     for name in track_names:
         track = tracks.get_track(name)
         envs.append((name, make_env(config, track=track,
-                                    reference=RacingLine.middle_of_track(track),
                                     max_steps=eval_step_cap(track, laps, config.env.dt))))
     entries, rows = [], []
     for episode, path in checkpoints:

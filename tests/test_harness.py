@@ -22,7 +22,8 @@ from racerl.bot import BaselineBot, bot_lap_time, drive_bot, record_reference_li
 from racerl.cli import build_parser
 from racerl.cli import main as cli_main
 from racerl.config import RULES, from_dict
-from racerl.geometry import Polyline, RacingLine, Track, save_racing_line, save_track
+from racerl.geometry import (Polyline, RacingLine, Track, load_racing_line,
+                             save_racing_line, save_track)
 from racerl.replay import PERConfig
 from racerl.simulator import CarParams, CarState, EnvSettings, RacingEnv, TelemetryLogger
 
@@ -574,7 +575,7 @@ def test_a_run_into_an_earlier_runs_directory_keeps_none_of_its_run_files(tmp_pa
     monkeypatch.setattr(ex, "evaluate", lambda ckpt, *a, **kw: raced.append(ckpt) or
                         [ex.EpisodeResult([], None, 0.0, "out_of_track", 0.0, 1)])
     ex.summarize_run(second)
-    assert raced == [second.agent]  # not the first run's best.npz
+    assert raced == [str(run_dir / "latest.npz")]  # not the first run's best.npz
 
 
 def test_a_numeric_failure_writes_failed_and_ends_the_run(tmp_path, monkeypatch, capsys):
@@ -818,6 +819,52 @@ def test_an_rc_lac_checkpoint_races_its_own_line_on_its_training_track(tmp_path)
     assert ex.evaluate(ckpt, "oval", laps=1)[0] == ex.run_eval_episode(run.agent, axis_env, laps=1)
 
 
+def test_make_env_races_the_axis_off_the_training_track(tmp_path, oval):
+    technical = tracks.get_track("technical")
+    cfg = tiny_config(tmp_path, track="technical", reference="rc",
+                      racing_line_file=_offset_line_file(tmp_path, technical))
+    agent = ex.make_agent(cfg, 0)
+    env = ex.make_env(cfg, track=oval)
+    axis_env = ex.make_env(cfg, track=oval, reference=RacingLine.middle_of_track(oval))
+    offset_env = ex.make_env(cfg, track=oval, reference=load_racing_line(
+        _offset_line_file(tmp_path, oval), oval))
+    for _ in range(2):
+        res = ex.run_eval_episode(agent, env, laps=1)
+        assert res == ex.run_eval_episode(agent, axis_env, laps=1)
+        assert res != ex.run_eval_episode(agent, offset_env, laps=1)
+
+
+def test_a_run_names_its_line_file_by_absolute_path(tmp_path, monkeypatch):
+    technical = tracks.get_track("technical")
+    train_dir = tmp_path / "train"
+    train_dir.mkdir()
+    monkeypatch.chdir(train_dir)
+    line = os.path.basename(_offset_line_file(train_dir, technical))
+    cfg = tiny_config(tmp_path, track="technical", reference="rc", racing_line_file=line)
+    run = ex.train_run(cfg, 0)
+    absolute = str(train_dir / line)
+    ckpt = os.path.join(run.run_dir, "latest.npz")
+    monkeypatch.chdir(tmp_path)
+    assert ex.evaluate(ckpt, "technical", laps=1)[0] == \
+        ex.evaluate(ckpt, "technical", laps=1, racing_line_file=absolute)[0]
+    assert ex.generalization_eval(run.run_dir, ["technical"], laps=1)["tracks"] == ["technical"]
+    assert json.loads(Path(run.run_dir, "config.json").read_text())["racing_line_file"] == absolute
+    assert cfg.racing_line_file == line  # the caller's config is left as it was
+
+
+def test_summarize_run_without_a_best_races_latest_under_the_runs_config(tmp_path):
+    cfg = tiny_config(tmp_path)
+    cfg.train.eval_every = 3  # more than the 2 episodes: no eval saves a best.npz
+    cfg.car = dataclasses.replace(cfg.car, mass=2 * cfg.car.mass)
+    run = ex.train_run(cfg, 0)
+    assert not os.path.exists(os.path.join(run.run_dir, "best.npz"))
+    cap = ex.eval_step_cap(run.track, 3, cfg.env.dt)
+    res = ex.run_eval_episode(run.agent, ex.make_env(cfg, max_steps=cap))
+    assert ex.summarize_run(run) == res
+    default_car = dataclasses.replace(cfg, car=CarParams())
+    assert res != ex.run_eval_episode(run.agent, ex.make_env(default_car, max_steps=cap))
+
+
 def test_generalization_of_an_lac_run_writes_no_line_files(tmp_path, oval):
     cfg = tiny_config(tmp_path, reference="rc-lac",
                       racing_line_file=_offset_line_file(tmp_path, oval))
@@ -998,6 +1045,21 @@ def test_generalization_eval_builds_each_track_once(tmp_path, monkeypatch):
              for ckpt in checkpoints for name in names]
     assert raced == fresh
     assert len(Path(report["series_csv"]).read_text().splitlines()) == 1 + len(fresh)
+
+
+@pytest.mark.parametrize("reference", ex.REFERENCE_MODES)
+def test_generalization_races_what_evaluate_races(tmp_path, monkeypatch, oval, reference):
+    cfg = tiny_config(tmp_path, reference=reference, racing_line_file=_offset_line_file(
+        tmp_path, oval) if reference != "mot" else None)
+    run_dir = ex.train_run(cfg, 0).run_dir
+    races, race = [], ex.run_eval_episode
+    monkeypatch.setattr(ex, "run_eval_episode",
+                        lambda agent, env, laps: races.append(race(agent, env, laps)) or races[-1])
+    names = ["technical", "OVAL"]
+    ex.generalization_eval(run_dir, names, laps=1)
+    raced = list(races)
+    assert raced == [ex.evaluate(path, name, laps=1)[0]
+                     for _, path in ex.list_checkpoints(run_dir) for name in names]
 
 
 # --- tournament (tiny budget) ----------------------------------------------------------------
