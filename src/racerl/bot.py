@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .geometry import RacingLine, wrap_angle
-from .simulator import CarParams, EnvSettings, RacingEnv, clamp_action
+from .simulator import CarParams, EnvSettings, RacingEnv, clamp_action, eval_step_cap
 
 SPEED_LOOKAHEAD = (0.0, 20.0, 40.0, 60.0, 80.0)
 LOOKAHEAD_GAIN = 0.45  # pure-pursuit look-ahead, m per m/s, clamped to [8, 26] m
@@ -94,8 +94,8 @@ def bot_lap_time(track, laps=2):
     driven after the standing-start lap."""
     if laps < 1:
         raise ValueError(f"laps must be at least 1, got {laps}")
-    max_steps = int((laps + 1) * track.length / 3.0 / EnvSettings.dt) + 600
-    env = RacingEnv(track, settings=EnvSettings(max_steps=max_steps))
+    env = RacingEnv(track, settings=EnvSettings(
+        max_steps=eval_step_cap(track, laps + 1, EnvSettings.dt)))
     stats = drive_bot(env, BaselineBot(track), stop_after_laps=laps + 1)  # standing start + flying laps
     flying = stats["laps"][1:]
     if not flying:
@@ -122,8 +122,8 @@ def record_reference_line(track, params=None):
     Raises RuntimeError when the bot cannot complete the lap (the track is
     then unusable for RC reference modes).
     """
-    max_steps = int(track.length / (2.5 * SLOW_FACTOR) / EnvSettings.dt) + 800
-    env = RacingEnv(track, params=params, settings=EnvSettings(max_steps=max_steps))
+    env = RacingEnv(track, params=params,
+                    settings=EnvSettings(max_steps=eval_step_cap(track, 1, EnvSettings.dt)))
     trace = _LineTrace()
     stats = drive_bot(env, BaselineBot(track, params=params, speed_scale=SLOW_FACTOR),
                       logger=trace, stop_after_laps=1)

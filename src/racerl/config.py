@@ -20,10 +20,6 @@ RULES = {
     "None or finite and positive": lambda v: v is None or (math.isfinite(v) and v > 0),
 }
 
-# set while from_dict builds a nested tree: the tree it is part of checks it,
-# so a message names the field's path from the root
-_nested = False
-
 
 def ranged(rule, default):
     """A dataclass field holding default whose values must satisfy RULES[rule]."""
@@ -62,8 +58,7 @@ class Config:
             cls.tree = tree
 
     def __post_init__(self):
-        if not _nested:
-            self.validate()
+        self.validate()
 
     def validate(self, path=None):
         check(self, self.tree if path is None else path)
@@ -84,10 +79,11 @@ def from_dict(cls, data, path=""):
 
     Missing keys keep their defaults. An unknown key, a non-object where a
     nested config belongs, or a value of the wrong type raises ValueError
-    naming its dotted path. A nested tree is checked with the tree it is
-    part of, so a range error names its path from that tree's root.
+    naming its dotted path. Each tree checks itself when built, so with
+    several bad fields the nested trees fail first, in the order the
+    document gives them; a nested tree's name is its field's, so a range
+    error still names its path from the root.
     """
-    global _nested
     if not isinstance(data, dict):
         raise ValueError(f"config {path or 'root'} must be an object, "
                          f"got {type(data).__name__}")
@@ -99,11 +95,7 @@ def from_dict(cls, data, path=""):
         if key not in names:
             raise ValueError(f"unknown config key {dotted!r}")
         if dataclasses.is_dataclass(hints[key]):
-            outer, _nested = _nested, True
-            try:
-                value = from_dict(hints[key], value, dotted)
-            finally:
-                _nested = outer
+            value = from_dict(hints[key], value, dotted)
         else:
             kinds = typing.get_args(hints[key]) or (hints[key],)  # X | None -> (X, NoneType)
             if not any(_accepts(kind, value) for kind in kinds):

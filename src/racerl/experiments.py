@@ -28,7 +28,7 @@ from .geometry import RacingLine, load_racing_line, save_racing_line
 from .nn import NumericError, load_arrays
 from .plotting import moving_average, read_csv_columns
 from .replay import Transition
-from .simulator import CarParams, EnvSettings, RacingEnv, csv_row
+from .simulator import CarParams, EnvSettings, RacingEnv, csv_row, eval_step_cap
 
 REFERENCE_MODES = ("mot", "rc", "rc-lac")
 
@@ -217,8 +217,8 @@ class EpisodeResult:
 
 
 def run_eval_episode(agent, env, laps=3):
-    """Deterministic rollout until `laps` laps (termination "none"), a
-    termination, or the step cap."""
+    """Deterministic rollout from the env's configured start until `laps`
+    laps (termination "none"), a termination, or the step cap."""
     if laps < 1:
         raise ValueError(f"laps must be at least 1, got {laps}")
     env.reset()
@@ -256,11 +256,6 @@ def evaluate(checkpoint, track_name, laps=3, racing_line_file=None):
     return [run_eval_episode(agent, env, laps=laps)]
 
 
-def eval_step_cap(track, laps, dt):
-    # generous cap: finishing each lap slower than 6 m/s average counts as DNF
-    return int(laps * track.length / 6.0 / dt) + 300
-
-
 # --- training ------------------------------------------------------------------
 
 METRICS_HEADER = "episode,steps,return,critic_loss_mean,actor_obj_mean,epsilon_prime,laps,damage"
@@ -291,21 +286,21 @@ def list_checkpoints(run_dir):
 
 class Run:
     """One training run: exploration-annealed episodes, periodic deterministic
-    evaluation, checkpointing and CSV metrics. It owns the env pair, the agent,
-    the observation window, the open CSV files and every progress fact, and
-    builds everything that can fail on the config before it writes a file."""
+    evaluation, checkpointing and CSV metrics. It owns the one env it trains
+    and races on, the agent, the observation window, the open CSV files and
+    every progress fact, and builds everything that can fail on the config
+    before it writes a file."""
 
     def __init__(self, config, seed, run_dir=None):
         config.validate()
         _check_seed(seed)
+        check_file_name(run_dir, "train_run run_dir", "directory")
         if config.racing_line_file:  # so config.json names it from any directory
             config = dataclasses.replace(config, racing_line_file=os.path.abspath(
                 config.racing_line_file))
         self.config, self.seed = config, seed
         self.run_dir = run_dir if run_dir is not None else run_dir_for(config, seed)
         self.env = make_env(config)
-        self.track = self.env.track
-        self.eval_env = make_env(config, track=self.track, reference=self.env.reference)
         self.agent = make_agent(config, seed)
         self.window = ObservationWindow(self.agent.variant.window)
         self.episodes_run = 0
@@ -339,10 +334,8 @@ class Run:
         A non-finite update writes FAILED and ends the episode and the run."""
         env, agent, window, t = self.env, self.agent, self.window, self.config.train
         episode = self.episodes_run + 1
-        if t.spread_starts:
-            # low-discrepancy start positions (single-corner-style drills)
-            env.start_delta = (episode * GOLDEN % 1.0) * self.track.length
-        env.reset()
+        # low-discrepancy start positions (single-corner-style drills)
+        env.reset((episode * GOLDEN % 1.0) * env.track.length if t.spread_starts else None)
         vec = env.observe()
         window.reset(vec)
         agent.explorer.reset_noise()
@@ -383,7 +376,7 @@ class Run:
         """Race one deterministic lap into eval.csv. A better score rewrites
         best.npz, and the first zero-damage lap under success_lap_time (any
         lap when it is None) sets success_episode."""
-        res = run_eval_episode(self.agent, self.eval_env, laps=1)
+        res = run_eval_episode(self.agent, self.env, laps=1)
         self.eval_fh.write(csv_row((episode, res.return_, res.steps, len(res.lap_times),
                                     res.best_lap_time, res.damage, res.termination)))
         score = (1, -res.best_lap_time) if res.finished else (0, res.return_)

@@ -77,9 +77,11 @@ class Dense:
         y = np.maximum(z, 0.0) if self.activation == "relu" else z
         return y, (x, z, y)
 
-    def backward(self, cache, gy):
+    def backward(self, cache, gy, input_grad=True):
+        """((weight, bias) gradients, input gradient); the input gradient is
+        None, and not formed, when input_grad is False."""
         gz = self.pre_activation_grad(cache, gy)
-        return self.param_grads(cache[0], gz), gz @ self.weight
+        return self.param_grads(cache[0], gz), gz @ self.weight if input_grad else None
 
     def pre_activation_grad(self, cache, gy):
         """Gradient wrt z = x @ weight.T + bias, from the output's gradient gy."""
@@ -119,10 +121,12 @@ class Mlp:
             caches.append(cache)
         return x, caches
 
-    def backward(self, caches, gy):
+    def backward(self, caches, gy, input_grad=True):
+        """(flat parameter gradients, input gradient); with input_grad False
+        the first layer forms no input gradient and None is returned."""
         grads = [None] * len(self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
-            grads[i], gy = self.layers[i].backward(caches[i], gy)
+            grads[i], gy = self.layers[i].backward(caches[i], gy, input_grad or i > 0)
         flat = []
         for gw, gb in grads:
             flat.extend([gw, gb])
@@ -320,7 +324,7 @@ class Actor(Network):
         gz[:, 0] = ga[:, 0] * (1.0 - a[:, 0] ** 2)
         gz[:, 1] = ga[:, 1] * a[:, 1] * (1.0 - a[:, 1])
         gz[:, 2] = ga[:, 2] * a[:, 2] * (1.0 - a[:, 2])
-        return self.trunk.backward(caches, gz)[0]
+        return self.trunk.backward(caches, gz, input_grad=False)[0]
 
 
 class Critic(Network):

@@ -111,6 +111,11 @@ class EnvSettings(Config, tree="env"):
     slow_grace: int = ranged("non-negative", 100)
 
 
+def eval_step_cap(track, laps, dt):
+    # generous cap: finishing each lap slower than 6 m/s average counts as DNF
+    return int(laps * track.length / 6.0 / dt) + 300
+
+
 def clamp_action(steer, throttle, brake):
     """Steer to [-1, 1], pedals to [0, 1]; min/max keep a -0.0 that np.clip zeroes."""
     return min(max(steer, -1.0), 1.0), min(max(throttle, 0.0), 1.0), min(max(brake, 0.0), 1.0)
@@ -216,17 +221,18 @@ class RacingEnv:
         if track.width <= self.params.width:
             raise ValueError(f"track {track.name!r} is {track.width} m wide, not wider than "
                              f"car.width {self.params.width} m")
-        # never written: the envs of one experiment share it, so a per-episode
-        # start position goes into start_delta instead
+        # never written: the envs of one experiment share it
         self.settings = settings if settings is not None else EnvSettings()
         self.settings.validate()
-        self.start_delta = self.settings.start_delta
-        self.state = None
         self.reset()
 
-    def reset(self):
-        p = self.track.centerline.point_at(self.start_delta)
-        tangent = self.track.centerline.tangent_at(self.start_delta)
+    def reset(self, start_delta=None):
+        """Start an episode at start_delta m along the track axis, or at
+        settings.start_delta when it is None."""
+        if start_delta is None:
+            start_delta = self.settings.start_delta
+        p = self.track.centerline.point_at(start_delta)
+        tangent = self.track.centerline.tangent_at(start_delta)
         self.state = CarState(position=p, heading=math.atan2(tangent[1], tangent[0]),
                               vx=self.settings.start_speed)
         # the current pose's frames, kept by step() too
@@ -236,7 +242,7 @@ class RacingEnv:
         self.time = 0.0
         self.lap_progress = 0.0
         self.lap_start_time = 0.0
-        self._prev_delta = self.track.centerline.wrap(self.start_delta)
+        self._prev_delta = self.track.centerline.wrap(start_delta)
         self.lap_times = []
         self.episode_return = 0.0
         self.termination = None

@@ -536,7 +536,7 @@ def test_train_run_directory_contents(tmp_path):
 
 
 @pytest.mark.parametrize("eval_every", [1, 2])
-def test_train_run_builds_one_env_to_train_and_one_to_race(tmp_path, monkeypatch, eval_every):
+def test_train_run_builds_one_env_to_train_and_race(tmp_path, monkeypatch, eval_every):
     calls = []
     make_env = ex.make_env
     monkeypatch.setattr(ex, "make_env", lambda *a, **kw: calls.append(1) or make_env(*a, **kw))
@@ -544,9 +544,21 @@ def test_train_run_builds_one_env_to_train_and_one_to_race(tmp_path, monkeypatch
     cfg.train.episodes = 4
     cfg.train.eval_every = eval_every
     result = ex.train_run(cfg, 0)
-    assert len(calls) == 2
+    assert len(calls) == 1
     evals = Path(os.path.join(result.run_dir, "eval.csv")).read_text().splitlines()[1:]
     assert len(evals) == 4 // eval_every
+
+
+def test_train_run_refuses_an_empty_run_dir_before_touching_the_working_directory(
+        tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "FAILED").write_text("episode 3: non-finite\n")
+    (tmp_path / "best.npz").write_bytes(b"\x93NUMPY earlier best")
+    with pytest.raises(ValueError, match=re.escape("train_run run_dir must name a directory, got ''")):
+        ex.train_run(tiny_config(tmp_path), 0, run_dir="")
+    assert sorted(os.listdir(tmp_path)) == ["FAILED", "best.npz"]
+    assert (tmp_path / "FAILED").read_text() == "episode 3: non-finite\n"
+    assert (tmp_path / "best.npz").read_bytes() == b"\x93NUMPY earlier best"
 
 
 def test_a_run_into_an_earlier_runs_directory_keeps_none_of_its_run_files(tmp_path,
@@ -858,7 +870,7 @@ def test_summarize_run_without_a_best_races_latest_under_the_runs_config(tmp_pat
     cfg.car = dataclasses.replace(cfg.car, mass=2 * cfg.car.mass)
     run = ex.train_run(cfg, 0)
     assert not os.path.exists(os.path.join(run.run_dir, "best.npz"))
-    cap = ex.eval_step_cap(run.track, 3, cfg.env.dt)
+    cap = ex.eval_step_cap(run.env.track, 3, cfg.env.dt)
     res = ex.run_eval_episode(run.agent, ex.make_env(cfg, max_steps=cap))
     assert ex.summarize_run(run) == res
     default_car = dataclasses.replace(cfg, car=CarParams())

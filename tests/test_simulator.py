@@ -445,8 +445,7 @@ def wall_trace(name, episodes=100):
     rng = np.random.default_rng(0)
     trace, contacts = [], 0
     for _ in range(episodes):
-        env.start_delta = rng.uniform(0.0, track.length)
-        env.reset()
+        env.reset(start_delta=rng.uniform(0.0, track.length))
         steer = rng.uniform(-1.0, 1.0)
         while True:
             res = env.step((steer, rng.uniform(0.0, 1.0), 0.0))
@@ -468,8 +467,7 @@ def clamp_trace(name, episodes=20):
     forms = (lambda a: tuple(a.tolist()), lambda a: a.tolist(), np.copy)
     trace, negative_zero_steers = [], 0
     for _ in range(episodes):
-        env.start_delta = rng.uniform(0.0, track.length)
-        env.reset()
+        env.reset(start_delta=rng.uniform(0.0, track.length))
         while not env.done:
             a = rng.uniform(-2.0, 2.0, 3)
             special = rng.random(3) < 0.3
@@ -597,17 +595,37 @@ def test_episode_record_equals_a_step_by_step_tally(name):
 def test_a_start_off_the_lap_counts_laps_as_its_wrapped_start(oval, laps):
     """start_delta may take any finite value: the car starts at the wrapped
     point, and the lap count must start there too."""
-    env = make_env(oval, max_steps=450)
     bot = BaselineBot(oval)
 
     def lap_times(start_delta):
-        env.start_delta = start_delta
-        return drive_bot(env, bot)["laps"]
+        return drive_bot(make_env(oval, max_steps=450, start_delta=start_delta), bot)["laps"]
 
     start = laps * oval.length
     wrapped = lap_times(oval.centerline.wrap(start))
     assert len(wrapped) >= 2
     assert lap_times(start) == wrapped
+
+
+def test_reset_at_a_start_equals_an_env_built_at_it(oval):
+    """reset(start_delta=x) starts where an env whose settings hold x starts,
+    and the next reset() returns to the settings' start."""
+
+    def start(env):
+        s = env.state
+        return (s.position.tolist(), s.heading, s.vx, s.vy, s.yaw_rate, s.damage,
+                env.axis_frame, env.ref_frame, env._prev_delta, env.time,
+                env.lap_progress, env.lap_times, env.observe().tolist())
+
+    env = make_env(oval, lac_enabled=True, start_speed=10.0)
+    at_settings = start(env)
+    for x in (250.0, -0.3 * oval.length, 3.3 * oval.length):
+        env.step((0.2, 1.0, 0.0))
+        env.reset(start_delta=x)
+        assert start(env) == start(make_env(oval, lac_enabled=True, start_speed=10.0,
+                                            start_delta=x))
+        assert start(env) != at_settings
+        env.reset()
+        assert start(env) == at_settings
 
 
 def test_backwards_over_the_start_line_is_negative_progress(oval):
