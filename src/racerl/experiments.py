@@ -486,14 +486,17 @@ def tournament(config, variants=None, phase2_track="technical", report_path=None
     Phase 1 trains every variant on the configured (simple) track with the
     MOT reference and builds the leaderboard; per-family winners (by aLT)
     are then promoted to the technical track, trained with both MOT and a
-    recorded racing line. The variants and the phase-2 track are checked
-    before anything trains.
+    recorded racing line. The variants, the phase-2 track and the report's
+    directory are checked before anything trains.
     """
     variants = variants if variants is not None else sorted(VARIANTS)
     _check_distinct(variants, "variant")
     if phase2_track is not None:
         _check_track(phase2_track, "tournament phase2_track")
     check_file_name(report_path, "tournament report_path")
+    report_dir = report_path and os.path.dirname(os.path.abspath(report_path))
+    if report_dir is not None and not os.path.isdir(report_dir):
+        raise ValueError(f"tournament report_path {report_path!r}: no directory {report_dir!r}")
     run_dirs = []
     phase1 = _train_and_rank([(dataclasses.replace(config, variant=variant), variant)
                            for variant in variants], config.seeds, run_dirs)

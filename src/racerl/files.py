@@ -14,7 +14,11 @@ def write_atomic(path, write, binary=False):
     """
     tmp = f"{os.fspath(path)}.tmp{os.getpid()}"
     try:
-        with open(tmp, "wb" if binary else "w") as fh:
+        fh = open(tmp, "wb" if binary else "w")
+    except FileNotFoundError as e:  # a missing directory: name path, not its twin
+        raise FileNotFoundError(e.errno, e.strerror, os.fspath(path)) from None
+    try:
+        with fh:
             write(fh)
         os.replace(tmp, path)
     except BaseException:

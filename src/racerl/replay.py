@@ -17,15 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config, ranged
-from .nn import save_arrays, load_arrays
 from .simulator import Termination
 
 # how a transition ended its episode, as stored: -1 while the episode runs on
 TERMINATION_CODES = {None: -1, **{kind: i for i, kind in enumerate(Termination)}}
 CODE_TERMINATIONS = {v: k for k, v in TERMINATION_CODES.items()}
 
-# the Transition fields in their order, as a snapshot names them
-FIELDS = ("state", "action", "reward", "next_state", "termination", "episode", "step")
 # one array per field but the states; termination holds the codes
 COLUMNS = ("action", "reward", "termination", "episode", "step")
 # per slot, the slot of the same episode's previous and next stored
@@ -337,28 +334,3 @@ def make_buffer(kind, capacity=DEFAULT_CAPACITY):
         return PrioritizedReplayBuffer(capacity)
     raise ValueError(f"unknown buffer kind {kind!r}")
 
-
-# --- snapshots ---------------------------------------------------------------
-
-
-def save_buffer(buffer, path):
-    """Snapshot the stored transitions oldest first (same container format as
-    checkpoints), each field under its plural name, next states in full; the
-    links and the side rows are rebuilt by load_buffer's pushes."""
-    order = (buffer._write - buffer.size + np.arange(buffer.size)) % buffer.capacity
-    arrays = {f"{name}s": buffer.next_states(order) if name == "next_state"
-              else getattr(buffer, name)[order] for name in FIELDS}
-    meta = {"kind": "replay-buffer", "capacity": buffer.capacity, "count": buffer.size}
-    save_arrays(path, meta, arrays)
-
-
-def load_buffer(path, buffer):
-    """Refill a fresh buffer from a snapshot (pushed in original order)."""
-    meta, arrays = load_arrays(path)
-    if meta.get("kind") != "replay-buffer":
-        raise ValueError(f"{path} is not a replay-buffer snapshot")
-    rows = zip(*(arrays[f"{name}s"] for name in FIELDS))
-    for state, action, reward, next_state, code, episode, step in rows:
-        buffer.push(Transition(state, action, reward, next_state,
-                               CODE_TERMINATIONS[int(code)], episode, step))
-    return buffer

@@ -413,8 +413,7 @@ def stored_transition(buffer, slot, next_state):
 class ColumnReplayBuffer:
     """ReplayBuffer's storage as it was before the side rows: every
     Transition field a capacity-long column, next_state included, and int64
-    step links. Its views and snapshot arrays are the reference for the
-    stored-once layout."""
+    step links. Its views are the reference for the stored-once layout."""
 
     FIELDS = ("state", "action", "reward", "next_state", "termination", "episode", "step")
     FLOATS = ("state", "action", "reward", "next_state")
@@ -470,12 +469,6 @@ class ColumnReplayBuffer:
             going &= (nxt != last) & (self.termination[last] == TERMINATION_CODES[None])
             last = np.where(going, nxt, last)
         return reward_sum, steps, self.termination[last], last
-
-    def saved_arrays(self):
-        """save_buffer's arrays: the stored rows oldest first."""
-        oldest = (self._write - self.size) % self.capacity
-        return {f"{name}s": np.roll(getattr(self, name)[:self.size], -oldest, axis=0)
-                for name in self.FIELDS}
 
 
 def scalar_find(tree, prefix):

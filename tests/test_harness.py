@@ -16,7 +16,7 @@ import numpy.testing as npt
 import pytest
 
 from racerl import experiments as ex
-from racerl import cli, nn, plotting, tracks
+from racerl import cli, files, nn, plotting, tracks
 from racerl.agent import VARIANTS, AgentSettings, DDPGAgent
 from racerl.bot import BaselineBot, bot_lap_time, drive_bot, record_reference_line
 from racerl.cli import build_parser
@@ -702,6 +702,14 @@ def test_a_write_that_fails_partway_leaves_the_previous_file(tmp_path, name, wri
     assert os.listdir(tmp_path) == [name]
 
 
+def test_a_write_into_a_missing_directory_names_the_path_it_was_given(tmp_path):
+    path = tmp_path / "nosuch" / "report.json"
+    with pytest.raises(FileNotFoundError) as caught:
+        files.write_text(path, "{}\n")
+    assert caught.value.filename == str(path)
+    assert os.listdir(tmp_path) == []
+
+
 def test_a_train_run_leaves_no_temporary_file(tmp_path):
     result = ex.train_run(tiny_config(tmp_path), 0)
     left = [f for _, _, files in os.walk(result.run_dir) for f in files if ".tmp" in f]
@@ -1094,8 +1102,11 @@ def test_tournament_tiny(tmp_path):
     ({"variants": []}, "need at least one variant"),
     ({"phase2_track": ""}, "tournament phase2_track must be one of .*, got ''"),
     ({"report_path": ""}, "tournament report_path must name a file, got ''"),
+    ({"report_path": os.path.join("nosuch", "report.json")},
+     "tournament report_path .*: no directory .*nosuch'"),
 ])
 def test_tournament_checks_its_arguments_before_training(tmp_path, monkeypatch, kw, message):
+    monkeypatch.chdir(tmp_path)  # where a relative report_path lies
     calls = []
     monkeypatch.setattr(ex, "train_run", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ValueError, match=message):

@@ -6,9 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from racerl import replay
-from racerl.nn import load_arrays
 from racerl.replay import (
-    CODE_TERMINATIONS,
     TERMINATION_CODES,
     NotReadyError,
     PERConfig,
@@ -16,10 +14,8 @@ from racerl.replay import (
     ReplayBuffer,
     SumTree,
     Transition,
-    load_buffer,
     make_buffer,
     priority_from,
-    save_buffer,
 )
 from racerl.simulator import Termination
 from oracles import (
@@ -30,7 +26,6 @@ from oracles import (
     scalar_update_priorities,
     serial_nstep,
     serial_window,
-    stored_transition,
 )
 
 
@@ -338,7 +333,7 @@ def test_nstep_truncates_at_buffer_head():
     assert view.termination == TERMINATION_CODES[None]
 
 
-# --- factory and snapshot ------------------------------------------------------------
+# --- factory -------------------------------------------------------------------------
 
 
 def test_make_buffer_kinds():
@@ -348,34 +343,6 @@ def test_make_buffer_kinds():
     assert per.capacity == 1024
     with pytest.raises(ValueError):
         make_buffer("magic")
-
-
-def test_buffer_snapshot_roundtrip(tmp_path):
-    buf = ReplayBuffer(32)
-    log = fill_episode(buf, 6, terminal=Termination.SLOW_PROGRESS)
-    path = tmp_path / "buffer.npz"
-    save_buffer(buf, path)
-    restored = load_buffer(path, ReplayBuffer(32))
-    assert restored.size == 6
-    for i in range(6):
-        a = stored_transition(buf, i, log[i].next_state)
-        b = stored_transition(restored, i, log[i].next_state)
-        npt.assert_array_equal(a.state, b.state)
-        npt.assert_array_equal(a.action, b.action)
-        assert a.reward == b.reward
-        assert a.termination == b.termination
-        assert (a.episode, a.step) == (b.episode, b.step)
-        npt.assert_array_equal(restored.next_states(i), log[i].next_state)
-
-    # a wrapped ring is saved oldest first, so trajectory views survive a reload
-    ring = ReplayBuffer(4)
-    fill_episode(ring, 6)
-    save_buffer(ring, path)
-    restored = load_buffer(path, ReplayBuffer(4))
-    assert restored.step[:4].tolist() == [2, 3, 4, 5]
-    states, _, _ = restored.assemble_window(0, 3)
-    npt.assert_array_equal(states[:, 0], [2.0, 2.0, 2.0])  # step 2 is the oldest kept
-    assert restored.assemble_nstep(0, 4, 1.0).reward_sum == 2.0 + 3.0 + 4.0 + 5.0
 
 
 # --- batched views against a per-transition walk ------------------------------------
@@ -584,8 +551,7 @@ def _assert_stores_the_column_version(buf, column, rng):
 @pytest.mark.parametrize("trajectory", [_random_trajectory, _chain_trajectory,
                                         _one_step_trajectory])
 @pytest.mark.parametrize("capacity,pushes", [(1, 5), (7, 7), (13, 40), (50, 137)])
-def test_storage_matches_the_column_version(kind, trajectory, capacity, pushes, tmp_path,
-                                            monkeypatch):
+def test_storage_matches_the_column_version(kind, trajectory, capacity, pushes, monkeypatch):
     monkeypatch.setattr(replay, "FIRST_ROWS", 4)
     rng = np.random.default_rng(capacity + pushes)
     buf, column = make_buffer(kind, capacity), ColumnReplayBuffer(capacity)
@@ -593,20 +559,6 @@ def test_storage_matches_the_column_version(kind, trajectory, capacity, pushes, 
         buf.push(t)
         column.push(t)
         _assert_stores_the_column_version(buf, column, rng)
-    # the snapshot writes the column version's arrays, next states in full,
-    # and a reload stores what the column version stores from them
-    path = tmp_path / "buffer.npz"
-    save_buffer(buf, path)
-    meta, arrays = load_arrays(path)
-    want = column.saved_arrays()
-    assert list(arrays) == list(want)
-    for name, array in arrays.items():
-        assert array.dtype == want[name].dtype and array.tobytes() == want[name].tobytes(), name
-    restored, column = load_buffer(path, make_buffer(kind, capacity)), ColumnReplayBuffer(capacity)
-    for state, action, reward, next_state, code, episode, step in zip(*want.values()):
-        column.push(Transition(state, action, reward, next_state, CODE_TERMINATIONS[int(code)],
-                               episode, step))
-    _assert_stores_the_column_version(restored, column, rng)
 
 
 def test_push_rejects_a_next_state_shaped_unlike_the_state():

@@ -73,6 +73,11 @@ def compute_digests(workdir):
       every track, and the arrays of its first checkpoint;
     - a one-seed tournament of WIN4 and PER40k of the same size with phase 2
       on technical: its report and each run's best.npz arrays;
+    - a one-seed WIN1 tournament of the same size, with spread starts,
+      whose runs are all scored a clean lap, so that WIN1 wins its family
+      and phase 2 trains it on technical against MOT and a recorded line:
+      its report, the line, and each phase-2 run's metrics.csv, eval.csv
+      and best.npz arrays;
     - a one-seed AT ablation of the same size: its report.json and curves.csv;
     - the bot's lap time and its recorded line on every track.
 
@@ -120,11 +125,36 @@ def compute_digests(workdir):
     _run(rc_lac, "technical/rc-lac/WIN1", workdir, out)
 
     t_dir = os.path.join(workdir, "tournament")
+    os.makedirs(t_dir)
     report = ex.tournament(dataclasses.replace(base, output_dir=t_dir), variants=["WIN4", "PER40k"],
                            phase2_track="technical", report_path=os.path.join(t_dir, "report.json"))
     out["tournament/report.json"] = _file(os.path.join(t_dir, "report.json"), workdir)
     for run_dir in report.run_dirs:
         tag = os.path.relpath(run_dir, workdir)
+        out[f"{tag}/best.npz"] = _arrays(os.path.join(run_dir, "best.npz"))
+
+    # at this budget no run finishes a lap: score each a clean one, so phase 2
+    # trains; spread starts take the rc run off the line's opening straight,
+    # where it runs the axis and would repeat the MOT run's bytes
+    w_dir = os.path.join(workdir, "tournament_win1")
+    os.makedirs(w_dir)
+    summarize_run = ex.summarize_run
+    ex.summarize_run = lambda run: ex.EpisodeResult(
+        lap_times=[30.0], best_lap_time=30.0, damage=0.0, termination="none", return_=0.0,
+        steps=5)
+    try:
+        spread = dataclasses.replace(base, output_dir=w_dir, train=dataclasses.replace(
+            base.train, spread_starts=True))
+        report = ex.tournament(spread, variants=["WIN1"], phase2_track="technical",
+                               report_path=os.path.join(w_dir, "report.json"))
+    finally:
+        ex.summarize_run = summarize_run
+    for name in ("report.json", "technical_line.json"):
+        out[f"tournament_win1/{name}"] = _file(os.path.join(w_dir, name), workdir)
+    for run_dir in report.run_dirs[1:]:  # after the one phase-1 run
+        tag = os.path.relpath(run_dir, workdir)
+        out[f"{tag}/metrics.csv"] = _file(os.path.join(run_dir, "metrics.csv"))
+        out[f"{tag}/eval.csv"] = _file(os.path.join(run_dir, "eval.csv"))
         out[f"{tag}/best.npz"] = _arrays(os.path.join(run_dir, "best.npz"))
 
     ex.ablation_at(dataclasses.replace(base, output_dir=os.path.join(workdir, "ablation")))
@@ -135,11 +165,21 @@ def compute_digests(workdir):
 
 
 def main():
+    from racerl.files import write_text
+
     with tempfile.TemporaryDirectory() as workdir:
         digests = compute_digests(workdir)
-    with open(GOLDEN, "w") as fh:
-        json.dump({**versions(), "digests": digests}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    old = {}
+    if os.path.exists(GOLDEN):
+        with open(GOLDEN) as fh:
+            old = json.load(fh)["digests"]
+    for verb, keys in (("added", digests.keys() - old), ("removed", old.keys() - digests),
+                       ("changed", {k for k in digests.keys() & old if digests[k] != old[k]})):
+        print(f"{verb}: {len(keys)}")
+        for key in sorted(keys):
+            print(f"  {key}")
+    write_text(GOLDEN, json.dumps({**versions(), "digests": digests}, indent=2, sort_keys=True)
+               + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN}")
 
 
