@@ -266,6 +266,10 @@ class DDPGAgent:
             ga_stored = self.critic.action_grad(cache, np.ones(n))
             grad_sq = np.einsum("ij,ij->i", ga_stored, ga_stored)
         self.critic_opt.step(self.critic.flat, grads)
+        # free the critic's cache before the next forward needs as much: with
+        # both alive, an LSTM8 update's heap top outgrew glibc's trim
+        # threshold, and every update faulted it back in
+        del cache, grads
 
         # actor ascent along grad_a Q evaluated at a = mu(s)
         a_pred, actor_cache = self.actor.forward(s_win)

@@ -617,6 +617,8 @@ def ablation_at(config, seeds=None, final_window=20):
     """
     seeds = list(seeds) if seeds is not None else list(config.seeds)
     _check_distinct(seeds, "seed", _check_seed)
+    if isinstance(final_window, bool) or not isinstance(final_window, int) or final_window < 1:
+        raise ValueError(f"final_window must be an integer of at least 1, got {final_window!r}")
     config.validate()
     out_dir = os.path.join(config.output_dir, "ablation_at")
     os.makedirs(out_dir, exist_ok=True)

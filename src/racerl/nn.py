@@ -137,7 +137,9 @@ class LstmCell:
     """Standard LSTM cell with combined gate matrices.
 
     Gate order in the stacked matrices is (input, forget, output, candidate).
-    wx is (4h, k), wh (4h, h), bias (4h,).
+    wx is (4h, k), wh (4h, h), bias (4h,). A step works gate-major: its
+    gates are one contiguous (4, batch, h) block, each gate's rows a
+    (batch, h) block of their own.
     """
 
     PARAMS = ("wx", "wh", "bias")
@@ -160,66 +162,92 @@ class LstmCell:
     def in_dim(self):
         return self.wx.shape[1]
 
-    def zero_state(self, batch):
-        h = self.hidden_dim
-        return np.zeros((batch, h)), np.zeros((batch, h))
-
-    def advance(self, x, xw, state):
-        """One recurrence step from x's projection xw = x @ wx.T, which it
-        overwrites with the step's gates. Returns (h_new, (h_new, c_new),
-        cache). lstm_unroll projects a whole window in one product, and that
-        one array then holds the window's gates. (Freed after the unroll
-        instead, that block left a hole in the heap that glibc trimmed and
-        faulted back in on LSTM8 updates.)"""
-        h_prev, c_prev = state
-        hd = self.hidden_dim
-        z = xw
-        z += h_prev @ self.wh.T  # z = (xw + h_prev @ wh.T) + bias, in this order
-        z += self.bias
-        ifo = sigmoid_(z[:, :3 * hd])  # the input, forget and output gates side by side
-        i, f, o = ifo[:, :hd], ifo[:, hd:2 * hd], ifo[:, 2 * hd:]
-        g = np.tanh(z[:, 3 * hd:], out=z[:, 3 * hd:])
-        c_new = f * c_prev + i * g
+    @staticmethod
+    def advance(z, state, wh_t, bias):
+        """One recurrence step on its gate block z (4, batch, h), which holds
+        the step's input projection and is overwritten with its gates. state
+        is (h_prev, c_prev), or None for the zero state, which forms no
+        recurrent product. wh_t is gate_major(wh) and bias the bias in
+        gate-major blocks, (4, 1, h) or (4, batch, h). Returns (h_new, c_new,
+        tanh(c_new))."""
+        if state is not None:
+            z += np.matmul(state[0], wh_t)  # z = (xw + h_prev @ wh.T) + bias, in this order
+        z += bias
+        sigmoid_(z[:3])  # the input, forget and output gates in one block
+        np.tanh(z[3], out=z[3])
+        i, f, o, g = z
+        c_new = i * g
+        if state is not None:
+            c_new += f * state[1]
         tc = np.tanh(c_new)
-        h_new = o * tc
-        cache = (x, h_prev, c_prev, ifo, g, tc)
-        return h_new, (h_new, c_new), cache
+        return o * tc, c_new, tc
 
-    def pre_activation_grad(self, cache, gh, gc):
+    @staticmethod
+    def pre_activation_grad(cache, gh, gc):
         """Gradient wrt the stacked gate pre-activations z, plus gc_prev.
 
-        gh, gc are gradients wrt the step's h_new and c_new.
+        cache is the step's (x, c_prev, gates, tanh(c_new)); gh, gc are the
+        gradients wrt its h_new and c_new, and gc None is zero. The gate math
+        runs on contiguous gate-major blocks. gz comes back batch-major
+        (batch, 4h) and C-contiguous, the layout on which gz @ wx and gz @ wh
+        keep their bits (as the transpose of a gate-major array they
+        rounded differently).
         """
-        _, _, c_prev, ifo, g, tc = cache
-        hd = self.hidden_dim
-        i, f, o = ifo[:, :hd], ifo[:, hd:2 * hd], ifo[:, 2 * hd:]
-        gc_total = gc + gh * o * (1.0 - tc * tc)
+        _, c_prev, gates, tc = cache
+        i, f, o, g = gates
+        gc_total = gh * o
+        gc_total *= 1.0 - tc * tc
+        if gc is not None:
+            gc_total += gc
+        d = np.empty_like(gates)
         # d/d(gate) for i, f, o, then through the sigmoids all at once
-        g_ifo = np.concatenate([gc_total * g, gc_total * c_prev, gh * tc], axis=1)
-        gz = np.concatenate([g_ifo * ifo * (1.0 - ifo), gc_total * i * (1.0 - g * g)], axis=1)
-        return gz, gc_total * f
+        np.multiply(gc_total, g, out=d[0])
+        if c_prev is None:
+            d[1] = 0.0
+        else:
+            np.multiply(gc_total, c_prev, out=d[1])
+        np.multiply(gh, tc, out=d[2])
+        d[:3] *= gates[:3]
+        d[:3] *= 1.0 - gates[:3]
+        np.multiply(gc_total, i, out=d[3])
+        d[3] *= 1.0 - g * g
+        return d.transpose(1, 0, 2).reshape(len(gh), -1), gc_total * f
+
+
+def gate_major(w):
+    """A stacked (4h, n) gate matrix as a contiguous (4, n, h) copy:
+    np.matmul(x, gate_major(w)) is x @ w.T as one (4, batch, h) block, with
+    its bits. (On the transposed view the products ran slower.)"""
+    return np.ascontiguousarray(w.reshape(4, -1, w.shape[1]).transpose(0, 2, 1))
 
 
 def lstm_unroll(cell, xs):
     """Run the cell over xs (steps, batch, in_dim) from a zero state.
 
-    Returns (h_last, caches); each step's cached x is xs[t]. Time-major,
-    each step's rows are one contiguous block. (Batch-major, a step's rows
-    of the projection sit 16 KiB apart for LSTM8 at hidden 64, and the gate
-    math on them ran slower.)
+    Returns (h_last, caches), one (x, c_prev, gates, tanh(c_new)) per step,
+    with c_prev None at the zero state; a step's h_new is its output gate
+    times tanh(c_new). One window array (steps, 4, batch, h) takes every
+    step's input projection and then its gates, so it is also the cache:
+    each step's gates are one contiguous block of it. (A second
+    window-sized array, freed after the unroll, left a hole in the heap
+    that glibc trimmed and faulted back in.)
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3 or xs.shape[2] != cell.in_dim:
         raise ShapeError(f"lstm_unroll expects (steps, batch, {cell.in_dim}), got {xs.shape}")
-    steps, batch, k = xs.shape
-    # one product projects every step, with the bits of the per-step products
-    xws = (xs.reshape(steps * batch, k) @ cell.wx.T).reshape(steps, batch, -1)
-    state = cell.zero_state(batch)
+    # set up once per unroll, before the window: the recurrent weights
+    # gate-major, and the bias as a step's block (added faster than broadcast
+    # from (4, 1, h)). Made after the window, these two left the benchmark's
+    # LSTM8 updates faulting the heap back in (ROADMAP, Traps).
+    wh_t = gate_major(cell.wh)
+    bias = np.repeat(cell.bias.reshape(4, 1, -1), xs.shape[1], axis=1)
+    window = np.matmul(xs[:, None], gate_major(cell.wx))
+    state = None
     caches = []
-    h = state[0]
-    for t in range(steps):
-        h, state, cache = cell.advance(xs[t], xws[t], state)
-        caches.append(cache)
+    for t in range(len(xs)):
+        h, c, tc = cell.advance(window[t], state, wh_t, bias)
+        caches.append((xs[t], None if state is None else state[1], window[t], tc))
+        state = h, c
     return h, caches
 
 
@@ -227,24 +255,23 @@ def lstm_unroll_backward(cell, caches, gh_last):
     """BPTT over an unrolled window. Returns (cell grads, gxs (steps, batch, in)).
 
     Weight gradients are summed last step first, one step's product at a
-    time; the gradient into the zero initial state is not formed.
+    time; the zero initial state takes no product and no gradient.
     """
     gwx = np.zeros_like(cell.wx)
     gwh = np.zeros_like(cell.wh)
     gb = np.zeros_like(cell.bias)
-    gh = gh_last
-    gc = np.zeros_like(gh_last)
-    gxs = [None] * len(caches)
+    gxs = np.empty((len(caches), *caches[0][0].shape))
+    gh, gc = gh_last, None
     for t in range(len(caches) - 1, -1, -1):
-        x, h_prev = caches[t][:2]
         gz, gc = cell.pre_activation_grad(caches[t], gh, gc)
-        gwx += gz.T @ x
-        gwh += gz.T @ h_prev
+        gwx += gz.T @ caches[t][0]
         gb += gz.sum(axis=0)
-        gxs[t] = gz @ cell.wx
+        np.matmul(gz, cell.wx, out=gxs[t])
         if t:
+            _, _, gates, tc = caches[t - 1]
+            gwh += gz.T @ (gates[2] * tc)  # h_prev, with the forward's bits
             gh = gz @ cell.wh
-    return [gwx, gwh, gb], np.stack(gxs)
+    return [gwx, gwh, gb], gxs
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +420,10 @@ class LstmCritic(Network):
         # product, each row with the bits it has alone
         e, embed_cache = self.state_layer.forward(s_win.transpose(1, 0, 2).reshape(w * batch, -1))
         xs = np.concatenate([e.reshape(w, batch, -1), a_win.transpose(1, 0, 2)], axis=2)
+        # the embedding's backward reads only its input and z, and e lives on
+        # in xs: freed before the unroll, it leaves room for the steps' arrays
+        embed_cache = embed_cache[:2]
+        del e
         h, step_caches = lstm_unroll(self.cell, xs)
         q, cache_h = self.head.forward(h)
         return q[:, 0], (embed_cache, step_caches, cache_h)
@@ -426,7 +457,7 @@ class LstmCritic(Network):
         """
         _, step_caches, cache_h = cache
         gh = self.head.pre_activation_grad(cache_h, gq[:, None]) @ self.head.weight
-        gz, _ = self.cell.pre_activation_grad(step_caches[-1], gh, np.zeros_like(gh))
+        gz, _ = self.cell.pre_activation_grad(step_caches[-1], gh, None)
         return (gz @ self.cell.wx)[:, self.state_layer.out_dim:]
 
 

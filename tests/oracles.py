@@ -5,11 +5,12 @@ structures: gradients come from central finite differences on the forward
 pass alone, distributions are checked by brute-force counting, the
 geometry queries scan every segment or call numpy's own search and
 interpolation, the learner's updates run array by array with one
-scalar TD target per view, replay views find a step's neighbours by the
-numbers of the pushes, priorities go back into the sum tree one slot
-at a time, the env step runs one oracle call per substep, each on
-the car state and with a track frame, wall response and lap count of
-its own, and the telemetry vector is assembled field by field.
+scalar TD target per view, the LSTM runs batch-major step by step,
+replay views find a step's neighbours by the numbers of the pushes,
+priorities go back into the sum tree one slot at a time, the env step
+runs one oracle call per substep, each on the car state and with a
+track frame, wall response and lap count of its own, and the telemetry
+vector is assembled field by field.
 """
 
 import math
@@ -378,6 +379,44 @@ class ArrayAdam:
             m_hat = self.m[i] / b1t
             v_hat = self.v[i] / b2t
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def batch_major_lstm(cell, xs, gh_last):
+    """nn.lstm_unroll and its BPTT as they were before the gate-major window:
+    per step, batch-major (batch, 4h) gates from x @ wx.T and h @ wh.T, also
+    at the zero state, the gate math on their column slices, and gz joined
+    batch-major by np.concatenate. Returns (h_last, [gwx, gwh, gb], gxs, gzs)
+    with gzs[t] the step's gz."""
+    steps, batch, _ = xs.shape
+    hd = cell.hidden_dim
+    h, c = np.zeros((batch, hd)), np.zeros((batch, hd))
+    caches = []
+    for t in range(steps):
+        z = xs[t] @ cell.wx.T
+        z += h @ cell.wh.T
+        z += cell.bias
+        ifo = 1.0 / (1.0 + np.exp(-z[:, :3 * hd]))
+        g = np.tanh(z[:, 3 * hd:])
+        c_new = ifo[:, hd:2 * hd] * c + ifo[:, :hd] * g
+        tc = np.tanh(c_new)
+        caches.append((xs[t], h, c, ifo, g, tc))
+        h, c = ifo[:, 2 * hd:] * tc, c_new
+    grads = [np.zeros_like(cell.wx), np.zeros_like(cell.wh), np.zeros_like(cell.bias)]
+    gxs, gzs = np.empty_like(xs), [None] * steps
+    gh, gc = gh_last, np.zeros_like(gh_last)
+    for t in range(steps - 1, -1, -1):
+        x, h_prev, c_prev, ifo, g, tc = caches[t]
+        i, f, o = ifo[:, :hd], ifo[:, hd:2 * hd], ifo[:, 2 * hd:]
+        gc_total = gc + gh * o * (1.0 - tc * tc)
+        g_ifo = np.concatenate([gc_total * g, gc_total * c_prev, gh * tc], axis=1)
+        gz = np.concatenate([g_ifo * ifo * (1.0 - ifo), gc_total * i * (1.0 - g * g)], axis=1)
+        grads[0] += gz.T @ x
+        grads[1] += gz.T @ h_prev
+        grads[2] += gz.sum(axis=0)
+        gxs[t] = gz @ cell.wx
+        gzs[t] = gz
+        gh, gc = gz @ cell.wh, gc_total * f
+    return h, grads, gxs, gzs
 
 
 def array_soft_update(source, target, tau):

@@ -1155,6 +1155,16 @@ def test_ablation_at_smoke(tmp_path):
     assert at_cfg == plain_cfg
 
 
+@pytest.mark.parametrize("final_window", [0, -3, 2.5, True])
+def test_ablation_at_refuses_a_final_window_below_one_episode_before_training(tmp_path, final_window):
+    # a window of 0 took rets[-0:], the whole run, and -3 took rets[3:],
+    # which drops the first episodes: neither compares the final episodes
+    with pytest.raises(ValueError, match=re.escape(
+            f"final_window must be an integer of at least 1, got {final_window!r}")):
+        ex.ablation_at(tiny_config(tmp_path), seeds=[0], final_window=final_window)
+    assert not os.path.exists(tmp_path / "runs")  # failed before training
+
+
 def test_ablate_at_rejects_an_empty_seed_list(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(ValueError, match="need at least one seed"):

@@ -1,12 +1,13 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from racerl import nn
-from oracles import check_network_gradients, finite_difference_grad, max_relative_error
+from oracles import batch_major_lstm, check_network_gradients, finite_difference_grad, max_relative_error
 import update_golden
 
 
@@ -118,10 +119,11 @@ def test_backward_finite_difference_small_net():
 def test_lstm_zero_weights_zero_output():
     cell = nn.LstmCell(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
     x = np.ones((4, 3))
-    h, (h2, c2), _ = cell.advance(x, x @ cell.wx.T, cell.zero_state(4))
+    h, c, _ = cell.advance(np.matmul(x, nn.gate_major(cell.wx)), None,
+                           nn.gate_major(cell.wh), cell.bias.reshape(4, 1, 2))
     # output gate sigmoid(0)=0.5 times tanh(cell)=tanh(0.5*tanh(0)*...) = 0
     npt.assert_array_equal(h, np.zeros((4, 2)))
-    npt.assert_array_equal(c2, np.zeros((4, 2)))
+    npt.assert_array_equal(c, np.zeros((4, 2)))
 
 
 def test_lstm_one_dim_hand_computed():
@@ -141,8 +143,9 @@ def test_lstm_one_dim_hand_computed():
     c1 = f * c0 + i * g
     h1 = o * np.tanh(c1)
 
-    xs = np.array([[x]])
-    h, (hh, cc), _ = cell.advance(xs, xs @ wx.T, (np.array([[h0]]), np.array([[c0]])))
+    z = np.matmul(np.array([[x]]), nn.gate_major(wx))
+    h, cc, _ = cell.advance(z, (np.array([[h0]]), np.array([[c0]])), nn.gate_major(wh),
+                            b.reshape(4, 1, 1))
     npt.assert_allclose(h[0, 0], h1, rtol=1e-14)
     npt.assert_allclose(cc[0, 0], c1, rtol=1e-14)
 
@@ -176,14 +179,22 @@ def test_lstm_unrolled_gradient_finite_difference():
 
 
 def test_lstm_unroll_caches_views_of_a_time_major_window():
+    # one (steps, 4, batch, h) window array holds every step's gates, each
+    # step's a contiguous gate-major block; each cached x is a view of xs
     rng = np.random.default_rng(11)
     cell = nn.LstmCell(rng.normal(size=(8, 3)), rng.normal(size=(8, 2)), np.zeros(8))
     xs = rng.normal(size=(5, 4, 3))
-    _, caches = nn.lstm_unroll(cell, xs)
+    h, caches = nn.lstm_unroll(cell, xs)
     assert len(caches) == 5
-    for t, cache in enumerate(caches):
-        assert np.shares_memory(cache[0], xs)
-        npt.assert_array_equal(cache[0], xs[t])
+    window = caches[0][2].base
+    assert window.shape == (5, 4, 4, 2) and window.flags.c_contiguous
+    for t, (x, c_prev, gates, _) in enumerate(caches):
+        assert np.shares_memory(x, xs)
+        npt.assert_array_equal(x, xs[t])
+        assert gates.base is window and gates.flags.c_contiguous
+        assert gates.__array_interface__["data"] == window[t].__array_interface__["data"]
+        assert (c_prev is None) == (t == 0)  # the zero state is not stored
+    npt.assert_array_equal(h, caches[-1][2][2] * caches[-1][3])  # h = o * tanh(c)
     gh = rng.normal(size=(4, 2))
     assert nn.lstm_unroll_backward(cell, caches, gh)[1].shape == (5, 4, 3)
 
@@ -400,28 +411,74 @@ def test_lstm_critic_action_grad_matches_finite_differences():
 
 @pytest.mark.parametrize("window", [4, 8])
 def test_window_products_equal_the_per_step_products_bit_for_bit(window):
-    # LstmCritic embeds every step's states in one product and lstm_unroll
-    # projects every step's input in one; the digests in golden.json hold
-    # only while this BLAS gives each row the bits of the per-step product
+    # LstmCritic embeds every step's states in one product; lstm_unroll
+    # projects every step into one gate-major window array and runs the
+    # recurrence on gate-major weights; the BPTT takes its weight gradients,
+    # gz @ wx and gz @ wh on a batch-major gz. The digests in golden.json
+    # hold only while this BLAS gives each of these products the bits of the
+    # per-step batch-major products of oracles.batch_major_lstm (OpenBLAS
+    # picks its kernel by the shape), at LSTM4's and LSTM8's shapes.
     rng = np.random.default_rng(window)
     critic = nn.build_lstm_critic(29, hidden=64, rng=rng)
+    cell = critic.cell
     s_win = rng.normal(size=(32, window, 29))
     a_win = rng.uniform(size=(32, window, 3))
-    q, (embed_cache, _, _) = critic.forward(s_win, a_win)
-    embeds = embed_cache[2].reshape(window, 32, -1)
-    state = critic.cell.zero_state(32)
+    gq = rng.normal(size=32)
+    q, cache = critic.forward(s_win, a_win)
+    (_, z_embed), steps, cache_h = cache
+    xs = np.stack([x for x, *_ in steps])
+    blocks = lambda a: a.reshape(32, 4, -1).transpose(1, 0, 2)  # (batch, 4h) -> (4, batch, h)
+    projection = np.matmul(xs[:, None], nn.gate_major(cell.wx))
     differ = []
     for t in range(window):
-        e = critic.state_layer.forward(s_win[:, t, :])[0]
-        if not np.array_equal(embeds[t], e):
+        if not np.array_equal(z_embed[32 * t:32 * (t + 1)], critic.state_layer.forward(s_win[:, t])[1][1]):
             differ.append(f"embedding of step {t}")
-        x = np.concatenate([e, a_win[:, t, :]], axis=1)
-        h, state, _ = critic.cell.advance(x, x @ critic.cell.wx.T, state)
+        if not np.array_equal(projection[t], blocks(xs[t] @ cell.wx.T)):
+            differ.append(f"gate-major projection of step {t}")
+        h_prev = steps[t - 1][2][2] * steps[t - 1][3] if t else None
+        if t and not np.array_equal(np.matmul(h_prev, nn.gate_major(cell.wh)), blocks(h_prev @ cell.wh.T)):
+            differ.append(f"recurrent product of step {t}")
+    _, gh = critic.head.backward(cache_h, gq[:, None])
+    grads, gxs = nn.lstm_unroll_backward(cell, steps, gh)
+    h, want_grads, want_gxs, want_gzs = batch_major_lstm(cell, xs, gh)
     if not np.array_equal(q, critic.head.forward(h)[0][:, 0]):
         differ.append("q after the unroll")
+    for name, got, want in zip(("wx", "wh", "bias"), grads, want_grads):
+        if not np.array_equal(got, want):
+            differ.append(f"the {name} gradient")
+    if not np.array_equal(gxs, want_gxs):
+        differ.append("gz @ wx, the input gradients")
+    gz, _ = cell.pre_activation_grad(steps[-1], gh, None)
+    assert gz.shape == (32, 256) and gz.flags.c_contiguous  # the layout gz @ wx keeps its bits on
+    if not np.array_equal(gz, want_gzs[-1]):
+        differ.append("the last step's gz")
+    if not np.array_equal(critic.action_grad(cache, gq), want_gxs[-1][:, 64:]):
+        differ.append("the action gradient")
     here = update_golden.versions()
-    assert not differ, (f"batched and per-step products differ ({', '.join(differ)}) "
+    assert not differ, (f"window and per-step products differ ({', '.join(differ)}) "
                         f"with numpy {here['numpy']} and {here['blas']}")
+
+
+def test_lstm_critic_forward_leaves_one_window_array_and_peaks_no_higher():
+    # at batch 32 and window 8, one forward leaves exactly one live array of
+    # steps * batch * 4h * 8 B or more: the window array, which is also the
+    # cache. Its traced peak stays within the batch-major unroll's, which
+    # read 1,466,176 B (1,400,120 B retained) on the same measurement.
+    critic = nn.build_lstm_critic(29, hidden=64, rng=1)
+    rng = np.random.default_rng(2)
+    s_win, a_win = rng.normal(size=(32, 8, 29)), rng.uniform(size=(32, 8, 3))
+    critic.forward(s_win, a_win)
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        q, cache = critic.forward(s_win, a_win)  # held while the snapshot is taken
+        peak = tracemalloc.get_traced_memory()[1] - base
+        large = [t.size for t in tracemalloc.take_snapshot().traces if t.size >= 8 * 32 * 256 * 8]
+    finally:
+        tracemalloc.stop()
+    assert large == [8 * 32 * 256 * 8]
+    assert peak <= 1_466_176
 
 
 @pytest.mark.parametrize("build", [
